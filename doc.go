@@ -118,11 +118,17 @@
 // their contributions form a single base sorted once per round, while the
 // asymmetric senders (faulty processes and M3-cured poisoned queues — at
 // most 2f) contribute a per-receiver patch of value-or-omission entries.
-// A receiver's vote is its O(f) patch sorted and merged linearly into the
-// shared base, with the MSR reduction applied over the merged sequence.
-// Round cost is O(n log n + n·(n + f log f)) instead of O(n² log n).
+// The base is NaN-checked and sorted once per round; a receiver's O(f)
+// patch is NaN-checked and sorted when it is attached to the base, and the
+// received multiset stays two ascending runs that are never merged. The
+// MSR reduction selects the surviving ranks by co-rank binary search,
+// Dolev's selection looks up only the ranks it keeps, and FTA's mean walks
+// only the survivors. Round cost is O(n log n + n·(f log f + log n)) for
+// FTM and Median, plus those lookups or that walk per receiver for Dolev
+// and FTA, instead of O(n² log n).
 //
-// The kernel is bit-exact by construction: the merge emits the same
+// The kernel is bit-exact by construction: the two runs are read in the
+// order their linear merge would emit (ties base-first), which is the
 // ascending sequence the per-receiver full sort produced, and the voting
 // function consumes it with the same left-to-right summation (no sums are
 // re-associated), so the determinism guarantee above is unaffected — the

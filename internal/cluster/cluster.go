@@ -488,16 +488,16 @@ type Node struct {
 	// asymmetric this round (occupied nodes, and M3-cured poisoned
 	// queues), so received values split into a symmetric base and an
 	// O(f) patch — on a partial topology the base is naturally restricted
-	// to the node's neighbors+self, since only their values arrive. The
-	// kernel sorts both sides and merges them (msr.Kernel.Vote), which
-	// may reorder the buffers.
+	// to the node's neighbors+self, since only their values arrive.
+	// msr.KernelVote validates and sorts both sides in place (the
+	// buffers are reordered) and votes over the two runs without merging
+	// them.
 	out    []transport.Message
 	slots  []transport.Message
 	seen   []bool
 	isAsym []bool
 	base   []float64
 	patch  []float64
-	kern   msr.Kernel
 
 	// dirVals/dirOmit are the node's per-round send directives, indexed
 	// like dests: the deployment analogue of the simulator's bulk
@@ -692,7 +692,7 @@ func (nd *Node) RunContext(ctx context.Context) (float64, error) {
 			return 0, err
 		}
 		if len(base)+len(patch) > 0 {
-			v, err := nd.kern.Vote(nd.cfg.Algorithm, nd.tau, base, patch)
+			v, err := msr.KernelVote(nd.cfg.Algorithm, nd.tau, base, patch)
 			if err != nil {
 				return 0, fmt.Errorf("cluster: node %d round %d: %w", nd.cfg.ID, r, err)
 			}

@@ -93,13 +93,15 @@ func TestSteadyStateAllocBudgetStaticCensus(t *testing.T) {
 }
 
 // TestRunnerScalesAllocFree asserts the per-round allocation rate does not
-// grow with n: the former engine allocated Θ(n²) per round (matrix, rows,
-// vote copies), which this catches immediately.
+// grow with n for any voting function: the former engine allocated Θ(n²)
+// per round (matrix, rows, vote copies), and a vote that builds an O(n)
+// selection per receiver (DolevSelect once did) is Θ(n) per round — both
+// trip this immediately.
 func TestRunnerScalesAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc guards skipped under -short")
 	}
-	rate := func(n int) float64 {
+	rate := func(algo msr.Algorithm, n int) float64 {
 		f := mobile.M1Garay.MaxFaulty(n)
 		inputs := make([]float64, n)
 		for i := range inputs {
@@ -109,16 +111,19 @@ func TestRunnerScalesAllocFree(t *testing.T) {
 			Model:       mobile.M1Garay,
 			N:           n,
 			F:           f,
-			Algorithm:   msr.FTM{},
+			Algorithm:   algo,
 			Inputs:      inputs,
 			Epsilon:     1e-9,
 			FixedRounds: 20,
 		}
 		return allocsPerRound(t, NewRunner(), cfg, func() mobile.Adversary { return mobile.NewRotating() })
 	}
-	small, large := rate(16), rate(256)
-	// The rate is O(1); allow generous slack before declaring Θ(n) growth.
-	if large > 4*small+8 {
-		t.Errorf("allocs/round grew from %.2f (n=16) to %.2f (n=256); round loop no longer size-independent", small, large)
+	for _, algo := range msr.All() {
+		small, large := rate(algo, 16), rate(algo, 256)
+		// The rate is O(1); allow generous slack before declaring Θ(n) growth.
+		if large > 4*small+8 {
+			t.Errorf("%s: allocs/round grew from %.2f (n=16) to %.2f (n=256); round loop no longer size-independent",
+				algo.Name(), small, large)
+		}
 	}
 }

@@ -163,18 +163,17 @@ func (c *cluster) shutdown() {
 // exactly n messages, computes its next vote from what it actually
 // received, and reports it. On the kernel path it first verifies the
 // received messages against the shared plan (kernelWorkerVote), then votes
-// over the plan's shared sorted base plus its own received patch — so the
+// over the plan's sealed base plus its own received patch — so the
 // computation still consumes only verified actually-exchanged messages but
-// skips the per-worker O(n log n) sort. The observation row, the voting
-// value buffer and the merge buffer are worker-owned scratch, allocated
-// once and recycled every round.
+// skips the per-worker O(n log n) sort. The observation row and the voting
+// value buffer are worker-owned scratch, allocated once and recycled every
+// round.
 func (c *cluster) worker(cfg Config, id int) {
 	defer c.wg.Done()
 	vote := cfg.Inputs[id]
 	tau := cfg.Tau()
 	row := make([]mixedmode.Observation, c.n)
 	values := make([]float64, 0, c.n)
-	merged := make([]float64, 0, c.n)
 	for sd := range c.sendCh[id] {
 		if sd.hasSetVote {
 			vote = sd.setVote
@@ -211,7 +210,7 @@ func (c *cluster) worker(cfg Config, id int) {
 		var v float64
 		var err error
 		if cd.kern != nil {
-			v, err = kernelWorkerVote(cfg.Algorithm, tau, cd.kern, row, vote, values[:0], merged[:0])
+			v, err = kernelWorkerVote(cfg.Algorithm, tau, cd.kern, row, vote, values[:0])
 		} else {
 			v, err = computeVote(cfg.Algorithm, tau, row, vote, values[:0])
 		}

@@ -74,8 +74,8 @@ type Config struct {
 	// the model bound; below it, violations are expected and recorded.
 	EnableCheckers bool
 	// VoteWorkers bounds the deterministic engine's per-round parallel
-	// vote loop (the kernel path's per-receiver patch-sort-and-merge over
-	// the shared read-only base). 0, the default, auto-selects: sequential
+	// vote loop (the kernel path's per-receiver patch sort and two-run vote
+	// over the shared read-only base). 0, the default, auto-selects: sequential
 	// below the crossover size or when runtime.GOMAXPROCS(0) is 1, one
 	// worker per available CPU otherwise. 1 forces the sequential loop;
 	// any larger value forces exactly that worker count regardless of n.

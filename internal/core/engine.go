@@ -105,25 +105,23 @@ type scratch struct {
 	cList []int
 
 	// Base+patch kernel state: the per-round plan (base, classification,
-	// patch block) plus the per-receiver voting buffers. The kernel replaced
+	// patch block) plus the per-receiver patch buffer. The kernel replaced
 	// the scratch observation matrix — the hot path never materializes n×n
 	// state at all, so scratch memory is O(n + f·n) instead of O(n²).
-	kern   kernelPlan
-	pvals  []float64 // per-receiver patch values (≤ 2f per round)
-	merged []float64 // base+patch merge output (≤ n values)
+	kern  kernelPlan
+	pvals []float64 // per-receiver patch values (≤ 2f per round)
 
-	// voteBufs are the parallel vote loop's per-worker patch/merge buffers,
+	// voteBufs are the parallel vote loop's per-worker patch buffers,
 	// sized lazily on the first parallel round (the sequential path uses
-	// pvals/merged above and never touches them).
+	// pvals above and never touches them).
 	voteBufs []voteBuf
 }
 
-// voteBuf is one vote worker's private state: its patch and merge scratch
-// plus the first error its receiver range produced.
+// voteBuf is one vote worker's private state: its patch scratch plus the
+// first error its receiver range produced.
 type voteBuf struct {
-	pvals  []float64
-	merged []float64
-	err    error
+	pvals []float64
+	err   error
 }
 
 // ensure sizes every buffer for n processes. Flat buffers grow
@@ -140,7 +138,6 @@ func (sc *scratch) ensure(n int) error {
 		sc.values = make([]float64, 0, n)
 		sc.uValues = make([]float64, 0, n)
 		sc.pvals = make([]float64, 0, n)
-		sc.merged = make([]float64, 0, n)
 		sc.fList = make([]int, 0, n)
 		sc.cList = make([]int, 0, n)
 		sc.voteBufs = nil // re-sized lazily against the new n
@@ -157,7 +154,6 @@ func (sc *scratch) ensureVoteBufs(workers, n int) {
 	for i := 0; i < workers; i++ {
 		if cap(sc.voteBufs[i].pvals) < n {
 			sc.voteBufs[i].pvals = make([]float64, 0, n)
-			sc.voteBufs[i].merged = make([]float64, 0, n)
 		}
 	}
 }
@@ -434,10 +430,10 @@ func (st *runState) runRound(round int) error {
 
 	// Receive + compute for every process not faulty during computation.
 	// On the kernel path each receiver gathers its O(f) patch, sorts it,
-	// and merges it linearly into the round's shared sorted base — a loop
-	// that parallelizes over receivers when the system is large enough
-	// (see computeVotesKernel); on the snapshot path it sorts its full
-	// matrix row as before. All paths produce bit-identical votes (the
+	// and votes over it and the round's shared sorted base as two runs —
+	// a loop that parallelizes over receivers when the system is large
+	// enough (see computeVotesKernel); on the snapshot path it sorts its
+	// full matrix row as before. All paths produce bit-identical votes (the
 	// golden suite pins this at multiple worker counts).
 	tau := cfg.Tau()
 	if plan.kern != nil {

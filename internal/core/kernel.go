@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mbfaa/internal/mixedmode"
 	"mbfaa/internal/mobile"
@@ -12,16 +11,22 @@ import (
 )
 
 // This file is the engine half of the base+patch round kernel (see
-// internal/msr/kernel.go for the merge/apply half). A full-mesh send phase
-// has shared structure the n×n observation matrix obscures: symmetric
-// senders — correct processes and M2-cured rebroadcasters — send one value
-// to everybody, so two receivers' multisets differ only in the entries of
-// the asymmetric senders (faulty processes and M3-cured poisoned queues),
-// at most 2f of them. The kernel plan stores exactly that factored form:
-// one base sorted once per round, plus an |asym|×n patch block. On the hot
-// path (no OnRound snapshot) planSendPhase emits this form directly and the
-// matrix is never materialized; the matrix and the per-sender expected
-// values remain the snapshot representation for OnRound consumers.
+// internal/msr/kernel.go for the vote half). A full-mesh send phase has
+// shared structure the n×n observation matrix obscures: symmetric senders —
+// correct processes and M2-cured rebroadcasters — send one value to
+// everybody, so two receivers' multisets differ only in the entries of the
+// asymmetric senders (faulty processes and M3-cured poisoned queues), at
+// most 2f of them. The kernel plan stores exactly that factored form: one
+// base, NaN-checked and sorted once per round (sealBase), plus an |asym|×n
+// patch block. Each receiver's vote attaches its O(f) patch to the sealed
+// base — NaN-checked and sorted there — and applies the algorithm to the
+// resulting two-run multiset, which selects the surviving ranks by co-rank
+// search instead of merging n values. A round costs
+// O(n log n + n·(f log f + log n)) with FTM or Median; Dolev adds a lookup
+// per selected rank and FTA a walk over each receiver's survivors. On the hot path (no OnRound
+// snapshot) planSendPhase emits this form directly and the matrix is never
+// materialized; the matrix and the per-sender expected values remain the
+// snapshot representation for OnRound consumers.
 
 // senderKind classifies one sender's send-phase behaviour in a kernel plan.
 // The zero value is deliberately invalid: every sender must be classified
@@ -50,9 +55,11 @@ const (
 // loop shares it read-only with its vote workers.
 type kernelPlan struct {
 	n int
-	// base holds the symmetric senders' values, sorted ascending after
-	// sealBase. Every receiver's multiset contains all of it.
-	base []float64
+	// base accumulates the symmetric senders' values; sealBase validates
+	// and sorts it in place into baseSet, the round's shared base. Every
+	// receiver's multiset contains all of it.
+	base    []float64
+	baseSet multiset.Multiset
 	// kinds[s] classifies sender s; symVal[s] is the value a kindSymmetric
 	// sender broadcast (a copy taken at planning time — votes move on under
 	// M4's mid-round relocation, plans do not).
@@ -87,8 +94,16 @@ func (kp *kernelPlan) addSymmetric(sender int, v float64) {
 	kp.base = append(kp.base, v)
 }
 
-// sealBase sorts the base; after it the plan is ready for voting.
-func (kp *kernelPlan) sealBase() { sort.Float64s(kp.base) }
+// sealBase validates the base once for every receiver — the NaN check and
+// the sort — after which the plan is ready for voting.
+func (kp *kernelPlan) sealBase() error {
+	b, err := multiset.FromOwned(kp.base)
+	if err != nil {
+		return fmt.Errorf("core: building the round base: %w", err)
+	}
+	kp.baseSet = b
+	return nil
+}
 
 // patchInto appends receiver's non-omitted patch values to dst: the
 // receiver's row of the directives block, which is contiguous there.
@@ -164,7 +179,9 @@ func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
 	}
 	st.consultRound(round, faulty, cured, d)
 	kp.dirs = d
-	kp.sealBase()
+	if err := kp.sealBase(); err != nil {
+		return plannedRound{}, err
+	}
 	plan := plannedRound{kern: kp}
 	if needU {
 		u, err := multiset.FromOwned(uValues)
@@ -192,23 +209,25 @@ func (st *runState) consultRound(round int, faulty, cured []int, d *mobile.Direc
 	st.batch.RoundDirectives(&st.sc.rview, d)
 }
 
-// computeVoteKernel is computeVote over the base+patch form: sort the O(f)
-// patch, merge it linearly into the shared sorted base, and apply the
-// voting function over the merged sequence — the same ascending order and
-// left-to-right summation the per-receiver sort produces, so the result is
-// bit-identical. patch is sorted in place; merged is the caller's scratch
-// (length 0, capacity ≥ len(base)+len(patch)). The total-silence fallback
+// computeVoteKernel is computeVote over the base+patch form: attach the
+// receiver's O(f) patch to the round's sealed base — the patch is
+// NaN-checked and sorted in place, nothing is merged or copied — and apply
+// the voting function over the two-run multiset, which reads its elements
+// in the order and with the left-to-right summation the per-receiver sort
+// produces, so the result is bit-identical. The total-silence fallback
 // mirrors computeVote: retain the previous value.
-func computeVoteKernel(algo msr.Algorithm, tau int, base, patch, merged []float64, previous float64) (float64, error) {
-	sort.Float64s(patch)
-	merged = msr.MergeSorted(merged, base, patch)
-	if len(merged) == 0 {
+func computeVoteKernel(algo msr.Algorithm, tau int, base multiset.Multiset, patch []float64, previous float64) (float64, error) {
+	received, err := base.WithPatch(patch)
+	if err != nil {
+		return 0, err
+	}
+	if received.IsEmpty() {
 		if math.IsNaN(previous) {
 			return 0, fmt.Errorf("core: no values received and no previous state")
 		}
 		return previous, nil
 	}
-	return msr.ApplySorted(algo, merged, tau)
+	return msr.ApplyReceived(algo, received, tau)
 }
 
 // kernelWorkerVote is the concurrent engine's verified kernel compute: the
@@ -218,7 +237,7 @@ func computeVoteKernel(algo msr.Algorithm, tau int, base, patch, merged []float6
 // it actually received from the asymmetric senders. The verification is the
 // message-passing engine's plan-equivalence guarantee made explicit: a
 // mismatch means the goroutines did not reproduce the planned send phase.
-func kernelWorkerVote(algo msr.Algorithm, tau int, kp *kernelPlan, row []mixedmode.Observation, previous float64, patch, merged []float64) (float64, error) {
+func kernelWorkerVote(algo msr.Algorithm, tau int, kp *kernelPlan, row []mixedmode.Observation, previous float64, patch []float64) (float64, error) {
 	for s, o := range row {
 		switch kp.kinds[s] {
 		case kindSymmetric:
@@ -238,5 +257,5 @@ func kernelWorkerVote(algo msr.Algorithm, tau int, kp *kernelPlan, row []mixedmo
 			return 0, fmt.Errorf("core: plan verification: sender %d unclassified", s)
 		}
 	}
-	return computeVoteKernel(algo, tau, kp.base, patch, merged, previous)
+	return computeVoteKernel(algo, tau, kp.baseSet, patch, previous)
 }

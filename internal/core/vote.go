@@ -8,10 +8,11 @@ import (
 )
 
 // parallelVoteMinN is the auto-mode crossover: below this system size the
-// per-round goroutine fan-out and join cost more than the O(n·(n+f log f))
-// vote work they would split, so Config.VoteWorkers == 0 stays sequential.
-// An explicit VoteWorkers > 1 bypasses the crossover (the equivalence
-// tests force small parallel runs through it).
+// per-round goroutine fan-out and join cost more than the
+// O(n·(f log f + log n)) vote work they would split, so
+// Config.VoteWorkers == 0 stays sequential. An explicit VoteWorkers > 1
+// bypasses the crossover (the equivalence tests force small parallel runs
+// through it).
 const parallelVoteMinN = 128
 
 // voteWorkers resolves Config.VoteWorkers for this run (see its doc).
@@ -36,16 +37,16 @@ func (st *runState) voteWorkers() int {
 // sequentially or across voteWorkers() goroutines. The loop is
 // embarrassingly parallel over an immutable round plan: every worker reads
 // the shared sorted base, the directives block and the previous votes, and
-// writes only its own contiguous slice of newVotes with its own patch and
-// merge buffers — no shared mutable state, so the partition cannot change
-// any result bit. Receivers are split into contiguous chunks (receiver i
+// writes only its own contiguous slice of newVotes with its own patch
+// buffer — no shared mutable state, so the partition cannot change any
+// result bit. Receivers are split into contiguous chunks (receiver i
 // always computes the same vote regardless of which worker runs it), and
 // errors surface as the lowest failing receiver's, exactly as the
 // sequential loop reports them.
 func (st *runState) computeVotesKernel(round, tau int, kp *kernelPlan) error {
 	workers := st.voteWorkers()
 	if workers <= 1 {
-		return st.voteRange(round, tau, kp, 0, st.cfg.N, st.sc.pvals, st.sc.merged)
+		return st.voteRange(round, tau, kp, 0, st.cfg.N, st.sc.pvals)
 	}
 
 	n := st.cfg.N
@@ -66,7 +67,7 @@ func (st *runState) computeVotesKernel(round, tau int, kp *kernelPlan) error {
 		wg.Add(1)
 		go func(lo, hi int, buf *voteBuf) {
 			defer wg.Done()
-			buf.err = st.voteRange(round, tau, kp, lo, hi, buf.pvals, buf.merged)
+			buf.err = st.voteRange(round, tau, kp, lo, hi, buf.pvals)
 		}(lo, hi, buf)
 	}
 	wg.Wait()
@@ -82,10 +83,10 @@ func (st *runState) computeVotesKernel(round, tau int, kp *kernelPlan) error {
 }
 
 // voteRange computes the votes of receivers [lo, hi) over the round plan,
-// using the provided patch and merge buffers (length ignored, capacity ≥ n;
-// resliced to empty per receiver). It is the one body both the sequential
-// and the parallel loops execute.
-func (st *runState) voteRange(round, tau int, kp *kernelPlan, lo, hi int, pvals, merged []float64) error {
+// using the provided patch buffer (length ignored, capacity ≥ n; resliced
+// to empty per receiver). It is the one body both the sequential and the
+// parallel loops execute.
+func (st *runState) voteRange(round, tau int, kp *kernelPlan, lo, hi int, pvals []float64) error {
 	cfg := st.cfg
 	for i := lo; i < hi; i++ {
 		if st.faulty.has(i) {
@@ -93,7 +94,7 @@ func (st *runState) voteRange(round, tau int, kp *kernelPlan, lo, hi int, pvals,
 			continue
 		}
 		patch := kp.patchInto(pvals[:0], i)
-		v, err := computeVoteKernel(cfg.Algorithm, tau, kp.base, patch, merged[:0], st.votes[i])
+		v, err := computeVoteKernel(cfg.Algorithm, tau, kp.baseSet, patch, st.votes[i])
 		if err != nil {
 			return fmt.Errorf("core: round %d process %d: %w", round, i, err)
 		}

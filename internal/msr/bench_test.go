@@ -19,52 +19,64 @@ func benchMultiset(b *testing.B, n int) multiset.Multiset {
 	return multiset.MustFromValues(values...)
 }
 
-// BenchmarkKernelVote contrasts the base+patch kernel against the naive
-// per-receiver sort (ApplyCapped) at engine-realistic shapes: an n-value
-// round with a 2f-value asymmetric patch. The kernel sorts the base once
-// per call here (the engines amortize it across all n receivers, so the
-// in-engine win is larger than this per-vote ratio).
+// BenchmarkKernelVote contrasts one receiver's vote over the two-run
+// received multiset against the naive per-receiver sort (ApplyCapped), for
+// every algorithm, at engine-realistic shapes. The n=64 and n=256 arms
+// carry a 2f-value asymmetric patch; sim-n1024 is the M1 round of the
+// sim-n1024 benchmark workload (n=1024, f=255: 514 symmetric senders, 255
+// faulty ones, the 255 cured ones silent). The kernel arm seals the base
+// once outside the loop, as the engines do once per round, and pays the
+// per-receiver patch copy, sort and vote each iteration.
 func BenchmarkKernelVote(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		f := (n - 1) / 5
+	shapes := []struct {
+		name             string
+		base, patch, tau int
+	}{
+		{"n=64", 40, 24, 24},
+		{"n=256", 154, 102, 102},
+		{"sim-n1024", 514, 255, 255},
+	}
+	for _, sh := range shapes {
 		rng := prng.New(11)
-		baseVals := make([]float64, n-2*f)
+		baseVals := make([]float64, sh.base)
 		for i := range baseVals {
 			baseVals[i] = rng.Range(0, 1)
 		}
-		patchVals := make([]float64, 2*f)
+		patchVals := make([]float64, sh.patch)
 		for i := range patchVals {
 			patchVals[i] = rng.Range(0, 1)
 		}
 		all := append(append([]float64(nil), baseVals...), patchVals...)
-		tau := 2 * f
-		b.Run(fmt.Sprintf("kernel/n=%d", n), func(b *testing.B) {
-			var k Kernel
-			base := append([]float64(nil), baseVals...)
-			patch := append([]float64(nil), patchVals...)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Re-disorder both inputs so every iteration pays the
-				// full per-call sorts the comment above describes.
-				copy(base, baseVals)
-				copy(patch, patchVals)
-				if _, err := k.Vote(FTA{}, tau, base, patch); err != nil {
-					b.Fatal(err)
+		base := multiset.MustFromValues(baseVals...)
+		for _, algo := range All() {
+			b.Run(fmt.Sprintf("kernel/%s/%s", sh.name, algo.Name()), func(b *testing.B) {
+				patch := make([]float64, len(patchVals))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Re-disorder the patch so every iteration pays its sort.
+					copy(patch, patchVals)
+					received, err := base.WithPatch(patch)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := ApplyReceived(algo, received, sh.tau); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("naive/n=%d", n), func(b *testing.B) {
-			values := append([]float64(nil), all...)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(values, all)
-				if _, err := ApplyCapped(FTA{}, values, tau); err != nil {
-					b.Fatal(err)
+			})
+			b.Run(fmt.Sprintf("naive/%s/%s", sh.name, algo.Name()), func(b *testing.B) {
+				values := append([]float64(nil), all...)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(values, all)
+					if _, err := ApplyCapped(algo, values, sh.tau); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -1,80 +1,42 @@
 package msr
 
-import (
-	"fmt"
-	"sort"
+import "mbfaa/internal/multiset"
 
-	"mbfaa/internal/multiset"
-)
-
-// This file implements the shared sorted-base round kernel. A full-mesh
-// send phase has shared structure the per-receiver sort ignores: every
-// symmetric sender (a correct process, or an M2-cured rebroadcaster)
-// contributes the same value to every receiver, so two receivers' multisets
-// differ only in the entries of the asymmetric senders — at most 2f of them,
-// the very fact the FTA/FTM contraction proofs rest on. The kernel exploits
-// it by sorting the symmetric base once per round and computing each
-// receiver's vote as a linear merge of that base with the receiver's own
-// O(f) patch, dropping the computation phase from O(n² log n) to
-// O(n log n + n·(n + f log f)).
+// This file implements the single-receiver side of the shared-base round
+// kernel. A full-mesh send phase has shared structure a per-receiver sort
+// ignores: every symmetric sender (a correct process, or an M2-cured
+// rebroadcaster) contributes the same value to every receiver, so two
+// receivers' multisets differ only in the entries of the asymmetric
+// senders — at most 2f of them, the very fact the FTA/FTM contraction
+// proofs rest on. A received multiset is therefore the symmetric base,
+// sorted and NaN-checked once, plus the receiver's O(f) patch, sorted and
+// NaN-checked when it is attached (multiset.Multiset.WithPatch). The
+// algorithm's unchanged Apply reads that two-run form by co-rank search:
+// FTM and Median cost O(log n) per vote after the O(f log f) patch sort,
+// Dolev looks up only the ranks it selects, and FTA walks only the
+// survivors. The multi-receiver engines seal
+// one base per round and attach each receiver's patch to it, for
+// O(n log n + n·(f log f + log n)) per round with FTM or Median.
 //
-// Bit-exactness contract: the merge emits exactly the ascending sequence
-// sort.Float64s would produce for the combined multiset, and ApplySorted
-// feeds it to the same Red_τ/Sel/mean pipeline as ApplyCapped — same
-// left-to-right summation order, no re-associated sums — so kernel votes are
-// bit-identical to the naive per-receiver sort.
+// Bit-exactness contract: the two-run form reads the elements in exactly
+// the order multiset.MergeSortedInto(base, patch) produces (ties
+// base-first), which is the ascending sequence sort.Float64s yields for the
+// combined multiset, and Apply sums them left to right — so kernel votes
+// are bit-identical to ApplyCapped over the concatenated values.
 
-// MergeSorted appends the linear merge of the two ascending slices a and b
-// to dst and returns the extended slice. It is multiset.MergeSortedInto
-// (one shared merge, used by Multiset.Union too) re-exported at the point
-// of use: the merge emits the same ascending value sequence a full sort of
-// the concatenation yields, which is what makes kernel votes bit-identical.
-// Callers pass dst with length 0 and sufficient capacity to stay
-// allocation-free.
-func MergeSorted(dst, a, b []float64) []float64 {
-	return multiset.MergeSortedInto(dst, a, b)
-}
-
-// ApplySorted is ApplyCapped for an already-ascending value sequence: it
-// wraps the slice without re-sorting (multiset.FromSortedOwned validates
-// order and NaN-freedom in one linear pass), caps τ so at least one value
-// survives reduction, and applies the algorithm. It takes ownership of
-// values for the duration of the call, exactly like ApplyCapped.
-func ApplySorted(algo Algorithm, values []float64, tau int) (float64, error) {
-	if len(values) == 0 {
-		return 0, fmt.Errorf("msr: no values to vote on")
-	}
-	ms, err := multiset.FromSortedOwned(values)
+// KernelVote computes the MSR vote over the union of base (the symmetric
+// contributions) and patch (this receiver's asymmetric values), capping τ
+// as ApplyCapped does. Both slices are validated and sorted in place — the
+// caller rebuilds them each round — and nothing is copied or merged. The
+// result is bit-identical to ApplyCapped(algo, base∪patch, tau).
+func KernelVote(algo Algorithm, tau int, base, patch []float64) (float64, error) {
+	b, err := multiset.FromOwned(base)
 	if err != nil {
 		return 0, err
 	}
-	if maxTau := (len(values) - 1) / 2; tau > maxTau {
-		tau = maxTau
+	received, err := b.WithPatch(patch)
+	if err != nil {
+		return 0, err
 	}
-	return algo.Apply(ms, tau)
-}
-
-// Kernel is the reusable scratch of one base+patch voter: a cluster node or
-// any other single-receiver consumer holds one Kernel and calls Vote once
-// per round. The multi-receiver engines inline the same pipeline with a
-// per-round base instead (sort the base once, merge per receiver). A Kernel
-// is not safe for concurrent use.
-type Kernel struct {
-	merged []float64
-}
-
-// Vote computes the MSR vote over the union of base (the symmetric
-// contributions) and patch (this receiver's asymmetric values). Both input
-// slices are sorted in place — the caller rebuilds them each round — and
-// merged into the kernel's scratch, which grows to the largest round seen
-// and is recycled thereafter. The result is bit-identical to
-// ApplyCapped(algo, base∪patch, tau).
-func (k *Kernel) Vote(algo Algorithm, tau int, base, patch []float64) (float64, error) {
-	sort.Float64s(base)
-	sort.Float64s(patch)
-	if need := len(base) + len(patch); cap(k.merged) < need {
-		k.merged = make([]float64, 0, need)
-	}
-	k.merged = MergeSorted(k.merged[:0], base, patch)
-	return ApplySorted(algo, k.merged, tau)
+	return ApplyReceived(algo, received, tau)
 }

@@ -1,47 +1,32 @@
 package msr
 
 import (
+	"errors"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
+
+	"mbfaa/internal/multiset"
 )
 
-// TestMergeSortedMatchesSort cross-checks the linear merge against a full
-// sort of the concatenation on randomized inputs, including duplicates and
-// infinities.
-func TestMergeSortedMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		a := randSorted(rng, rng.Intn(12))
-		b := randSorted(rng, rng.Intn(12))
-		want := append(append([]float64(nil), a...), b...)
-		sort.Float64s(want)
-		got := MergeSorted(make([]float64, 0, len(want)), a, b)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: merged %d values, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d: merged[%d] = %v, want %v (a=%v b=%v)", trial, i, got[i], want[i], a, b)
-			}
-		}
-	}
-}
-
-// TestApplySortedMatchesApplyCapped asserts the kernel's sorted-input entry
-// point is bit-identical to ApplyCapped for every algorithm, across random
-// multisets and trim parameters (including the sub-bound τ cap).
-func TestApplySortedMatchesApplyCapped(t *testing.T) {
+// TestApplyReceivedMatchesApplyCapped asserts a vote over the two-run
+// received multiset is bit-identical to ApplyCapped for every algorithm,
+// across random base/patch splits and trim parameters (including the
+// sub-bound τ cap).
+func TestApplyReceivedMatchesApplyCapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		values := randValues(rng, 1+rng.Intn(15))
+		cut := rng.Intn(len(values) + 1)
 		tau := rng.Intn(9) // often above (len-1)/2, exercising the cap
 		for _, algo := range All() {
 			naive, naiveErr := ApplyCapped(algo, append([]float64(nil), values...), tau)
-			sorted := append([]float64(nil), values...)
-			sort.Float64s(sorted)
-			kern, kernErr := ApplySorted(algo, sorted, tau)
+			base := multiset.MustFromValues(values[:cut]...)
+			received, err := base.WithPatch(append([]float64(nil), values[cut:]...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			kern, kernErr := ApplyReceived(algo, received, tau)
 			if (naiveErr == nil) != (kernErr == nil) {
 				t.Fatalf("trial %d %s: error mismatch: naive=%v kernel=%v", trial, algo.Name(), naiveErr, kernErr)
 			}
@@ -52,27 +37,25 @@ func TestApplySortedMatchesApplyCapped(t *testing.T) {
 	}
 }
 
-// TestApplySortedRejectsUnsorted pins the validation pass: an out-of-order
-// sequence must not reach the reduction step.
-func TestApplySortedRejectsUnsorted(t *testing.T) {
-	if _, err := ApplySorted(FTA{}, []float64{2, 1, 3}, 0); err == nil {
-		t.Fatal("unsorted input accepted")
+// TestKernelVoteRejectsNaN pins where values are validated: a NaN in the
+// base or in the patch, or an empty round, must not reach the reduction.
+func TestKernelVoteRejectsNaN(t *testing.T) {
+	if _, err := KernelVote(FTA{}, 0, []float64{1, math.NaN()}, []float64{3}); !errors.Is(err, multiset.ErrNaN) {
+		t.Fatalf("NaN base: err = %v, want ErrNaN", err)
 	}
-	if _, err := ApplySorted(FTA{}, []float64{1, math.NaN(), 3}, 0); err == nil {
-		t.Fatal("NaN input accepted")
+	if _, err := KernelVote(FTA{}, 0, []float64{1, 2}, []float64{math.NaN()}); !errors.Is(err, multiset.ErrNaN) {
+		t.Fatalf("NaN patch: err = %v, want ErrNaN", err)
 	}
-	if _, err := ApplySorted(FTA{}, nil, 0); err == nil {
+	if _, err := KernelVote(FTA{}, 0, nil, nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
 
 // TestKernelVoteMatchesApplyCapped asserts the full base+patch pipeline —
-// sort base, sort patch, linear merge, capped apply — is bit-identical to
-// the naive path on the concatenated values, with kernel scratch reused
-// across trials as the engines reuse it across rounds.
+// sort base, sort patch, capped apply over the two runs — is bit-identical
+// to the naive path on the concatenated values.
 func TestKernelVoteMatchesApplyCapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	var k Kernel
 	for trial := 0; trial < 300; trial++ {
 		base := randValues(rng, rng.Intn(12))
 		patch := randValues(rng, rng.Intn(6))
@@ -80,7 +63,7 @@ func TestKernelVoteMatchesApplyCapped(t *testing.T) {
 		all := append(append([]float64(nil), base...), patch...)
 		for _, algo := range All() {
 			naive, naiveErr := ApplyCapped(algo, append([]float64(nil), all...), tau)
-			kern, kernErr := k.Vote(algo, tau, append([]float64(nil), base...), append([]float64(nil), patch...))
+			kern, kernErr := KernelVote(algo, tau, append([]float64(nil), base...), append([]float64(nil), patch...))
 			if (naiveErr == nil) != (kernErr == nil) {
 				t.Fatalf("trial %d %s: error mismatch: naive=%v kernel=%v", trial, algo.Name(), naiveErr, kernErr)
 			}
@@ -89,9 +72,6 @@ func TestKernelVoteMatchesApplyCapped(t *testing.T) {
 					trial, algo.Name(), tau, kern, naive, base, patch)
 			}
 		}
-	}
-	if _, err := k.Vote(FTA{}, 1, nil, nil); err == nil {
-		t.Fatal("empty base+patch accepted")
 	}
 }
 
@@ -109,11 +89,5 @@ func randValues(rng *rand.Rand, n int) []float64 {
 			out[i] = math.Round(rng.Float64()*20) / 2
 		}
 	}
-	return out
-}
-
-func randSorted(rng *rand.Rand, n int) []float64 {
-	out := randValues(rng, n)
-	sort.Float64s(out)
 	return out
 }

@@ -139,7 +139,9 @@ type DolevSelect struct{}
 // Name implements Algorithm.
 func (DolevSelect) Name() string { return "dolev" }
 
-// Apply implements Algorithm.
+// Apply implements Algorithm. The mean of the selected ranks is taken
+// directly over the reduced multiset (MeanEvery), so a vote allocates no
+// selection.
 func (DolevSelect) Apply(received multiset.Multiset, tau int) (float64, error) {
 	red, err := received.Trim(tau)
 	if err != nil {
@@ -149,13 +151,9 @@ func (DolevSelect) Apply(received multiset.Multiset, tau int) (float64, error) {
 	if step < 1 {
 		step = 1
 	}
-	sel, err := red.SelectEvery(step)
+	mean, err := red.MeanEvery(step)
 	if err != nil {
 		return 0, fmt.Errorf("dolev: %w", err)
-	}
-	mean, ok := sel.Mean()
-	if !ok {
-		return 0, fmt.Errorf("dolev: empty multiset after selection")
 	}
 	return mean, nil
 }
@@ -210,10 +208,8 @@ func (Median) Apply(received multiset.Multiset, tau int) (float64, error) {
 func (Median) Contraction(m, tau, asym int) (float64, bool) { return 0, false }
 
 // ApplyCapped applies the algorithm to the given raw values, capping the
-// trim parameter so at least one value survives reduction (τ_eff =
-// min(tau, (len−1)/2)). Above the replica bounds the cap never engages;
-// it only matters when omissions shrink a sub-bound multiset. It returns
-// an error for an empty value set.
+// trim parameter so at least one value survives reduction (see
+// ApplyReceived). It returns an error for an empty value set.
 //
 // ApplyCapped takes ownership of values for the duration of the call and
 // sorts the slice in place (multiset.FromOwned) — the computation phase
@@ -221,17 +217,27 @@ func (Median) Contraction(m, tau, asym int) (float64, bool) { return 0, false }
 // the original order must copy first; every engine call site feeds a
 // scratch buffer that is rebuilt before its next use.
 func ApplyCapped(algo Algorithm, values []float64, tau int) (float64, error) {
-	if len(values) == 0 {
-		return 0, fmt.Errorf("msr: no values to vote on")
-	}
 	ms, err := multiset.FromOwned(values)
 	if err != nil {
 		return 0, err
 	}
-	if maxTau := (len(values) - 1) / 2; tau > maxTau {
+	return ApplyReceived(algo, ms, tau)
+}
+
+// ApplyReceived applies the algorithm to a received multiset, capping the
+// trim parameter so at least one value survives reduction (τ_eff =
+// min(tau, (|N|−1)/2)). Above the replica bounds the cap never engages; it
+// only matters when omissions shrink a sub-bound multiset. It returns an
+// error for an empty multiset.
+func ApplyReceived(algo Algorithm, received multiset.Multiset, tau int) (float64, error) {
+	n := received.Len()
+	if n == 0 {
+		return 0, fmt.Errorf("msr: no values to vote on")
+	}
+	if maxTau := (n - 1) / 2; tau > maxTau {
 		tau = maxTau
 	}
-	return algo.Apply(ms, tau)
+	return algo.Apply(received, tau)
 }
 
 // RequiredRounds returns the number of rounds sufficient to shrink an

@@ -4,9 +4,19 @@
 // Azadmanesh): min, max, range ρ(V), diameter δ(V), reduction (trimming),
 // subsequence selection, and mean.
 //
-// A Multiset is an immutable, always-sorted slice of float64. All operations
-// return new Multisets; none mutate the receiver. NaN values are rejected at
+// A Multiset is immutable and always sorted. All operations return new
+// Multisets; none mutate the receiver. NaN values are rejected at
 // construction because no total order contains them.
+//
+// A multiset received in a protocol round is stored as two ascending runs:
+// the round's shared base, validated once for every receiver, and the
+// receiver's own O(f) patch (WithPatch). Rank queries (At, Min, Max, Trim,
+// Median, Midpoint, and the ranks SelectEvery and MeanEvery keep) find
+// their element by a co-rank binary search over the two runs, and Mean
+// walks the elements in merge order, so a vote never materializes the n
+// received values. The merge order breaks ties base-first, exactly as
+// MergeSortedInto does, so every result is bit-identical to the same
+// method on the merged single-run multiset.
 package multiset
 
 import (
@@ -15,17 +25,46 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
-// ErrNaN is returned by FromValues when an input value is NaN.
+// ErrNaN is returned by the constructors and WithPatch when an input value
+// is NaN.
 var ErrNaN = errors.New("multiset: NaN value has no place in a sorted multiset")
 
 // Multiset is an immutable sorted multiset of real values.
 //
 // The zero value is the empty multiset and is ready to use.
 type Multiset struct {
-	// values is sorted ascending and never mutated after construction.
-	values []float64
+	// The two ascending runs, each as a pointer to its first element (nil
+	// when empty) and a length. Neither run is mutated after construction.
+	// The multiset is their merge, ties taken from the base first; the
+	// patch is empty except on a received multiset (WithPatch) and the
+	// reductions of one. Four words rather than two slice headers' six:
+	// the compiler keeps a struct of at most four words in registers, while
+	// a larger one is copied through memory at every call and inlined
+	// method, which roughly doubled the cost of a vote over a handful of
+	// values (the small-n runs of the sweep artifacts). runs rebuilds the
+	// slices.
+	base, patch   *float64
+	nbase, npatch int
+}
+
+// of builds the multiset whose runs are a (the base) and b (the patch).
+func of(a, b []float64) Multiset {
+	m := Multiset{nbase: len(a), npatch: len(b)}
+	if len(a) > 0 {
+		m.base = &a[0]
+	}
+	if len(b) > 0 {
+		m.patch = &b[0]
+	}
+	return m
+}
+
+// runs returns the base and patch runs.
+func (m Multiset) runs() (a, b []float64) {
+	return unsafe.Slice(m.base, m.nbase), unsafe.Slice(m.patch, m.npatch)
 }
 
 // FromValues builds a Multiset from the given values. The input slice is
@@ -41,7 +80,7 @@ func FromValues(values ...float64) (Multiset, error) {
 	vs := make([]float64, len(values))
 	copy(vs, values)
 	sort.Float64s(vs)
-	return Multiset{values: vs}, nil
+	return of(vs, nil), nil
 }
 
 // FromOwned builds a Multiset that takes ownership of the given slice: the
@@ -52,32 +91,22 @@ func FromValues(values ...float64) (Multiset, error) {
 // (one O(n) buffer recycled every round instead of an O(n) allocation).
 // Like FromValues it rejects NaN, before mutating anything.
 func FromOwned(values []float64) (Multiset, error) {
+	if err := sortOwned(values); err != nil {
+		return Multiset{}, err
+	}
+	return of(values, nil), nil
+}
+
+// sortOwned rejects NaN, before mutating anything, then sorts values in
+// place.
+func sortOwned(values []float64) error {
 	for _, v := range values {
 		if math.IsNaN(v) {
-			return Multiset{}, ErrNaN
+			return ErrNaN
 		}
 	}
 	sort.Float64s(values)
-	return Multiset{values: values}, nil
-}
-
-// FromSortedOwned builds a Multiset over an already-ascending slice without
-// re-sorting: the slice becomes the backing store, exactly as in FromOwned.
-// It is the constructor of the base+patch round kernel, whose linear merge
-// produces the sorted sequence directly — paying an O(n log n) sort here
-// would throw the kernel's win away. The single O(n) validation pass rejects
-// NaN and out-of-order values before taking ownership, so a buggy merge
-// cannot smuggle an unsorted sequence past the reduction step.
-func FromSortedOwned(values []float64) (Multiset, error) {
-	for i, v := range values {
-		if math.IsNaN(v) {
-			return Multiset{}, ErrNaN
-		}
-		if i > 0 && v < values[i-1] {
-			return Multiset{}, fmt.Errorf("multiset: values not ascending at index %d (%g < %g)", i, v, values[i-1])
-		}
-	}
-	return Multiset{values: values}, nil
+	return nil
 }
 
 // MustFromValues is FromValues for statically known inputs, used by tests
@@ -91,46 +120,132 @@ func MustFromValues(values ...float64) Multiset {
 	return m
 }
 
+// WithPatch returns the received multiset m ∪ patch: m is the round's
+// shared base, validated once when it was built, and patch is one
+// receiver's own values. WithPatch takes ownership of patch exactly as
+// FromOwned does — it rejects NaN with ErrNaN, then sorts the slice in
+// place — and copies nothing, so attaching an O(f) patch to an n-value
+// base costs O(f log f). If m already carries a patch, the two are first
+// merged into a fresh base (an O(n) copy off the vote path).
+func (m Multiset) WithPatch(patch []float64) (Multiset, error) {
+	if err := sortOwned(patch); err != nil {
+		return Multiset{}, err
+	}
+	return of(m.flat(), patch), nil
+}
+
+// split returns the co-rank of k in the merge of the ascending runs a and
+// b: how many of its first k elements come from a (the other k−split come
+// from b). It is a binary search over the O(1)-checkable merge condition,
+// a-first on ties as in MergeSortedInto.
+func split(a, b []float64, k int) int {
+	lo, hi := k-len(b), k
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > len(a) {
+		hi = len(a)
+	}
+	// Taking i values is consistent while a[i-1] <= b[k-i]; that holds for
+	// a prefix of (lo, hi], and the co-rank is its last i.
+	for lo < hi {
+		i := int(uint(lo+hi+1) >> 1)
+		if a[i-1] <= b[k-i] {
+			lo = i
+		} else {
+			hi = i - 1
+		}
+	}
+	return lo
+}
+
+// at returns the k-th element of the merge of the runs a and b. The
+// single-run case stays small enough to inline: the multisets an adversary
+// simulates and the snapshot path votes on carry no patch.
+func at(a, b []float64, k int) float64 {
+	if len(b) == 0 {
+		return a[k]
+	}
+	return atMerged(a, b, k)
+}
+
+// atMerged returns the k-th element of the merge of the runs a and b.
+func atMerged(a, b []float64, k int) float64 {
+	i := split(a, b, k)
+	j := k - i
+	if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+		return a[i]
+	}
+	return b[j]
+}
+
+// kahan is a compensated running sum: experiment sweeps average thousands
+// of values whose magnitudes can differ wildly once Byzantine extremes are
+// present in untrimmed diagnostics. add returns the new sum rather than
+// updating it through a pointer, so a summing loop keeps it in registers.
+type kahan struct{ sum, comp float64 }
+
+func (k kahan) add(v float64) kahan {
+	y := v - k.comp
+	t := k.sum + y
+	return kahan{sum: t, comp: (t - k.sum) - y}
+}
+
 // Len returns the cardinality |V| of the multiset.
-func (m Multiset) Len() int { return len(m.values) }
+func (m Multiset) Len() int { return m.nbase + m.npatch }
 
 // IsEmpty reports whether the multiset has no elements.
-func (m Multiset) IsEmpty() bool { return len(m.values) == 0 }
+func (m Multiset) IsEmpty() bool { return m.nbase+m.npatch == 0 }
 
 // Values returns a copy of the sorted values. Mutating the returned slice
 // does not affect the multiset.
 func (m Multiset) Values() []float64 {
-	out := make([]float64, len(m.values))
-	copy(out, m.values)
-	return out
+	a, b := m.runs()
+	return MergeSortedInto(make([]float64, 0, len(a)+len(b)), a, b)
+}
+
+// flat returns the elements as one ascending slice in merge order: the
+// backing store itself for a single-run multiset, otherwise a fresh merge
+// (which only methods off the vote path need). Callers must not mutate the
+// result.
+func (m Multiset) flat() []float64 {
+	if m.npatch == 0 {
+		a, _ := m.runs()
+		return a
+	}
+	return m.Values()
 }
 
 // At returns the i-th smallest element (0-indexed). It returns an error if
 // the index is out of range, because callers index with fault-count
 // arithmetic that must be validated, not trusted.
 func (m Multiset) At(i int) (float64, error) {
-	if i < 0 || i >= len(m.values) {
-		return 0, fmt.Errorf("multiset: index %d out of range [0,%d)", i, len(m.values))
+	a, b := m.runs()
+	if n := len(a) + len(b); i < 0 || i >= n {
+		return 0, fmt.Errorf("multiset: index %d out of range [0,%d)", i, n)
 	}
-	return m.values[i], nil
+	return at(a, b, i), nil
 }
 
 // Min returns min(V), the smallest element. The second return is false for
 // the empty multiset.
 func (m Multiset) Min() (float64, bool) {
-	if len(m.values) == 0 {
+	a, b := m.runs()
+	if len(a)+len(b) == 0 {
 		return 0, false
 	}
-	return m.values[0], true
+	return at(a, b, 0), true
 }
 
 // Max returns max(V), the largest element. The second return is false for
 // the empty multiset.
 func (m Multiset) Max() (float64, bool) {
-	if len(m.values) == 0 {
+	a, b := m.runs()
+	n := len(a) + len(b)
+	if n == 0 {
 		return 0, false
 	}
-	return m.values[len(m.values)-1], true
+	return at(a, b, n-1), true
 }
 
 // Interval is a closed real interval [Lo, Hi]. It represents ρ(V), the range
@@ -174,124 +289,180 @@ func (iv Interval) Intersects(other Interval) bool {
 // Range returns ρ(V) = [min(V), max(V)]. The second return is false for the
 // empty multiset, whose range is undefined.
 func (m Multiset) Range() (Interval, bool) {
-	if len(m.values) == 0 {
+	a, b := m.runs()
+	n := len(a) + len(b)
+	if n == 0 {
 		return Interval{}, false
 	}
-	return Interval{Lo: m.values[0], Hi: m.values[len(m.values)-1]}, true
+	return Interval{Lo: at(a, b, 0), Hi: at(a, b, n-1)}, true
 }
 
 // Diameter returns δ(V) = max(V) − min(V), the spread of the multiset.
 // The diameter of an empty or singleton multiset is 0.
 func (m Multiset) Diameter() float64 {
-	if len(m.values) < 2 {
+	a, b := m.runs()
+	n := len(a) + len(b)
+	if n < 2 {
 		return 0
 	}
-	return m.values[len(m.values)-1] - m.values[0]
+	return at(a, b, n-1) - at(a, b, 0)
 }
 
-// Mean returns the arithmetic mean of the elements. The second return is
-// false for the empty multiset.
+// Mean returns the arithmetic mean of the elements, Kahan-summed in
+// ascending order: a received multiset's two runs are summed in the order
+// their merge would emit, without building it. The second return is false
+// for the empty multiset.
 func (m Multiset) Mean() (float64, bool) {
-	if len(m.values) == 0 {
+	a, b := m.runs()
+	n := len(a) + len(b)
+	if n == 0 {
 		return 0, false
 	}
-	// Kahan summation: experiment sweeps average thousands of values whose
-	// magnitudes can differ wildly once Byzantine extremes are present in
-	// untrimmed diagnostics.
-	var sum, comp float64
-	for _, v := range m.values {
-		y := v - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
+	var sum kahan
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] <= b[j] {
+			sum = sum.add(a[i])
+			i++
+		} else {
+			sum = sum.add(b[j])
+			j++
+		}
 	}
-	return sum / float64(len(m.values)), true
+	for ; i < len(a); i++ {
+		sum = sum.add(a[i])
+	}
+	for ; j < len(b); j++ {
+		sum = sum.add(b[j])
+	}
+	return sum.sum / float64(n), true
 }
 
 // Median returns the median element: for odd cardinality the middle value,
 // for even cardinality the mean of the two middle values. The second return
 // is false for the empty multiset.
 func (m Multiset) Median() (float64, bool) {
-	n := len(m.values)
+	a, b := m.runs()
+	n := len(a) + len(b)
 	if n == 0 {
 		return 0, false
 	}
 	if n%2 == 1 {
-		return m.values[n/2], true
+		return at(a, b, n/2), true
 	}
-	return (m.values[n/2-1] + m.values[n/2]) / 2, true
+	return (at(a, b, n/2-1) + at(a, b, n/2)) / 2, true
 }
 
 // Midpoint returns (min(V)+max(V))/2, the centre of ρ(V). The second return
 // is false for the empty multiset.
 func (m Multiset) Midpoint() (float64, bool) {
-	if len(m.values) == 0 {
+	a, b := m.runs()
+	n := len(a) + len(b)
+	if n == 0 {
 		return 0, false
 	}
-	return (m.values[0] + m.values[len(m.values)-1]) / 2, true
+	return (at(a, b, 0) + at(a, b, n-1)) / 2, true
 }
 
 // Trim returns Red_τ(V): the multiset with the τ smallest and τ largest
 // elements removed. This is the reduction step of every MSR algorithm; τ is
 // chosen so that every possibly-erroneous value is covered. It returns an
-// error if 2τ ≥ |V| (nothing would survive) or τ < 0.
+// error if 2τ ≥ |V| (nothing would survive) or τ < 0. The result shares
+// m's storage: on a received multiset it is the survivors' slice of each
+// run, located by two co-rank searches.
 func (m Multiset) Trim(tau int) (Multiset, error) {
+	a, b := m.runs()
+	n := len(a) + len(b)
 	if tau < 0 {
 		return Multiset{}, fmt.Errorf("multiset: negative trim count %d", tau)
 	}
-	if 2*tau >= len(m.values) && !(tau == 0 && len(m.values) == 0) {
-		return Multiset{}, fmt.Errorf("multiset: trim %d from each end of %d values leaves nothing", tau, len(m.values))
+	if 2*tau >= n && !(tau == 0 && n == 0) {
+		return Multiset{}, fmt.Errorf("multiset: trim %d from each end of %d values leaves nothing", tau, n)
 	}
-	return Multiset{values: m.values[tau : len(m.values)-tau]}, nil
+	if len(b) == 0 {
+		return of(a[tau:n-tau], nil), nil
+	}
+	lo, hi := split(a, b, tau), split(a, b, n-tau)
+	return of(a[lo:hi], b[tau-lo:n-tau-hi]), nil
+}
+
+// eachSelected calls visit on the elements SelectEvery(step) keeps, in
+// order, looking each selected rank up directly; step ≥ 1. The final
+// element is always included (Dolev et al. select indices 0, step, ... and
+// the last) so the selected subsequence spans the full reduced range;
+// without it the mean loses range coverage and the convergence-rate bound
+// 1/⌈(m−2τ)/τ⌉ no longer holds.
+func (m Multiset) eachSelected(step int, visit func(float64)) {
+	a, b := m.runs()
+	n := len(a) + len(b)
+	for k := 0; k < n; k += step {
+		visit(at(a, b, k))
+	}
+	if n > 0 && (n-1)%step != 0 {
+		visit(at(a, b, n-1))
+	}
 }
 
 // SelectEvery returns the subsequence of every step-th element starting at
-// index 0: elements at indices 0, step, 2·step, …. This is the selection
-// function of Dolev et al.'s averaging algorithms. step must be ≥ 1.
+// index 0: elements at indices 0, step, 2·step, …, plus the last. This is
+// the selection function of Dolev et al.'s averaging algorithms. step must
+// be ≥ 1.
 func (m Multiset) SelectEvery(step int) (Multiset, error) {
 	if step < 1 {
 		return Multiset{}, fmt.Errorf("multiset: selection step %d must be >= 1", step)
 	}
-	// The final element is always included (Dolev et al. select indices
-	// 0, step, ... and the last) so the selected subsequence spans the
-	// full reduced range; without it the mean loses range coverage and
-	// the convergence-rate bound 1/⌈(m−2τ)/τ⌉ no longer holds.
-	out := make([]float64, 0, len(m.values)/step+2)
-	for i := 0; i < len(m.values); i += step {
-		out = append(out, m.values[i])
+	out := make([]float64, 0, (m.nbase+m.npatch)/step+2)
+	m.eachSelected(step, func(v float64) { out = append(out, v) })
+	return of(out, nil), nil
+}
+
+// MeanEvery returns the mean of SelectEvery(step) — the same elements
+// Kahan-summed in the same order, so the same bits — without building the
+// selection. It returns an error if step < 1 or the multiset is empty.
+func (m Multiset) MeanEvery(step int) (float64, error) {
+	if step < 1 {
+		return 0, fmt.Errorf("multiset: selection step %d must be >= 1", step)
 	}
-	if n := len(m.values); n > 0 && (n-1)%step != 0 {
-		out = append(out, m.values[n-1])
+	if m.nbase+m.npatch == 0 {
+		return 0, errors.New("multiset: empty selection has no mean")
 	}
-	return Multiset{values: out}, nil
+	var sum kahan
+	count := 0
+	m.eachSelected(step, func(v float64) {
+		sum = sum.add(v)
+		count++
+	})
+	return sum.sum / float64(count), nil
 }
 
 // Extremes returns the two-element multiset {min(V), max(V)}, the selection
 // used by the fault-tolerant midpoint algorithm. The second return is false
 // for the empty multiset.
 func (m Multiset) Extremes() (Multiset, bool) {
-	if len(m.values) == 0 {
+	a, b := m.runs()
+	n := len(a) + len(b)
+	if n == 0 {
 		return Multiset{}, false
 	}
-	return Multiset{values: []float64{m.values[0], m.values[len(m.values)-1]}}, true
+	return of([]float64{at(a, b, 0), at(a, b, n-1)}, nil), true
 }
 
 // Union returns the multiset union of m and other. Both operands are
 // already sorted, so the result is built by one linear merge — O(a+b)
 // instead of the former concatenate-then-sort O((a+b)·log(a+b)).
 func (m Multiset) Union(other Multiset) Multiset {
-	out := MergeSortedInto(make([]float64, 0, len(m.values)+len(other.values)), m.values, other.values)
-	return Multiset{values: out}
+	a, b := m.flat(), other.flat()
+	return of(MergeSortedInto(make([]float64, 0, len(a)+len(b)), a, b), nil)
 }
 
 // MergeSortedInto appends the linear merge of the two ascending slices a
-// and b to dst and returns the extended slice — the raw-slice merge
-// primitive behind Union and the base+patch round kernel (msr.MergeSorted
-// delegates here). Ties take a's element first; since tied float64s are
-// bit-identical (NaN is excluded upstream and ±0.0 are interchangeable in
-// every downstream reduction), the output is the same ascending value
-// sequence a full sort of the concatenation yields. Callers pass dst with
-// length 0 and sufficient capacity to stay allocation-free.
+// and b to dst and returns the extended slice — the raw-slice merge behind
+// Union and Values, and the order a received multiset's two runs are read
+// in. Ties take a's element first; since tied float64s are bit-identical
+// (NaN is excluded upstream and ±0.0 are interchangeable in every
+// downstream reduction), the output is the same ascending value sequence a
+// full sort of the concatenation yields. Callers pass dst with length 0
+// and sufficient capacity to stay allocation-free.
 func MergeSortedInto(dst, a, b []float64) []float64 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -313,19 +484,21 @@ func (m Multiset) Add(v float64) (Multiset, error) {
 	if math.IsNaN(v) {
 		return Multiset{}, ErrNaN
 	}
-	out := make([]float64, 0, len(m.values)+1)
-	i := sort.SearchFloat64s(m.values, v)
-	out = append(out, m.values[:i]...)
+	vs := m.flat()
+	i := sort.SearchFloat64s(vs, v)
+	out := make([]float64, 0, len(vs)+1)
+	out = append(out, vs[:i]...)
 	out = append(out, v)
-	out = append(out, m.values[i:]...)
-	return Multiset{values: out}, nil
+	out = append(out, vs[i:]...)
+	return of(out, nil), nil
 }
 
 // Count returns the multiplicity of v in the multiset.
 func (m Multiset) Count(v float64) int {
-	lo := sort.SearchFloat64s(m.values, v)
+	vs := m.flat()
+	lo := sort.SearchFloat64s(vs, v)
 	hi := lo
-	for hi < len(m.values) && m.values[hi] == v {
+	for hi < len(vs) && vs[hi] == v {
 		hi++
 	}
 	return hi - lo
@@ -333,8 +506,9 @@ func (m Multiset) Count(v float64) int {
 
 // CountWithin returns how many elements fall in the closed interval iv.
 func (m Multiset) CountWithin(iv Interval) int {
-	lo := sort.SearchFloat64s(m.values, iv.Lo)
-	hi := sort.Search(len(m.values), func(i int) bool { return m.values[i] > iv.Hi })
+	vs := m.flat()
+	lo := sort.SearchFloat64s(vs, iv.Lo)
+	hi := sort.Search(len(vs), func(i int) bool { return vs[i] > iv.Hi })
 	if hi < lo {
 		return 0
 	}
@@ -344,11 +518,12 @@ func (m Multiset) CountWithin(iv Interval) int {
 // Equal reports whether the two multisets contain exactly the same values
 // with the same multiplicities.
 func (m Multiset) Equal(other Multiset) bool {
-	if len(m.values) != len(other.values) {
+	a, b := m.flat(), other.flat()
+	if len(a) != len(b) {
 		return false
 	}
-	for i, v := range m.values {
-		if other.values[i] != v {
+	for i, v := range a {
+		if b[i] != v {
 			return false
 		}
 	}
@@ -360,7 +535,7 @@ func (m Multiset) Equal(other Multiset) bool {
 func (m Multiset) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, v := range m.values {
+	for i, v := range m.flat() {
 		if i > 0 {
 			b.WriteString(", ")
 		}

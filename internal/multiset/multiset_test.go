@@ -270,32 +270,6 @@ func TestUnionMergesSorted(t *testing.T) {
 	}
 }
 
-// TestFromSortedOwned pins the kernel constructor: ascending input is
-// wrapped without copying, unsorted or NaN input is rejected before
-// ownership transfers.
-func TestFromSortedOwned(t *testing.T) {
-	vals := []float64{1, 2, 2, 5}
-	m, err := FromSortedOwned(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(MustFromValues(1, 2, 2, 5)) {
-		t.Errorf("FromSortedOwned = %v", m)
-	}
-	if v, _ := m.At(0); v != 1 {
-		t.Errorf("At(0) = %v", v)
-	}
-	if _, err := FromSortedOwned([]float64{2, 1}); err == nil {
-		t.Error("descending input accepted")
-	}
-	if _, err := FromSortedOwned([]float64{1, math.NaN()}); err == nil {
-		t.Error("NaN input accepted")
-	}
-	if _, err := FromSortedOwned(nil); err != nil {
-		t.Errorf("empty input rejected: %v", err)
-	}
-}
-
 func TestCountWithin(t *testing.T) {
 	m := MustFromValues(1, 2, 3, 4, 5)
 	if c := m.CountWithin(Interval{Lo: 2, Hi: 4}); c != 3 {

@@ -5,8 +5,9 @@
 // forces planSendPhase onto the n×n observation matrix, and every receiver
 // then gathers and sorts its full row (computeVote) — exactly the
 // pre-kernel computation. A plain run of the same Config takes the kernel
-// path (shared sorted base + per-receiver patch merge), and RunConcurrent
-// takes the kernel's verified worker path over real message passing. All
+// path (shared sorted base + per-receiver patch, voted as two runs), and
+// RunConcurrent takes the kernel's verified worker path over real message
+// passing. All
 // three must produce bit-identical Results, which this suite asserts via
 // the golden digest (every float folded by bit pattern) across models,
 // algorithms, adversaries (splitter, greedy, random, crash, mixed-mode),
