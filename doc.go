@@ -123,9 +123,13 @@
 // received multiset stays two ascending runs that are never merged. The
 // MSR reduction selects the surviving ranks by co-rank binary search,
 // Dolev's selection looks up only the ranks it keeps, and FTA's mean walks
-// only the survivors. Round cost is O(n log n + n·(f log f + log n)) for
-// FTM and Median, plus those lookups or that walk per receiver for Dolev
-// and FTA, instead of O(n² log n).
+// only the survivors. The camp-steering adversaries send every receiver
+// one value from all asymmetric senders (a broadcast row), so that patch
+// arrives sorted and is only scanned. Round cost is
+// O(n log n + n·(f + log n)) for FTM and Median under such adversaries and
+// O(n log n + n·(f log f + log n)) when the patch must be sorted, plus
+// those lookups or that walk per receiver for Dolev and FTA, instead of
+// O(n² log n).
 //
 // The kernel is bit-exact by construction: the two runs are read in the
 // order their linear merge would emit (ties base-first), which is the
@@ -182,8 +186,10 @@
 // (sender, receiver) pair: after classifying senders they make a single
 // RoundAdversary.RoundDirectives call, handing the adversary the whole
 // round (RoundView — the omniscient view plus the faulty and cured
-// sender sets) and a Directives block to fill with one value-or-omission
-// entry per scripted pair (omission by default). Native implementations
+// sender sets) and a Directives script to fill with one value-or-omission
+// entry per scripted pair (omission by default) — or, for an adversary
+// whose scripted senders all send a receiver the same value, with one
+// value per receiver (Directives.SetRow). Native implementations
 // must consume shared randomness in the pinned historical order — senders
 // ascending, receivers ascending within each sender. All built-in
 // adversaries are native; a custom per-pair Adversary remains fully

@@ -501,7 +501,7 @@ type Node struct {
 
 	// dirVals/dirOmit are the node's per-round send directives, indexed
 	// like dests: the deployment analogue of the simulator's bulk
-	// Directives block. planSend derives the whole round's script from the
+	// Directives script. planSend derives the whole round's script from the
 	// schedule in one pass; the transport batch below merely materializes
 	// it into messages.
 	dirVals []float64

@@ -93,7 +93,7 @@ func TestSteadyStateAllocBudgetStaticCensus(t *testing.T) {
 }
 
 // TestRunnerScalesAllocFree asserts the per-round allocation rate does not
-// grow with n for any voting function: the former engine allocated Θ(n²)
+// grow with n for any voting function, under both directive row forms: the former engine allocated Θ(n²)
 // per round (matrix, rows, vote copies), and a vote that builds an O(n)
 // selection per receiver (DolevSelect once did) is Θ(n) per round — both
 // trip this immediately.
@@ -101,7 +101,7 @@ func TestRunnerScalesAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc guards skipped under -short")
 	}
-	rate := func(algo msr.Algorithm, n int) float64 {
+	rate := func(algo msr.Algorithm, adv func() mobile.Adversary, n int) float64 {
 		f := mobile.M1Garay.MaxFaulty(n)
 		inputs := make([]float64, n)
 		for i := range inputs {
@@ -116,14 +116,23 @@ func TestRunnerScalesAllocFree(t *testing.T) {
 			Epsilon:     1e-9,
 			FixedRounds: 20,
 		}
-		return allocsPerRound(t, NewRunner(), cfg, func() mobile.Adversary { return mobile.NewRotating() })
+		return allocsPerRound(t, NewRunner(), cfg, adv)
 	}
-	for _, algo := range msr.All() {
-		small, large := rate(algo, 16), rate(algo, 256)
-		// The rate is O(1); allow generous slack before declaring Θ(n) growth.
-		if large > 4*small+8 {
-			t.Errorf("%s: allocs/round grew from %.2f (n=16) to %.2f (n=256); round loop no longer size-independent",
-				algo.Name(), small, large)
+	// Rotating fills broadcast directive rows, Random explicit per-sender
+	// entries: both script forms must stay size-independent.
+	advs := []func() mobile.Adversary{
+		func() mobile.Adversary { return mobile.NewRotating() },
+		func() mobile.Adversary { return mobile.NewRandom() },
+	}
+	for _, adv := range advs {
+		for _, algo := range msr.All() {
+			small, large := rate(algo, adv, 16), rate(algo, adv, 256)
+			t.Logf("%s/%s: %.2f allocs/round (n=16), %.2f (n=256)", adv().Name(), algo.Name(), small, large)
+			// The rate is O(1); allow generous slack before declaring Θ(n) growth.
+			if large > 4*small+8 {
+				t.Errorf("%s/%s: allocs/round grew from %.2f (n=16) to %.2f (n=256); round loop no longer size-independent",
+					adv().Name(), algo.Name(), small, large)
+			}
 		}
 	}
 }

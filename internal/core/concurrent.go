@@ -308,7 +308,7 @@ func (st *runState) runRoundConcurrent(c *cluster, round int) error {
 }
 
 // scriptFor extracts sender's outgoing messages from whichever plan
-// representation the round produced: the kernel's patch block on the hot
+// representation the round produced: the kernel's directives script on the hot
 // path, the observation matrix on the snapshot path.
 func scriptFor(plan plannedRound, sender, round, n int) ([]message, error) {
 	if plan.kern != nil {

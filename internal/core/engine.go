@@ -96,7 +96,7 @@ type scratch struct {
 	values     []float64      // computeVote's non-omitted value buffer (snapshot path)
 	uValues    []float64      // planSendPhase's U accumulation buffer
 
-	// Batched-consultation state: the per-round directives block the
+	// Batched-consultation state: the per-round directives script the
 	// adversary fills in one call, the RoundView wrapper handed to it, and
 	// the ascending faulty/cured sender lists the wrapper exposes.
 	dirs  mobile.Directives
@@ -105,9 +105,11 @@ type scratch struct {
 	cList []int
 
 	// Base+patch kernel state: the per-round plan (base, classification,
-	// patch block) plus the per-receiver patch buffer. The kernel replaced
-	// the scratch observation matrix — the hot path never materializes n×n
-	// state at all, so scratch memory is O(n + f·n) instead of O(n²).
+	// directives script) plus the per-receiver patch buffer. The kernel
+	// replaced the scratch observation matrix — the hot path never
+	// materializes n×n state at all, so scratch memory is O(n) with
+	// broadcast directive rows and O(n + f·n) once a row is explicit,
+	// instead of O(n²).
 	kern  kernelPlan
 	pvals []float64 // per-receiver patch values (≤ 2f per round)
 
@@ -125,8 +127,8 @@ type voteBuf struct {
 }
 
 // ensure sizes every buffer for n processes. Flat buffers grow
-// monotonically and are resliced to [:n] per run; the kernel plan's patch
-// block grows by append to the largest |asym|×n seen.
+// monotonically and are resliced to [:n] per run; the directives script's
+// explicit-row block grows to the largest |asym|×n an explicit row needed.
 func (sc *scratch) ensure(n int) error {
 	if sc.n < n {
 		sc.votes = make([]float64, n)

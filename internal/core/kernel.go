@@ -17,13 +17,17 @@ import (
 // everybody, so two receivers' multisets differ only in the entries of the
 // asymmetric senders (faulty processes and M3-cured poisoned queues), at
 // most 2f of them. The kernel plan stores exactly that factored form: one
-// base, NaN-checked and sorted once per round (sealBase), plus an |asym|×n
-// patch block. Each receiver's vote attaches its O(f) patch to the sealed
-// base — NaN-checked and sorted there — and applies the algorithm to the
-// resulting two-run multiset, which selects the surviving ranks by co-rank
-// search instead of merging n values. A round costs
-// O(n log n + n·(f log f + log n)) with FTM or Median; Dolev adds a lookup
-// per selected rank and FTA a walk over each receiver's survivors. On the hot path (no OnRound
+// base, NaN-checked and sorted once per round (sealBase), plus the
+// adversary's Directives script, one row per receiver. Each receiver's vote
+// attaches its O(f) patch — the row — to the sealed base, NaN-checked and
+// sorted there, and applies the algorithm to the resulting two-run
+// multiset, which selects the surviving ranks by co-rank search instead of
+// merging n values. The camp-steering adversaries script broadcast rows (one
+// value from every asymmetric sender), so filling the script costs O(n) and
+// each patch arrives sorted and is scanned once: a round costs
+// O(n log n + n·(f + log n)) with FTM or Median. Explicit per-sender rows
+// keep the O(f log f) patch sort. Dolev adds a lookup per selected rank and
+// FTA a walk over each receiver's survivors. On the hot path (no OnRound
 // snapshot) planSendPhase emits this form directly and the matrix is never
 // materialized; the matrix and the per-sender expected values remain the
 // snapshot representation for OnRound consumers.
@@ -43,7 +47,7 @@ const (
 	kindSilent
 	// kindAsymmetric senders delivered per-receiver values or omissions
 	// (faulty processes, M3-cured queues). Their observations live in the
-	// patch block.
+	// directives script.
 	kindAsymmetric
 )
 
@@ -65,8 +69,8 @@ type kernelPlan struct {
 	// M4's mid-round relocation, plans do not).
 	kinds  []senderKind
 	symVal []float64
-	// dirs is the round's adversarial send script — the Directives block
-	// the batched consultation filled. Its sender list is exactly the
+	// dirs is the round's adversarial send script, which the batched
+	// consultation filled. Its sender list is exactly the
 	// plan's asymmetric senders, ascending.
 	dirs *mobile.Directives
 }
@@ -106,7 +110,7 @@ func (kp *kernelPlan) sealBase() error {
 }
 
 // patchInto appends receiver's non-omitted patch values to dst: the
-// receiver's row of the directives block, which is contiguous there.
+// receiver's row of the directives script.
 func (kp *kernelPlan) patchInto(dst []float64, receiver int) []float64 {
 	return kp.dirs.AppendRow(dst, receiver)
 }
@@ -194,7 +198,7 @@ func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
 }
 
 // consultRound performs the round's single adversary consultation: it seals
-// the directives block (all entries omitted) and hands the batched
+// the directives script (every row omitted) and hands the batched
 // RoundView to the run's RoundAdversary to fill it. The view is the same
 // zero-copy send-phase snapshot the per-pair path always consulted over,
 // and the fault lists live in scratch like everything else the adversary

@@ -131,7 +131,7 @@ func (st *runState) freshView(round int, phase uint64) *mobile.View {
 
 // planSendPhase computes one round's send phase. The adversary is consulted
 // exactly once, through the batched RoundAdversary surface, with the
-// consultation order inside the directives block pinned — senders
+// consultation order inside the directives script pinned — senders
 // ascending, receivers ascending within each scripted sender — so that
 // randomized adversaries behave identically in both engines and on both
 // plan representations (and identically to the historical per-pair calls,
@@ -208,8 +208,8 @@ func (st *runState) planSendPhase(round int) (plannedRound, error) {
 	}
 
 	// One batched consultation fills the adversarial entries; Directives.Set
-	// already sanitised NaN into omissions, so non-omitted entries transfer
-	// to the matrix unconditionally.
+	// and SetRow already sanitised NaN into omissions, so non-omitted
+	// entries transfer to the matrix unconditionally.
 	st.consultRound(round, faulty, cured, d)
 	for k, m := 0, d.Len(); k < m; k++ {
 		sender := d.Sender(k)

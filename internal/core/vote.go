@@ -9,7 +9,7 @@ import (
 
 // parallelVoteMinN is the auto-mode crossover: below this system size the
 // per-round goroutine fan-out and join cost more than the
-// O(n·(f log f + log n)) vote work they would split, so
+// O(n·(f + log n)) vote work they would split, so
 // Config.VoteWorkers == 0 stays sequential. An explicit VoteWorkers > 1
 // bypasses the crossover (the equivalence tests force small parallel runs
 // through it).
@@ -36,7 +36,7 @@ func (st *runState) voteWorkers() int {
 // computeVotesKernel runs the kernel path's per-receiver vote loop,
 // sequentially or across voteWorkers() goroutines. The loop is
 // embarrassingly parallel over an immutable round plan: every worker reads
-// the shared sorted base, the directives block and the previous votes, and
+// the shared sorted base, the directives script and the previous votes, and
 // writes only its own contiguous slice of newVotes with its own patch
 // buffer — no shared mutable state, so the partition cannot change any
 // result bit. Receivers are split into contiguous chunks (receiver i

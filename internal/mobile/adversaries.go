@@ -232,7 +232,7 @@ func (Crash) LeaveBehind(v *View, p int) float64 {
 func (Crash) QueueValue(v *View, cured, receiver int) (float64, bool) { return 0, true }
 
 // RoundDirectives implements RoundAdversary: every entry stays omitted,
-// which is the block's post-Seal default, so there is nothing to write.
+// which is the script's post-Seal default, so there is nothing to write.
 func (Crash) RoundDirectives(rv *RoundView, d *Directives) {}
 
 var (

@@ -1,0 +1,181 @@
+package mobile
+
+import (
+	"math"
+	"strings"
+	"testing"
+)
+
+// TestDirectivesRowOrder pins the order-dependent cases of the row forms:
+// a Set or Omit after SetRow changes one entry and keeps the rest of the
+// broadcast, a SetRow after Set replaces the whole row, and a NaN row is
+// omitted. Senders 0 and 1 are scripted; every case works on receiver 3.
+func TestDirectivesRowOrder(t *testing.T) {
+	const none = -1.0 // marks an omitted entry in want
+	cases := []struct {
+		name  string
+		write func(d *Directives)
+		want  [2]float64
+	}{
+		{"SetRow", func(d *Directives) { d.SetRow(3, 0.5) }, [2]float64{0.5, 0.5}},
+		{"SetRow then Set", func(d *Directives) { d.SetRow(3, 0.5); d.Set(1, 3, 0.7) }, [2]float64{0.5, 0.7}},
+		{"SetRow then Omit", func(d *Directives) { d.SetRow(3, 0.5); d.Omit(0, 3) }, [2]float64{none, 0.5}},
+		{"SetRow then Set NaN", func(d *Directives) { d.SetRow(3, 0.5); d.Set(1, 3, math.NaN()) }, [2]float64{0.5, none}},
+		{"Set then SetRow", func(d *Directives) { d.Set(0, 3, 0.7); d.Omit(1, 3); d.SetRow(3, 0.5) }, [2]float64{0.5, 0.5}},
+		{"Set on an omitted row", func(d *Directives) { d.Set(1, 3, 0.7) }, [2]float64{none, 0.7}},
+		{"SetRow NaN", func(d *Directives) { d.SetRow(3, math.NaN()) }, [2]float64{none, none}},
+		{"SetRow then SetRow NaN", func(d *Directives) { d.SetRow(3, 0.5); d.SetRow(3, math.NaN()) }, [2]float64{none, none}},
+		{"Set then SetRow NaN", func(d *Directives) { d.Set(0, 3, 0.7); d.SetRow(3, math.NaN()) }, [2]float64{none, none}},
+	}
+	for _, c := range cases {
+		d := newDirectives(7)
+		c.write(d)
+		var row []float64
+		for k, w := range c.want {
+			v, omit := d.At(k, 3)
+			if omit != (w == none) || (!omit && v != w) {
+				t.Errorf("%s: At(%d, 3) = (%v, %v), want %v", c.name, k, v, omit, w)
+			}
+			if w != none {
+				row = append(row, w)
+			}
+		}
+		if got := d.AppendRow(nil, 3); !equalFloats(got, row) {
+			t.Errorf("%s: AppendRow(3) = %v, want %v", c.name, got, row)
+		}
+		for r := 0; r < d.N(); r++ { // no other row was touched
+			if got := d.AppendRow(nil, r); r != 3 && len(got) != 0 {
+				t.Errorf("%s: AppendRow(%d) = %v, want []", c.name, r, got)
+			}
+		}
+	}
+}
+
+// TestDirectivesRangeChecks pins that an out-of-range sender index or
+// receiver panics instead of addressing a neighbouring row.
+func TestDirectivesRangeChecks(t *testing.T) {
+	d := newDirectives(7) // 2 senders, 7 receivers
+	bad := []struct{ k, r int }{{2, 0}, {-1, 0}, {0, 7}, {0, -1}, {2, 7}}
+	for _, b := range bad {
+		mustPanicRange(t, "Set", func() { d.Set(b.k, b.r, 1) })
+		mustPanicRange(t, "Omit", func() { d.Omit(b.k, b.r) })
+		mustPanicRange(t, "At", func() { d.At(b.k, b.r) })
+	}
+	mustPanicRange(t, "SetRow", func() { d.SetRow(7, 1) })
+	mustPanicRange(t, "AppendRow", func() { d.AppendRow(nil, -1) })
+	for k := 0; k < d.Len(); k++ {
+		if _, omit := d.At(k, 0); !omit {
+			t.Fatalf("a rejected call wrote entry (%d, 0)", k)
+		}
+	}
+}
+
+func mustPanicRange(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "out of range") {
+			t.Errorf("%s: panic %q, want an out-of-range panic", name, msg)
+		}
+	}()
+	f()
+}
+
+func equalFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// directivesPalette is the value pool of FuzzDirectives: both zeros, both
+// infinities, and NaN (which must read back as an omission).
+var directivesPalette = []float64{0, math.Copysign(0, -1), 1, -1, 0.5, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// FuzzDirectives drives a random stream of SetRow, Set and Omit calls over
+// two consecutive Reset/AddSender/Seal rounds and checks every At and
+// AppendRow against a dense receiver-by-sender reference. The second round
+// reuses the first round's buffers, so an explicit row of round one that
+// leaked into round two shows up as a mismatch.
+func FuzzDirectives(f *testing.F) {
+	f.Add(uint8(7), uint8(2), uint8(4), uint8(3), []byte{0, 3, 2, 1, 3, 4}, []byte{0, 1, 0})
+	f.Add(uint8(5), uint8(3), uint8(9), uint8(1), []byte{1, 0, 1, 6, 2, 5, 2, 2, 7}, []byte{4, 4, 1, 0, 8, 7})
+	f.Add(uint8(4), uint8(2), uint8(4), uint8(2), []byte{5, 1, 3, 9, 1, 2}, []byte{0, 1, 2})
+	f.Add(uint8(3), uint8(0), uint8(6), uint8(4), []byte{0, 2, 4}, []byte{1, 5, 6, 0, 5, 7, 2, 5, 0})
+	f.Fuzz(func(t *testing.T, n1, m1, n2, m2 uint8, ops1, ops2 []byte) {
+		d := &Directives{}
+		fuzzDirectivesRound(t, d, 1+int(n1%12), int(m1%6), ops1)
+		fuzzDirectivesRound(t, d, 1+int(n2%12), int(m2%6), ops2)
+	})
+}
+
+// fuzzDirectivesRound runs one round of FuzzDirectives: n receivers, m
+// senders, and one operation per three bytes of ops (kind and sender,
+// receiver, palette value).
+func fuzzDirectivesRound(t *testing.T, d *Directives, n, m int, ops []byte) {
+	t.Helper()
+	d.Reset(n)
+	for k := 0; k < m; k++ {
+		d.AddSender(2*k+1, k%2 == 1)
+	}
+	d.Seal()
+	type entry struct {
+		v    float64
+		omit bool
+	}
+	ref := make([][]entry, n)
+	for r := range ref {
+		ref[r] = make([]entry, m)
+		for k := range ref[r] {
+			ref[r][k].omit = true
+		}
+	}
+	for ; len(ops) >= 3; ops = ops[3:] {
+		r := int(ops[1]) % n
+		v := directivesPalette[int(ops[2])%len(directivesPalette)]
+		e := entry{v: v, omit: math.IsNaN(v)}
+		if ops[0]%3 == 0 {
+			d.SetRow(r, v)
+			for k := range ref[r] {
+				ref[r][k] = e
+			}
+			continue
+		}
+		if m == 0 {
+			continue
+		}
+		k := int(ops[0]/3) % m
+		if ops[0]%3 == 1 {
+			d.Set(k, r, v)
+		} else {
+			d.Omit(k, r)
+			e = entry{omit: true}
+		}
+		ref[r][k] = e
+	}
+	prefix := []float64{42}
+	for r := 0; r < n; r++ {
+		want := prefix
+		for k := 0; k < m; k++ {
+			v, omit := d.At(k, r)
+			e := ref[r][k]
+			if omit != e.omit || (!omit && math.Float64bits(v) != math.Float64bits(e.v)) {
+				t.Fatalf("n=%d m=%d: At(%d, %d) = (%v, %v), want (%v, %v)", n, m, k, r, v, omit, e.v, e.omit)
+			}
+			if !e.omit {
+				want = append(want, e.v)
+			}
+		}
+		// Odd rows append into spare capacity, even rows must grow dst.
+		dst := append(make([]float64, 0, 1+r%2*m), prefix...)
+		if got := d.AppendRow(dst, r); !equalFloats(got, want) {
+			t.Fatalf("n=%d m=%d: AppendRow(%d) = %v, want %v", n, m, r, got, want)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package mobile
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -17,23 +19,40 @@ import (
 // Directives is one round's complete adversarial send script: for every
 // scripted sender (faulty processes and, under M3, cured processes with a
 // poisoned queue) and every receiver, either a value or an omission. The
-// engine builds the sender list — in ascending process order — sizes the
-// block with Seal, and hands it to RoundAdversary.RoundDirectives to fill;
-// every entry starts as an omission, so an adversary only writes the pairs
-// it wants delivered. Set sanitises NaN into an omission exactly as the
-// per-pair paths always have (NaN has no place in a multiset).
+// engine builds the sender list — in ascending process order — prepares
+// the script with Seal, and hands it to RoundAdversary.RoundDirectives to
+// fill; every entry starts as an omission, so an adversary only writes the
+// pairs it wants delivered. Set and SetRow sanitise NaN into an omission
+// exactly as the per-pair paths always have (NaN has no place in a
+// multiset).
 //
-// The block is receiver-major: one receiver's entries are contiguous, which
-// is the order the vote kernel's patch construction reads them in.
+// The script is stored per receiver row, in one of three forms: omitted
+// (every scripted sender sends nothing to the receiver), broadcast (every
+// scripted sender delivers the same value, recorded once by SetRow) or
+// explicit (one value-or-omission per sender, written by Set and Omit).
+// Camp-steering adversaries fill broadcast rows, so their script costs
+// O(n) rather than O(n·m); the receiver-by-sender block behind explicit
+// rows is sized only once some row needs it.
 type Directives struct {
 	n       int       // receivers
 	senders []int     // scripted senders, ascending
 	queue   []bool    // queue[k]: senders[k] is an M3 poisoned queue, not a live agent
-	values  []float64 // values[r*len(senders)+k]
-	omits   []bool    // omits[r*len(senders)+k]
+	kinds   []rowKind // kinds[r]: the form of receiver r's row
+	row     []float64 // row[r]: the value of a broadcast row
+	values  []float64 // values[r*len(senders)+k], read only for explicit rows
+	omits   []bool    // omits[r*len(senders)+k], read only for explicit rows
 }
 
-// Reset prepares the block for a round of n receivers with no senders yet.
+// rowKind is the form of one receiver's row in a Directives script.
+type rowKind uint8
+
+const (
+	rowOmitted rowKind = iota
+	rowBroadcast
+	rowExplicit
+)
+
+// Reset prepares the script for a round of n receivers with no senders yet.
 // The engine calls it once per round; buffers are recycled.
 func (d *Directives) Reset(n int) {
 	d.n = n
@@ -50,20 +69,13 @@ func (d *Directives) AddSender(sender int, queue bool) {
 	d.queue = append(d.queue, queue)
 }
 
-// Seal sizes the value/omission block for the registered senders and marks
-// every entry omitted. The engine calls it after the last AddSender and
-// before the consultation.
+// Seal marks every receiver's row omitted. The engine calls it after the
+// last AddSender and before the consultation; it costs O(n), whatever the
+// number of scripted senders.
 func (d *Directives) Seal() {
-	size := d.n * len(d.senders)
-	if cap(d.values) < size {
-		d.values = make([]float64, size)
-		d.omits = make([]bool, size)
-	}
-	d.values = d.values[:size]
-	d.omits = d.omits[:size]
-	for i := range d.omits {
-		d.omits[i] = true
-	}
+	d.kinds = slices.Grow(d.kinds[:0], d.n)[:d.n]
+	d.row = slices.Grow(d.row[:0], d.n)[:d.n]
+	clear(d.kinds)
 }
 
 // N returns the receiver count.
@@ -78,10 +90,22 @@ func (d *Directives) Sender(k int) int { return d.senders[k] }
 // IsQueue reports whether the k-th scripted sender is an M3 poisoned queue.
 func (d *Directives) IsQueue(k int) bool { return d.queue[k] }
 
+// SetRow directs every scripted sender to deliver v to receiver, replacing
+// whatever the row held. A NaN value omits the whole row.
+func (d *Directives) SetRow(receiver int, v float64) {
+	d.checkReceiver(receiver)
+	if math.IsNaN(v) {
+		d.kinds[receiver] = rowOmitted
+		return
+	}
+	d.kinds[receiver] = rowBroadcast
+	d.row[receiver] = v
+}
+
 // Set directs the k-th scripted sender to deliver v to receiver. A NaN
 // value is recorded as an omission.
 func (d *Directives) Set(k, receiver int, v float64) {
-	i := receiver*len(d.senders) + k
+	i := d.explicit(k, receiver)
 	if math.IsNaN(v) {
 		d.omits[i] = true
 		return
@@ -93,19 +117,26 @@ func (d *Directives) Set(k, receiver int, v float64) {
 // Omit directs the k-th scripted sender to send nothing to receiver (the
 // default for every entry after Seal).
 func (d *Directives) Omit(k, receiver int) {
-	d.omits[receiver*len(d.senders)+k] = true
+	d.omits[d.explicit(k, receiver)] = true
 }
 
 // At returns the k-th scripted sender's directive for receiver.
 func (d *Directives) At(k, receiver int) (v float64, omit bool) {
-	i := receiver*len(d.senders) + k
-	if d.omits[i] {
-		return 0, true
+	d.checkEntry(k, receiver)
+	switch d.kinds[receiver] {
+	case rowBroadcast:
+		return d.row[receiver], false
+	case rowExplicit:
+		i := receiver*len(d.senders) + k
+		if d.omits[i] {
+			return 0, true
+		}
+		return d.values[i], false
 	}
-	return d.values[i], false
+	return 0, true
 }
 
-// Index returns the block index of the given sender, or ok=false if the
+// Index returns the script index of the given sender, or ok=false if the
 // sender is not scripted. Senders are ascending, so this is a binary search.
 func (d *Directives) Index(sender int) (k int, ok bool) {
 	k = sort.SearchInts(d.senders, sender)
@@ -113,16 +144,75 @@ func (d *Directives) Index(sender int) (k int, ok bool) {
 }
 
 // AppendRow appends receiver's non-omitted directive values to dst, in
-// scripted-sender (ascending process) order — the vote kernel's patch.
+// scripted-sender (ascending process) order — the vote kernel's patch. A
+// broadcast row appends m copies of its value, which is already ascending.
 func (d *Directives) AppendRow(dst []float64, receiver int) []float64 {
+	d.checkReceiver(receiver)
 	m := len(d.senders)
-	base := receiver * m
-	for k := 0; k < m; k++ {
-		if !d.omits[base+k] {
-			dst = append(dst, d.values[base+k])
+	switch d.kinds[receiver] {
+	case rowBroadcast:
+		v, start := d.row[receiver], len(dst)
+		dst = slices.Grow(dst, m)[:start+m]
+		for i := start; i < len(dst); i++ {
+			dst[i] = v
+		}
+	case rowExplicit:
+		base := receiver * m
+		for k := 0; k < m; k++ {
+			if !d.omits[base+k] {
+				dst = append(dst, d.values[base+k])
+			}
 		}
 	}
 	return dst
+}
+
+// explicit turns receiver's row explicit, if it is not already, and
+// returns the block index of the k-th sender's entry. The row's entries
+// are filled from its current form, so a Set or Omit after SetRow changes
+// that one entry only; the block is sized on first use.
+func (d *Directives) explicit(k, receiver int) int {
+	d.checkEntry(k, receiver)
+	m := len(d.senders)
+	base := receiver * m
+	if d.kinds[receiver] == rowExplicit {
+		return base + k
+	}
+	if size := d.n * m; len(d.values) < size {
+		d.values = slices.Grow(d.values[:0], size)[:size]
+		d.omits = slices.Grow(d.omits[:0], size)[:size]
+	}
+	v, omit := d.row[receiver], d.kinds[receiver] == rowOmitted
+	for j := base; j < base+m; j++ {
+		d.values[j] = v
+		d.omits[j] = omit
+	}
+	d.kinds[receiver] = rowExplicit
+	return base + k
+}
+
+// checkReceiver panics unless receiver names a row of the script.
+func (d *Directives) checkReceiver(receiver int) {
+	if uint(receiver) >= uint(d.n) {
+		d.outOfRange(0, receiver)
+	}
+}
+
+// checkEntry panics unless (k, receiver) names an entry of the script: a
+// sender index past Len would otherwise address the next receiver's row.
+func (d *Directives) checkEntry(k, receiver int) {
+	if uint(k) >= uint(len(d.senders)) || uint(receiver) >= uint(d.n) {
+		d.outOfRange(k, receiver)
+	}
+}
+
+// outOfRange panics with the offending index, the way an out-of-range
+// slice index does.
+func (d *Directives) outOfRange(k, receiver int) {
+	if uint(receiver) >= uint(d.n) {
+		panic(fmt.Sprintf("mobile: Directives receiver %d out of range [0, %d)", receiver, d.n))
+	}
+	panic(fmt.Sprintf("mobile: Directives sender index %d out of range [0, %d)", k, len(d.senders)))
 }
 
 // RoundView is the argument of the batched consultation: the same
@@ -142,7 +232,7 @@ type RoundView struct {
 // the full plan instead of once per (sender, receiver) pair. The engines
 // consult every adversary through this interface — natively when the
 // implementation provides it, through Adapt otherwise — exactly once per
-// send phase. RoundDirectives fills d (pre-sized by the engine, every entry
+// send phase. RoundDirectives fills d (prepared by the engine, every entry
 // an omission) with the round's send script; entries left untouched remain
 // omissions.
 //
@@ -234,24 +324,16 @@ func AsRoundAdversary(a Adversary) RoundAdversary {
 
 // fillColumns is the shared batched shape of the camp-steering built-ins:
 // faulty and queue values coincide and depend only on the receiver, so the
-// steering rule is evaluated once per receiver and broadcast across every
-// scripted sender. This is the batching win the per-pair interface could
-// not express: m×n interface calls and m×n range lookups collapse to n
-// rule evaluations over the cached CorrectRange.
+// steering rule is evaluated once per receiver and recorded as that
+// receiver's broadcast row. This is the batching win the per-pair
+// interface could not express: m×n interface calls and m×n range lookups
+// collapse to n rule evaluations over the cached CorrectRange, and n
+// stored values.
 func fillColumns(d *Directives, value func(receiver int) float64) {
-	m := len(d.senders)
-	if m == 0 {
+	if len(d.senders) == 0 {
 		return
 	}
 	for r := 0; r < d.n; r++ {
-		v := value(r)
-		if math.IsNaN(v) {
-			continue // entries stay omitted
-		}
-		base := r * m
-		for k := 0; k < m; k++ {
-			d.values[base+k] = v
-			d.omits[base+k] = false
-		}
+		d.SetRow(r, value(r))
 	}
 }

@@ -95,9 +95,10 @@ func TestDirectivesSetAndReuse(t *testing.T) {
 	}
 }
 
-// TestNativeDirectivesMatchAdapter fills one block through each built-in's
-// native RoundDirectives and another through the per-pair Adapter over an
-// identically seeded view, and requires every entry to match bitwise —
+// TestNativeDirectivesMatchAdapter fills one script through each
+// built-in's native RoundDirectives and another through the per-pair
+// Adapter over an identically seeded view, and requires every entry and
+// every row's patch to match bitwise —
 // the unit-level form of the equivalence the proptest and golden suites
 // assert end to end.
 func TestNativeDirectivesMatchAdapter(t *testing.T) {
@@ -124,6 +125,11 @@ func TestNativeDirectivesMatchAdapter(t *testing.T) {
 		native.RoundDirectives(&RoundView{View: nv, Faulty: []int{0}, Cured: []int{4}}, nd)
 		adapted.RoundDirectives(&RoundView{View: av, Faulty: []int{0}, Cured: []int{4}}, ad)
 
+		for r := 0; r < nd.N(); r++ {
+			if got, want := nd.AppendRow(nil, r), ad.AppendRow(nil, r); !equalFloats(got, want) {
+				t.Errorf("%s: AppendRow(%d): native %v != adapter %v", name, r, got, want)
+			}
+		}
 		for k := 0; k < nd.Len(); k++ {
 			for r := 0; r < nd.N(); r++ {
 				gotVal, gotOmit := nd.At(k, r)

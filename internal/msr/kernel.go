@@ -12,11 +12,13 @@ import "mbfaa/internal/multiset"
 // sorted and NaN-checked once, plus the receiver's O(f) patch, sorted and
 // NaN-checked when it is attached (multiset.Multiset.WithPatch). The
 // algorithm's unchanged Apply reads that two-run form by co-rank search:
-// FTM and Median cost O(log n) per vote after the O(f log f) patch sort,
-// Dolev looks up only the ranks it selects, and FTA walks only the
-// survivors. The multi-receiver engines seal
-// one base per round and attach each receiver's patch to it, for
-// O(n log n + n·(f log f + log n)) per round with FTM or Median.
+// FTM and Median cost O(log n) per vote after the patch is sorted — one
+// O(f) scan when it arrives sorted, as a broadcast patch does, O(f log f)
+// otherwise — Dolev looks up only the ranks it selects, and FTA walks only
+// the survivors. The multi-receiver engines seal one base per round and
+// attach each receiver's patch to it, for O(n log n + n·(f + log n)) per
+// round with FTM or Median under the camp-steering adversaries' broadcast
+// rows, and O(n log n + n·(f log f + log n)) with explicit rows.
 //
 // Bit-exactness contract: the two-run form reads the elements in exactly
 // the order multiset.MergeSortedInto(base, patch) produces (ties

@@ -98,14 +98,24 @@ func FromOwned(values []float64) (Multiset, error) {
 }
 
 // sortOwned rejects NaN, before mutating anything, then sorts values in
-// place.
+// place. An input that is already NaN-free and non-decreasing — a
+// broadcast patch of m equal values, say — is accepted in one pass and left
+// as it is, which is exactly what sort.Float64s would leave (it moves no
+// element of a non-decreasing slice, −0/+0 interleavings included).
 func sortOwned(values []float64) error {
-	for _, v := range values {
-		if math.IsNaN(v) {
-			return ErrNaN
+	prev := math.Inf(-1)
+	for i, v := range values {
+		if !(v >= prev) { // NaN, or a descent
+			for _, v := range values[i:] {
+				if math.IsNaN(v) {
+					return ErrNaN
+				}
+			}
+			sort.Float64s(values)
+			return nil
 		}
+		prev = v
 	}
-	sort.Float64s(values)
 	return nil
 }
 
@@ -125,7 +135,8 @@ func MustFromValues(values ...float64) Multiset {
 // receiver's own values. WithPatch takes ownership of patch exactly as
 // FromOwned does — it rejects NaN with ErrNaN, then sorts the slice in
 // place — and copies nothing, so attaching an O(f) patch to an n-value
-// base costs O(f log f). If m already carries a patch, the two are first
+// base costs O(f log f), or one O(f) scan when the patch arrives sorted.
+// If m already carries a patch, the two are first
 // merged into a fresh base (an O(n) copy off the vote path).
 func (m Multiset) WithPatch(patch []float64) (Multiset, error) {
 	if err := sortOwned(patch); err != nil {

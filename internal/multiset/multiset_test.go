@@ -1,6 +1,7 @@
 package multiset
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -506,5 +507,82 @@ func TestFromOwnedMatchesFromValues(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortedDraw returns a non-decreasing slice over {−Inf, −1, ±0, 1, 2, +Inf}
+// built level by level, so zeros of both signs interleave at random.
+func sortedDraw(rng *rand.Rand, maxRun int) []float64 {
+	var out []float64
+	for _, level := range []float64{math.Inf(-1), -1, 0, 1, 2, math.Inf(1)} {
+		for i := rng.Intn(maxRun + 1); i > 0; i-- {
+			v := level
+			if v == 0 && rng.Intn(2) == 0 {
+				v = math.Copysign(0, -1)
+			}
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestSortOwnedSortedInput pins the one-pass acceptance of a sorted input:
+// FromOwned and WithPatch must leave it exactly as sort.Float64s would,
+// bit for bit, across pdqsort's insertion, median and ninther sizes.
+func TestSortOwnedSortedInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	base := MustFromValues(0, 1)
+	for trial := 0; trial < 2000; trial++ {
+		in := sortedDraw(rng, 1+trial%70)
+		want := append([]float64(nil), in...)
+		sort.Float64s(want)
+
+		owned := append([]float64(nil), in...)
+		if _, err := FromOwned(owned); err != nil {
+			t.Fatal(err)
+		}
+		patch := append([]float64(nil), in...)
+		if _, err := base.WithPatch(patch); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			w := math.Float64bits(want[i])
+			if math.Float64bits(owned[i]) != w || math.Float64bits(patch[i]) != w {
+				t.Fatalf("trial %d (len %d): index %d is FromOwned %v / WithPatch %v, sort.Float64s %v",
+					trial, len(in), i, owned[i], patch[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSortOwnedNaNLeavesInput pins that a NaN anywhere — first, after a
+// sorted prefix, last, or after a descent — is rejected before the slice
+// is touched.
+func TestSortOwnedNaNLeavesInput(t *testing.T) {
+	nan := math.NaN()
+	cases := [][]float64{
+		{nan},
+		{nan, 1, 2},
+		{math.Inf(-1), math.Copysign(0, -1), 0, nan, 3, -5},
+		{1, 2, 2, 3, nan},
+		{3, 1, 2, nan, 0},
+	}
+	base := MustFromValues(0, 1)
+	for _, in := range cases {
+		for name, build := range map[string]func([]float64) error{
+			"FromOwned": func(s []float64) error { _, err := FromOwned(s); return err },
+			"WithPatch": func(s []float64) error { _, err := base.WithPatch(s); return err },
+		} {
+			s := append([]float64(nil), in...)
+			if err := build(s); !errors.Is(err, ErrNaN) {
+				t.Errorf("%s(%v) error = %v, want ErrNaN", name, in, err)
+			}
+			for i := range in {
+				if math.Float64bits(s[i]) != math.Float64bits(in[i]) {
+					t.Errorf("%s(%v) modified the rejected slice: %v", name, in, s)
+					break
+				}
+			}
+		}
 	}
 }

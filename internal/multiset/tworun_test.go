@@ -276,6 +276,10 @@ func FuzzTwoRun(f *testing.F) {
 	f.Add([]byte{3, 0x84, 20, 0x95, 0x96}, uint8(1), uint8(1))
 	f.Add([]byte{0, 8, 0x80, 0x88, 30, 31, 0xa0}, uint8(2), uint8(2))
 	f.Add([]byte{0x83, 0x84, 0x83, 3, 4}, uint8(9), uint8(3))
+	// A sorted patch with −0/+0 interleaved and both infinities, and a
+	// constant patch tied with base values: the one-pass acceptance path.
+	f.Add([]byte{0x80, 0x83, 0x84, 0x83, 0x84, 0x86, 0x88, 3, 4, 16}, uint8(3), uint8(2))
+	f.Add([]byte{16, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90, 16, 2}, uint8(2), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, tau, step uint8) {
 		base, patch := decodeRuns(data)
 		checkTwoRun(t, base, patch, int(tau%32), 1+int(step%8))
