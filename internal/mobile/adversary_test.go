@@ -232,21 +232,23 @@ func TestRandomAdversaryDeterministicPerView(t *testing.T) {
 
 func TestGreedyChoosesWorstRule(t *testing.T) {
 	g := NewGreedy()
-	// Two camps 0/1: camp-split is the diameter-preserving rule; the
-	// greedy must pick a rule at least as bad as any fixed alternative.
+	// Two camps 0/1: the greedy must pick the rule the per-receiver
+	// reference lookahead scores highest, and send every receiver its value.
 	votes := []float64{math.NaN(), 0.5, 0, 0, 1, 1}
 	states := []State{StateFaulty, StateCured, StateCorrect, StateCorrect, StateCorrect, StateCorrect}
 	v := testView(t, M2Bonnet, 1, 1, votes, states)
-	lowVal, omit := g.FaultyValue(v, 0, 2)
-	if omit {
-		t.Fatal("greedy omitted")
+	want := referenceDecide(v)
+	for recv := range votes {
+		got, omit := g.FaultyValue(v, 0, recv)
+		if omit {
+			t.Fatalf("greedy omitted to %d", recv)
+		}
+		if w := want.apply(v, recv); got != w {
+			t.Errorf("greedy sends %v to %d, the reference's best rule %d sends %v", got, recv, want, w)
+		}
 	}
-	highVal, _ := g.FaultyValue(v, 0, 4)
-	if lowVal == highVal {
-		t.Skipf("greedy picked a uniform rule (%v), acceptable if it scored highest", lowVal)
-	}
-	if !(lowVal == 0 && highVal == 1) && !(lowVal == 1 && highVal == 0) {
-		t.Errorf("greedy camp rule sends %v/%v, want extremes", lowVal, highVal)
+	if g.chosen != want {
+		t.Errorf("greedy chose rule %d, the reference's best is %d", g.chosen, want)
 	}
 }
 

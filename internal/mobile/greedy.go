@@ -13,6 +13,11 @@ import (
 // algorithm-ablation experiment (F3): its measured contraction factors
 // lower-bound how badly each MSR member can be hurt.
 //
+// The lookahead shares the engine's base+patch form of a received
+// multiset. Every candidate strategy sends each receiver a value fixed by
+// the receiver's camp, so it scores all of them from two received
+// multisets per round, sorting the shared base once (see lookahead).
+//
 // Placement follows the splitter's maximum-pressure schedule (ping-pong
 // pool for M1–M3, lowest-vote rotation for M4); the search is over value
 // strategies only, because the departing agent must fix LeaveBehind one
@@ -21,6 +26,9 @@ type Greedy struct {
 	chosen  valueRule
 	haveEra bool
 	era     int // round the chosen rule was computed for
+	// The lookahead's scratch, refilled every round: the shared base's
+	// backing store and the m-value patch.
+	base, patch []float64
 }
 
 // NewGreedy returns a fresh greedy adversary. Greedy is stateful and must
@@ -31,11 +39,13 @@ func NewGreedy() *Greedy { return &Greedy{} }
 func (g *Greedy) Name() string { return "greedy" }
 
 // FreshPerRun marks the greedy adversary as stateful: it caches the chosen
-// value rule per round and must not be shared across runs.
+// value rule per round, owns the lookahead's scratch, and must not be
+// shared across runs.
 func (g *Greedy) FreshPerRun() {}
 
 // valueRule is one candidate strategy: what a faulty (or M3-cured) process
-// sends to each receiver.
+// sends to each receiver. Every rule sends the correct minimum or maximum,
+// chosen by the receiver's camp alone.
 type valueRule int
 
 const (
@@ -45,32 +55,37 @@ const (
 	ruleAllHi                          // hi to everyone
 )
 
-var allValueRules = []valueRule{ruleCampSplit, ruleInverted, ruleAllLo, ruleAllHi}
+var allValueRules = [...]valueRule{ruleCampSplit, ruleInverted, ruleAllLo, ruleAllHi}
 
-// apply returns the value the rule prescribes for a receiver.
-func (r valueRule) apply(v *View, receiver int) float64 {
-	lo, hi, ok := v.CorrectRange()
-	if !ok {
-		return 0
-	}
-	vote := v.Votes[receiver]
-	low := math.IsNaN(vote) || vote <= (lo+hi)/2
+// lowCamp reports whether a receiver holding vote is in the low camp of
+// the correct range [lo, hi]; a NaN vote counts as low.
+func lowCamp(vote, lo, hi float64) bool {
+	return math.IsNaN(vote) || vote <= (lo+hi)/2
+}
+
+// high reports whether the rule sends a receiver in the given camp the
+// correct maximum rather than the minimum.
+func (r valueRule) high(low bool) bool {
 	switch r {
 	case ruleCampSplit:
-		if low {
-			return lo
-		}
-		return hi
+		return !low
 	case ruleInverted:
-		if low {
-			return hi
-		}
-		return lo
+		return low
 	case ruleAllLo:
-		return lo
+		return false
 	default:
+		return true
+	}
+}
+
+// apply returns the value the rule prescribes for a receiver. With no
+// correct process CorrectRange reports lo = hi = 0, so every rule sends 0.
+func (r valueRule) apply(v *View, receiver int) float64 {
+	lo, hi, _ := v.CorrectRange()
+	if r.high(lowCamp(v.Votes[receiver], lo, hi)) {
 		return hi
 	}
+	return lo
 }
 
 // Place implements Adversary with the splitter's schedule.
@@ -101,75 +116,103 @@ func (g *Greedy) Place(v *View) []int {
 	return out
 }
 
-// decide runs the lookahead once per round and caches the winning rule.
+// decide runs the lookahead once per round and caches the winning rule:
+// the first rule, in allValueRules order, with the largest diameter.
 func (g *Greedy) decide(v *View) valueRule {
 	if g.haveEra && g.era == v.Round {
 		return g.chosen
 	}
 	best, bestDiam := ruleCampSplit, math.Inf(-1)
-	for _, rule := range allValueRules {
-		d := g.simulate(v, rule)
+	for i, d := range g.lookahead(v) {
 		if d > bestDiam {
-			best, bestDiam = rule, d
+			best, bestDiam = allValueRules[i], d
 		}
 	}
 	g.chosen, g.era, g.haveEra = best, v.Round, true
 	return best
 }
 
-// simulate plays the round's send/receive/compute under the candidate rule
-// and returns the post-round diameter of non-faulty computed values. The
-// send semantics mirror the engine's (see core.Engine); the duplication is
-// deliberate — the adversary's model of the protocol is its own.
-func (g *Greedy) simulate(v *View, rule valueRule) float64 {
+// lookahead plays the round's send/receive/compute under every candidate
+// rule and returns, in allValueRules order, each rule's post-round diameter
+// of non-faulty computed values (0 when no receiver computes one).
+//
+// It shares the engine's base+patch form of a received multiset (see the
+// round kernel, internal/core/kernel.go). Every receiver hears the same
+// base: the correct votes and the M2/M4-cured rebroadcasts, M1-cured
+// senders being silent. On top of it come the m asymmetric senders — the
+// faulty ones, and under M3 the cured ones — and every rule has all m
+// send a receiver the same camp value, lo or hi. So across all rules a
+// receiver hears one of just two multisets, base ∪ {lo×m} and
+// base ∪ {hi×m}. Each is voted on once (msr.Algorithm.Apply is
+// deterministic), and a rule's diameter is the spread of the votes it
+// hands the camps that hold a non-faulty receiver.
+func (g *Greedy) lookahead(v *View) (diam [len(allValueRules)]float64) {
 	if v.Algo == nil {
-		return 0
+		return diam
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	any := false
-	// One receive buffer serves every simulated receiver: FromOwned wraps
-	// it without copying, and the multiset is dead before the next refill.
-	buf := make([]float64, 0, v.N)
-	for i, si := range v.States {
-		if si == StateFaulty {
-			continue
+	lo, hi, _ := v.CorrectRange()
+	var camps [2]bool // camps[0]: a non-faulty receiver is low; [1]: high
+	m := 0
+	g.base = g.base[:0]
+	for j, s := range v.States {
+		switch {
+		case s == StateFaulty || s == StateCured && v.Model == M3Sasaki:
+			m++
+		case s == StateCured && v.Model == M1Garay:
+			// silent
+		default:
+			g.base = append(g.base, v.Votes[j])
 		}
-		values := buf[:0]
-		for j, sj := range v.States {
-			switch sj {
-			case StateFaulty:
-				values = append(values, rule.apply(v, i))
-			case StateCured:
-				switch v.Model {
-				case M1Garay:
-					// silent
-				case M2Bonnet:
-					values = append(values, v.Votes[j])
-				case M3Sasaki:
-					values = append(values, rule.apply(v, i))
-				case M4Buhrman:
-					values = append(values, v.Votes[j])
-				}
-			default:
-				values = append(values, v.Votes[j])
+		if s != StateFaulty {
+			if lowCamp(v.Votes[j], lo, hi) {
+				camps[0] = true
+			} else {
+				camps[1] = true
 			}
 		}
-		ms, err := multiset.FromOwned(values)
+	}
+	// The base buffer is the multiset's backing store until the next round
+	// refills it; a NaN in it leaves no receiver a value to compute from.
+	base, err := multiset.FromOwned(g.base)
+	if err != nil {
+		return diam
+	}
+	// votes[0] is the vote on base ∪ {lo×m}, votes[1] on base ∪ {hi×m}.
+	var votes [2]float64
+	var voted [2]bool
+	for k, x := range [2]float64{lo, hi} {
+		g.patch = g.patch[:0]
+		for range m {
+			g.patch = append(g.patch, x)
+		}
+		received, err := base.WithPatch(g.patch)
 		if err != nil {
 			continue
 		}
-		next, err := v.Algo.Apply(ms, v.Tau)
-		if err != nil {
-			continue
+		if votes[k], err = v.Algo.Apply(received, v.Tau); err == nil {
+			voted[k] = true
 		}
-		lo = math.Min(lo, next)
-		hi = math.Max(hi, next)
-		any = true
 	}
-	if !any {
-		return 0
+	for i, rule := range allValueRules {
+		dlo, dhi := math.Inf(1), math.Inf(-1)
+		scored := false
+		for c, present := range camps {
+			k := 0
+			if rule.high(c == 0) {
+				k = 1
+			}
+			if !present || !voted[k] {
+				continue
+			}
+			dlo = math.Min(dlo, votes[k])
+			dhi = math.Max(dhi, votes[k])
+			scored = true
+		}
+		if scored {
+			diam[i] = dhi - dlo
+		}
 	}
-	return hi - lo
+	return diam
 }
 
 // FaultyValue implements Adversary.
