@@ -158,11 +158,6 @@ func WithInitialCured(ids ...int) Option {
 	return func(s *Spec) { s.InitialCured = append([]int(nil), ids...) }
 }
 
-// WithConcurrentEngine runs the goroutine-per-process engine instead of the
-// deterministic one. Results are bit-identical; the concurrent engine
-// exercises real message passing.
-func WithConcurrentEngine() Option { return func(s *Spec) { s.Concurrent = true } }
-
 // WithLabel annotates the spec for batch error messages and progress
 // reporting.
 func WithLabel(label string) Option { return func(s *Spec) { s.Label = label } }

@@ -2,7 +2,6 @@ package mbfaa_test
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
@@ -63,40 +62,6 @@ func TestRunInfersNFromInputs(t *testing.T) {
 		t.Errorf("n inferred as %d, want 4", got)
 	}
 	_ = res
-}
-
-func TestRunConcurrentOptionMatchesDefault(t *testing.T) {
-	mk := func(conc bool) (*mbfaa.Result, error) {
-		opts := []mbfaa.Option{
-			mbfaa.WithModel(mbfaa.M3),
-			mbfaa.WithSystem(13, 2),
-			mbfaa.WithInputs(0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 0.15, 0.25),
-			mbfaa.WithEpsilon(1e-4),
-			mbfaa.WithAdversaryName("random"),
-			mbfaa.WithSeed(5),
-		}
-		if conc {
-			opts = append(opts, mbfaa.WithConcurrentEngine())
-		}
-		return mbfaa.Run(opts...)
-	}
-	det, err := mk(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := mk(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det.Rounds != conc.Rounds {
-		t.Fatalf("rounds differ: %d vs %d", det.Rounds, conc.Rounds)
-	}
-	for i := range det.Votes {
-		d, c := det.Votes[i], conc.Votes[i]
-		if math.IsNaN(d) != math.IsNaN(c) || (!math.IsNaN(d) && d != c) {
-			t.Errorf("vote %d: %v vs %v", i, d, c)
-		}
-	}
 }
 
 func TestWorstCaseFreezesAtBound(t *testing.T) {

@@ -57,8 +57,7 @@ type BatchProgress struct {
 // anything runs: a *ConfigError names the offending spec, and a
 // *SharedInstanceError rejects a stateful adversary instance (or a trace
 // recorder) shared across specs, which would otherwise race across
-// workers — use WithAdversaryFactory for stateful adversaries. Concurrent-
-// engine specs are rejected (the pool already provides the parallelism).
+// workers — use WithAdversaryFactory for stateful adversaries.
 func (e *Engine) RunBatch(ctx context.Context, specs []Spec, opt BatchOptions) ([]*Result, error) {
 	jobs, err := batchJobs(specs)
 	if err != nil {
@@ -130,10 +129,6 @@ func batchJobs(specs []Spec) ([]sweep.Job, error) {
 		spec = spec.withDefaults()
 		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("mbfaa: batch spec %d%s: %w", i, specLabel(spec), err)
-		}
-		if spec.Concurrent {
-			return nil, configErrorf("Concurrent",
-				"batch spec %d%s selects the concurrent engine; batches parallelize across runs, not within them", i, specLabel(spec))
 		}
 		if spec.AdversaryFactory == nil && spec.Adversary != nil && IsStateful(spec.Adversary) {
 			if first, dup := seenAdv[spec.Adversary]; dup {

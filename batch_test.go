@@ -123,17 +123,6 @@ func TestRunBatchRejectsSharedRecorder(t *testing.T) {
 	}
 }
 
-func TestRunBatchRejectsConcurrentSpec(t *testing.T) {
-	specs := batchSpecs()[:1]
-	specs[0].Concurrent = true
-	eng := mbfaa.NewEngine()
-	_, err := eng.RunBatch(context.Background(), specs, mbfaa.BatchOptions{})
-	var ce *mbfaa.ConfigError
-	if !errors.As(err, &ce) || ce.Field != "Concurrent" {
-		t.Fatalf("err = %v, want *ConfigError on Concurrent", err)
-	}
-}
-
 func TestRunBatchProgressEvents(t *testing.T) {
 	specs := batchSpecs()
 	progress := make(chan mbfaa.BatchProgress, len(specs))

@@ -377,9 +377,8 @@ func BenchmarkParallelVote(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure6Engines compares the deterministic engine, the
-// goroutine-per-process engine, and a real TCP cluster on the same workload
-// (F6).
+// BenchmarkFigure6Engines compares the deterministic simulator with a real
+// TCP cluster on the same workload (F6).
 func BenchmarkFigure6Engines(b *testing.B) {
 	const n, f = 9, 2
 	inputs := make([]float64, n)
@@ -402,13 +401,6 @@ func BenchmarkFigure6Engines(b *testing.B) {
 	b.Run("deterministic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Run(mkCfg()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("concurrent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.RunConcurrent(mkCfg()); err != nil {
 				b.Fatal(err)
 			}
 		}

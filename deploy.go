@@ -654,7 +654,7 @@ func (d *Deployment) Close() error {
 // transport — Run returns a *NodeDownError naming the down nodes, with the
 // surviving nodes' partial ClusterResult attached, instead of hanging.
 //
-// Unlike the simulation engines, a deployment is NOT bit-deterministic:
+// Unlike the simulator, a deployment is NOT bit-deterministic:
 // message arrival order and deadline races are real. The Result's verdict
 // fields (Converged, DecisionDiameter, Valid) are the comparable surface —
 // see the README's determinism caveats. Under a ChaosSpec the *injected

@@ -58,7 +58,7 @@
 //     until an inbound frame or successful dial resurrects it. The
 //     protocol layer is insulated by construction: link failures reach
 //     it only as the omissions the paper's fault model already covers.
-//     Unlike the simulation engines a deployment is not
+//     Unlike the simulator a deployment is not
 //     bit-deterministic — real sockets race — so the comparable surface
 //     is the verdict (Converged, DecisionDiameter, Valid), not the
 //     decision bits. The exception is a chaos deployment (below), which
@@ -102,13 +102,12 @@
 // # Determinism guarantee
 //
 // A run is identified by its Spec and seed, and replays bit-identically —
-// across the deterministic and concurrent engines, across pooled and fresh
-// runners, across Run and Stream, and across worker counts in RunBatch
-// (the hot path performs O(1) allocations per round). The golden-
-// determinism suite (internal/golden) pins recorded output digests for a
-// matrix of models, algorithms, adversaries and seeds, and every public
-// entry point is asserted against it, so no optimization or API layer can
-// silently change protocol semantics.
+// across pooled and fresh runners, across Run and Stream, and across worker
+// counts in RunBatch (the hot path performs O(1) allocations per round).
+// The golden-determinism suite (internal/golden) pins recorded output
+// digests for a matrix of models, algorithms, adversaries and seeds, and
+// every public entry point is asserted against it, so no optimization or
+// API layer can silently change protocol semantics.
 //
 // # The base+patch round kernel
 //

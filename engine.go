@@ -68,9 +68,6 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	cfg.Ctx = ctx
 	r := e.get()
 	defer e.put(r)
-	if spec.Concurrent {
-		return r.RunConcurrent(cfg)
-	}
 	return r.Run(cfg)
 }
 
@@ -118,10 +115,6 @@ func (e *Engine) Stream(ctx context.Context, spec Spec) *Stream {
 		defer s.cancel() // release the derived context once the run exits
 		r := e.get()
 		defer e.put(r)
-		if spec.Concurrent {
-			s.result, s.err = r.RunConcurrent(cfg)
-			return
-		}
 		s.result, s.err = r.Run(cfg)
 	}()
 	return s

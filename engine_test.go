@@ -88,25 +88,6 @@ func TestEngineRunCancelWithinOneRound(t *testing.T) {
 	}
 }
 
-// TestEngineRunConcurrentCancel does the same through the goroutine-per-
-// process engine: the abort must land at a round boundary, where every
-// worker is quiescent, so shutdown cannot deadlock.
-func TestEngineRunConcurrentCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	adv := &cancellingAdversary{inner: mobile.NewRotating(), cancelAt: 30, cancel: cancel}
-	spec := longRunSpec(adv)
-	spec.Concurrent = true
-	eng := mbfaa.NewEngine()
-	_, err := eng.Run(ctx, spec)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := adv.places.Load(); got != 30 {
-		t.Errorf("adversary consulted %d times after cancelling at call 30", got)
-	}
-}
-
 func TestStreamMatchesRun(t *testing.T) {
 	mk := func() mbfaa.Spec {
 		return mbfaa.NewSpec(

@@ -21,7 +21,7 @@ var (
 	ErrSharedInstance = errors.New("mbfaa: mutable instance shared across batch specs")
 	// ErrBelowBound is the sentinel wrapped by *BoundError (CheckSystem).
 	// The canonical definition lives in the mobile package so every
-	// execution backend (simulation engines and the cluster) rejects
+	// execution backend (the simulator and the cluster) rejects
 	// under-provisioned systems with the same error chain.
 	ErrBelowBound = mobile.ErrBelowBound
 	// ErrNodeDown is the sentinel wrapped by *NodeDownError: a deployment

@@ -52,22 +52,6 @@ func TestRunCancelWithinOneRound(t *testing.T) {
 	}
 }
 
-// TestRunConcurrentCancelWithinOneRound does the same through the
-// goroutine-per-process engine; the abort lands at a round boundary where
-// every worker is quiescent, so the cluster shuts down cleanly.
-func TestRunConcurrentCancelWithinOneRound(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	observed := -1
-	res, err := RunConcurrent(cancelCfg(ctx, cancel, 4, &observed))
-	if res != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("res=%v err=%v, want nil result and context.Canceled", res, err)
-	}
-	if observed != 4 {
-		t.Errorf("last executed round %d, want 4", observed)
-	}
-}
-
 // TestRunPreCancelled asserts a cancelled context aborts before round 0.
 func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

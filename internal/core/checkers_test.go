@@ -29,50 +29,6 @@ func TestAboveBound(t *testing.T) {
 	}
 }
 
-// TestConcurrentEngineCheckersMatch verifies the two engines produce the
-// same invariant-checker verdicts, not only the same votes.
-func TestConcurrentEngineCheckersMatch(t *testing.T) {
-	mk := func() Config {
-		layout, err := mobile.SplitterLayout(mobile.M2Bonnet, 11, 2, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Config{
-			Model:          mobile.M2Bonnet,
-			N:              11,
-			F:              2,
-			Algorithm:      msr.FTA{},
-			Adversary:      mobile.NewRotating(),
-			Inputs:         layout.Inputs(11),
-			Epsilon:        1e-6,
-			FixedRounds:    15,
-			EnableCheckers: true,
-			Seed:           13,
-		}
-	}
-	det, err := Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := RunConcurrent(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det.Check.Ok() != conc.Check.Ok() {
-		t.Fatalf("checker verdicts differ: det %v conc %v", det.Check.Ok(), conc.Check.Ok())
-	}
-	if len(det.Check.Certificates) != len(conc.Check.Certificates) {
-		t.Fatalf("certificate counts differ: %d vs %d",
-			len(det.Check.Certificates), len(conc.Check.Certificates))
-	}
-	for i := range det.Check.Certificates {
-		if det.Check.Certificates[i] != conc.Check.Certificates[i] {
-			t.Errorf("certificate %d differs: %+v vs %+v",
-				i, det.Check.Certificates[i], conc.Check.Certificates[i])
-		}
-	}
-}
-
 // TestEquivalenceCertificateFields pins the certificate arithmetic for a
 // hand-computed round.
 func TestEquivalenceCertificateFields(t *testing.T) {
@@ -112,9 +68,6 @@ func TestAdversaryContractViolations(t *testing.T) {
 	}
 	if _, err := Run(cfg); err == nil {
 		t.Error("oversize placement accepted")
-	}
-	if _, err := RunConcurrent(cfg); err == nil {
-		t.Error("concurrent engine accepted oversize placement")
 	}
 }
 

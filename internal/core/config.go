@@ -5,11 +5,10 @@
 // (Definitions 4–10), and runtime checkers for Lemma 5, Observation 1 and
 // the Theorem 1 mobile→static equivalence.
 //
-// Two engines share one set of round semantics: a deterministic
-// single-threaded engine (reproducible, benchable) and a concurrent engine
-// in which every process is a goroutine exchanging messages over channels.
-// Both produce bit-identical results for the same Config, which the test
-// suite asserts.
+// One deterministic engine runs the round semantics (Run and Runner.Run):
+// the same Config always produces a bit-identical Result, which the golden
+// digest suite asserts. Real message passing between processes lives in
+// internal/cluster.
 package core
 
 import (
@@ -89,12 +88,11 @@ type Config struct {
 	// phase with a full snapshot (observation matrix included). It is the
 	// hook the Table 1 experiment uses to classify behaviour.
 	OnRound func(RoundInfo)
-	// Ctx, when non-nil, makes the run cancellable: both engines check it
-	// once per round boundary and abort with the context's error (wrapping
+	// Ctx, when non-nil, makes the run cancellable: the engine checks it
+	// once per round boundary and aborts with the context's error (wrapping
 	// context.Canceled / context.DeadlineExceeded). The check happens only
 	// between rounds — never mid-round — so the steady-state round loop
-	// stays allocation-free and the concurrent engine's worker goroutines
-	// are always quiescent when the run aborts. A nil Ctx means the run
+	// stays allocation-free. A nil Ctx means the run
 	// cannot be cancelled; it is NOT defaulted to context.Background, so
 	// the hot path pays a single pointer test.
 	Ctx context.Context

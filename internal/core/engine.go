@@ -13,10 +13,9 @@ import (
 
 // Run executes the protocol on the deterministic single-threaded engine and
 // returns the Result. It is the reference implementation of the round
-// semantics; RunConcurrent produces bit-identical results over real
-// message-passing goroutines. Callers executing many runs should hold a
-// Runner and call its Run method instead, which recycles all per-round
-// scratch state; this function is equivalent to NewRunner().Run(cfg).
+// semantics. Callers executing many runs should hold a Runner and call its
+// Run method instead, which recycles all per-round scratch state; this
+// function is equivalent to NewRunner().Run(cfg).
 func Run(cfg Config) (*Result, error) {
 	return NewRunner().Run(cfg)
 }
@@ -104,8 +103,8 @@ type scratch struct {
 	fList []int
 	cList []int
 
-	// Base+patch kernel state: the per-round plan (base, classification,
-	// directives script) plus the per-receiver patch buffer. The kernel
+	// Base+patch kernel state: the per-round plan (base and directives
+	// script) plus the per-receiver patch buffer. The kernel
 	// replaced the scratch observation matrix — the hot path never
 	// materializes n×n state at all, so scratch memory is O(n) with
 	// broadcast directive rows and O(n + f·n) once a row is explicit,
@@ -206,7 +205,7 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	return st.result(), nil
 }
 
-// checkCtx is the once-per-round cancellation probe shared by both engines.
+// checkCtx is the engine's once-per-round cancellation probe.
 // The nil test keeps uncancellable runs free of any context machinery; the
 // non-nil path is a single atomic load inside ctx.Err, no allocation.
 func checkCtx(ctx context.Context, round int) error {
@@ -472,8 +471,7 @@ func (st *runState) runRound(round int) error {
 }
 
 // finishRound runs the checkers and the OnRound callback, installs the new
-// votes, refreshes cured states, and extends the diameter series. It is
-// shared by both engines.
+// votes, refreshes cured states, and extends the diameter series.
 func (st *runState) finishRound(round int, sendStates []mobile.State, plan plannedRound) {
 	cfg := st.cfg
 	if st.report != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"mbfaa/internal/mobile"
@@ -81,54 +80,6 @@ func TestFreezeAtBound(t *testing.T) {
 			if got := res.FinalDiameter(); got < 1 {
 				t.Errorf("%v f=%d n=%d: diameter contracted to %g; splitter should freeze it at 1",
 					model, f, n, got)
-			}
-		}
-	}
-}
-
-// TestEngineEquivalence verifies that the concurrent engine reproduces the
-// deterministic engine bit for bit.
-func TestEngineEquivalence(t *testing.T) {
-	for _, model := range mobile.AllModels() {
-		for _, advName := range []string{"splitter", "rotating", "random"} {
-			f := 2
-			n := model.RequiredN(f) + 1
-			mk := func() Config {
-				adv, err := mobile.ByAdversaryName(advName)
-				if err != nil {
-					t.Fatalf("adversary %q: %v", advName, err)
-				}
-				layout, err := mobile.SplitterLayout(model, n, f, 0, 1)
-				if err != nil {
-					t.Fatalf("layout: %v", err)
-				}
-				return Config{
-					Model: model, N: n, F: f,
-					Algorithm: msr.FTM{},
-					Adversary: adv,
-					Inputs:    layout.Inputs(n),
-					Epsilon:   1e-6,
-					MaxRounds: 100,
-					Seed:      7,
-				}
-			}
-			det, err := Run(mk())
-			if err != nil {
-				t.Fatalf("%v/%s det: %v", model, advName, err)
-			}
-			conc, err := RunConcurrent(mk())
-			if err != nil {
-				t.Fatalf("%v/%s conc: %v", model, advName, err)
-			}
-			if det.Rounds != conc.Rounds || det.Converged != conc.Converged {
-				t.Fatalf("%v/%s: rounds/converged differ: det(%d,%v) conc(%d,%v)",
-					model, advName, det.Rounds, det.Converged, conc.Rounds, conc.Converged)
-			}
-			for i := range det.Votes {
-				dv, cv := det.Votes[i], conc.Votes[i]
-				if math.IsNaN(dv) != math.IsNaN(cv) || (!math.IsNaN(dv) && dv != cv) {
-					t.Errorf("%v/%s: vote %d differs: det %v conc %v", model, advName, i, dv, cv)
-				}
 			}
 		}
 	}

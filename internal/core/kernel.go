@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mbfaa/internal/mixedmode"
 	"mbfaa/internal/mobile"
 	"mbfaa/internal/msr"
 	"mbfaa/internal/multiset"
@@ -32,69 +31,30 @@ import (
 // materialized; the matrix and the per-sender expected values remain the
 // snapshot representation for OnRound consumers.
 
-// senderKind classifies one sender's send-phase behaviour in a kernel plan.
-// The zero value is deliberately invalid: every sender must be classified
-// by the planning loop, and the concurrent engine's plan verification
-// treats an unclassified sender as a protocol error.
-type senderKind uint8
-
-const (
-	// kindSymmetric senders delivered symVal to every receiver (correct
-	// processes, M2-cured rebroadcasters). Their contributions form the base.
-	kindSymmetric senderKind = iota + 1
-	// kindSilent senders delivered nothing to anybody (M1-cured processes,
-	// aware of their state). They contribute neither base nor patch.
-	kindSilent
-	// kindAsymmetric senders delivered per-receiver values or omissions
-	// (faulty processes, M3-cured queues). Their observations live in the
-	// directives script.
-	kindAsymmetric
-)
-
-// kernelPlan is one round's send phase in base+patch form. Its slices live
+// kernelPlan is one round's send phase in base+patch form. Its buffers live
 // in the Runner's scratch and grow monotonically; a plan is valid until the
-// next round is planned. The concurrent engine shares the plan read-only
-// with its worker goroutines (the channel send/receive pairs order every
-// write before every read), and the deterministic engine's parallel vote
-// loop shares it read-only with its vote workers.
+// next round is planned. The parallel vote loop shares it read-only with
+// its vote workers.
 type kernelPlan struct {
-	n int
 	// base accumulates the symmetric senders' values; sealBase validates
 	// and sorts it in place into baseSet, the round's shared base. Every
 	// receiver's multiset contains all of it.
 	base    []float64
 	baseSet multiset.Multiset
-	// kinds[s] classifies sender s; symVal[s] is the value a kindSymmetric
-	// sender broadcast (a copy taken at planning time — votes move on under
-	// M4's mid-round relocation, plans do not).
-	kinds  []senderKind
-	symVal []float64
 	// dirs is the round's adversarial send script, which the batched
 	// consultation filled. Its sender list is exactly the
 	// plan's asymmetric senders, ascending.
 	dirs *mobile.Directives
 }
 
-// reset prepares the plan for a round of n senders, recycling all buffers.
-func (kp *kernelPlan) reset(n int) {
-	kp.n = n
-	if cap(kp.kinds) < n {
-		kp.kinds = make([]senderKind, n)
-		kp.symVal = make([]float64, n)
-	}
-	kp.kinds = kp.kinds[:n]
-	kp.symVal = kp.symVal[:n]
-	for i := range kp.kinds {
-		kp.kinds[i] = 0
-	}
+// reset prepares the plan for a new round, recycling the base buffer.
+func (kp *kernelPlan) reset() {
 	kp.base = kp.base[:0]
 	kp.dirs = nil
 }
 
-// addSymmetric registers sender as broadcasting v to every receiver.
-func (kp *kernelPlan) addSymmetric(sender int, v float64) {
-	kp.kinds[sender] = kindSymmetric
-	kp.symVal[sender] = v
+// addSymmetric registers a sender as broadcasting v to every receiver.
+func (kp *kernelPlan) addSymmetric(v float64) {
 	kp.base = append(kp.base, v)
 }
 
@@ -115,23 +75,6 @@ func (kp *kernelPlan) patchInto(dst []float64, receiver int) []float64 {
 	return kp.dirs.AppendRow(dst, receiver)
 }
 
-// scriptRow rebuilds asymmetric sender's outgoing messages for the
-// concurrent engine's scripted send directive. The slice is handed to a
-// worker goroutine that drains it at its own pace, so it is freshly
-// allocated rather than scratch-backed.
-func (kp *kernelPlan) scriptRow(sender, round int) ([]message, error) {
-	k, ok := kp.dirs.Index(sender)
-	if !ok {
-		return nil, fmt.Errorf("core: sender %d not in the plan's asymmetric set", sender)
-	}
-	out := make([]message, kp.n)
-	for j := 0; j < kp.n; j++ {
-		v, omit := kp.dirs.At(k, j)
-		out[j] = message{round: round, from: sender, value: v, omitted: omit}
-	}
-	return out, nil
-}
-
 // planKernelSendPhase is planSendPhase's hot-path twin: it classifies every
 // sender in one ascending pass, then obtains the whole adversarial script
 // in a single batched RoundDirectives consultation, and emits the
@@ -141,7 +84,7 @@ func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
 	cfg := st.cfg
 	votes, states := st.votes, st.states
 	kp := &st.sc.kern
-	kp.reset(cfg.N)
+	kp.reset()
 	d := &st.sc.dirs
 	d.Reset(cfg.N)
 	faulty := st.sc.fList[:0]
@@ -158,9 +101,8 @@ func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
 			if needU {
 				uValues = append(uValues, votes[sender])
 			}
-			kp.addSymmetric(sender, votes[sender])
+			kp.addSymmetric(votes[sender])
 		case mobile.StateFaulty:
-			kp.kinds[sender] = kindAsymmetric
 			faulty = append(faulty, sender)
 			d.AddSender(sender, false)
 		case mobile.StateCured:
@@ -168,11 +110,9 @@ func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
 			switch cfg.Model {
 			case mobile.M1Garay:
 				// Aware and silent: no receiver observes anything.
-				kp.kinds[sender] = kindSilent
 			case mobile.M2Bonnet:
-				kp.addSymmetric(sender, votes[sender])
+				kp.addSymmetric(votes[sender])
 			case mobile.M3Sasaki:
-				kp.kinds[sender] = kindAsymmetric
 				d.AddSender(sender, true)
 			case mobile.M4Buhrman:
 				return plannedRound{}, fmt.Errorf("core: cured process %d during an M4 send phase", sender)
@@ -232,34 +172,4 @@ func computeVoteKernel(algo msr.Algorithm, tau int, base multiset.Multiset, patc
 		return previous, nil
 	}
 	return msr.ApplyReceived(algo, received, tau)
-}
-
-// kernelWorkerVote is the concurrent engine's verified kernel compute: the
-// worker first checks every actually-received observation against the plan
-// — symmetric senders must have delivered exactly their base value, silent
-// senders nothing — then votes over the shared sorted base plus the patch
-// it actually received from the asymmetric senders. The verification is the
-// message-passing engine's plan-equivalence guarantee made explicit: a
-// mismatch means the goroutines did not reproduce the planned send phase.
-func kernelWorkerVote(algo msr.Algorithm, tau int, kp *kernelPlan, row []mixedmode.Observation, previous float64, patch []float64) (float64, error) {
-	for s, o := range row {
-		switch kp.kinds[s] {
-		case kindSymmetric:
-			if o.Omitted || o.Value != kp.symVal[s] {
-				return 0, fmt.Errorf("core: plan verification: symmetric sender %d delivered (%v, omitted=%v), plan says %v",
-					s, o.Value, o.Omitted, kp.symVal[s])
-			}
-		case kindSilent:
-			if !o.Omitted {
-				return 0, fmt.Errorf("core: plan verification: silent sender %d delivered %v", s, o.Value)
-			}
-		case kindAsymmetric:
-			if !o.Omitted {
-				patch = append(patch, o.Value)
-			}
-		default:
-			return 0, fmt.Errorf("core: plan verification: sender %d unclassified", s)
-		}
-	}
-	return computeVoteKernel(algo, tau, kp.baseSet, patch, previous)
 }

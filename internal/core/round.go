@@ -10,9 +10,9 @@ import (
 	"mbfaa/internal/multiset"
 )
 
-// Labels for deriving per-phase adversary random streams. Both engines
-// derive the same streams, which keeps randomized adversaries identical
-// across engines.
+// Labels for deriving per-phase adversary random streams. Both plan
+// representations derive the same streams, which keeps randomized
+// adversaries identical whether or not OnRound is set.
 const (
 	phasePlace uint64 = iota + 1
 	phaseSend
@@ -50,11 +50,9 @@ type RoundInfo struct {
 // of two representations. On the hot path (no OnRound callback) kern holds
 // the base+patch kernel form and no matrix exists; when OnRound is set the
 // observation matrix and expected values are materialized instead, because
-// the callback may legitimately retain them. Both engines consume the same
-// plan; the concurrent engine additionally verifies that the messages its
-// goroutines actually exchanged reproduce the plan exactly. Kernel plans
-// live in the engine's scratch and are only valid until the next round is
-// planned; snapshot plans are freshly allocated.
+// the callback may legitimately retain them. Kernel plans live in the
+// engine's scratch and are only valid until the next round is planned;
+// snapshot plans are freshly allocated.
 type plannedRound struct {
 	kern     *kernelPlan
 	matrix   *mixedmode.Matrix
@@ -133,9 +131,9 @@ func (st *runState) freshView(round int, phase uint64) *mobile.View {
 // exactly once, through the batched RoundAdversary surface, with the
 // consultation order inside the directives script pinned — senders
 // ascending, receivers ascending within each scripted sender — so that
-// randomized adversaries behave identically in both engines and on both
-// plan representations (and identically to the historical per-pair calls,
-// which the compatibility Adapter replays in that same order).
+// randomized adversaries behave identically on both plan representations
+// (and identically to the historical per-pair calls, which the
+// compatibility Adapter replays in that same order).
 //
 // Send semantics per state (paper §3 and Lemmas 1–4):
 //
@@ -235,8 +233,8 @@ func (st *runState) planSendPhase(round int) (plannedRound, error) {
 
 // computeVote applies the voting function to one receiver's observation
 // row, accumulating the non-omitted values in the provided scratch buffer
-// (passed with length 0; capacity must cover len(row), which the engines
-// guarantee). Trimming degrades gracefully when omissions leave fewer than
+// (passed with length 0; capacity must cover len(row), which the engine
+// guarantees). Trimming degrades gracefully when omissions leave fewer than
 // 2τ+1 values: the process trims as much as it can while keeping one
 // survivor (τ_eff = min(τ, (m−1)/2)). Above the replica bound τ_eff always
 // equals τ; the degradation only matters in deliberately sub-bound runs.

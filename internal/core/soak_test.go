@@ -57,38 +57,3 @@ func TestSoakLargeSystem(t *testing.T) {
 		}
 	}
 }
-
-// TestSoakConcurrentEngineLarge exercises the goroutine engine at n=64 with
-// checkers — a race-detector honeypot. Skipped with -short.
-func TestSoakConcurrentEngineLarge(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test skipped in -short mode")
-	}
-	const n = 64
-	model := mobile.M2Bonnet
-	f := model.MaxFaulty(n)
-	rng := prng.New(5)
-	inputs := make([]float64, n)
-	for i := range inputs {
-		inputs[i] = rng.Range(0, 1)
-	}
-	cfg := Config{
-		Model:          model,
-		N:              n,
-		F:              f,
-		Algorithm:      msr.FTA{},
-		Adversary:      mobile.NewRandom(),
-		Inputs:         inputs,
-		Epsilon:        1e-6,
-		MaxRounds:      150,
-		Seed:           31,
-		EnableCheckers: true,
-	}
-	res, err := RunConcurrent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || !res.Check.Ok() {
-		t.Errorf("converged=%v checker-ok=%v", res.Converged, res.Check.Ok())
-	}
-}

@@ -2,8 +2,8 @@
 // of {model} × {algorithm} × {adversary} × {seed} configurations together
 // with the recorded digest of every observable Result field. The digests
 // were recorded from the pre-refactor (PR 1) reference engine and must
-// never change: the core engine tests assert them for Run, RunConcurrent
-// and reused Runners, and the public facade asserts them for Engine.Run,
+// never change: the core engine tests assert them for Run and reused
+// Runners, and the public facade asserts them for Engine.Run,
 // Engine.Stream, Engine.RunBatch and the legacy Run — so no optimization or
 // API layer can silently change protocol semantics.
 //

@@ -35,7 +35,7 @@ type View struct {
 	States []State
 	// Rng is a deterministic per-round random stream for randomized
 	// adversaries. It is derived from the run seed, the round, and the
-	// call site, so deterministic and concurrent engines agree.
+	// call site, so every replay of a seeded run draws the same values.
 	Rng *prng.Source
 
 	// Cached CorrectRange result. A View is immutable once handed to the

@@ -7,7 +7,7 @@ import (
 
 // ErrBelowBound is the sentinel wrapped by *BoundError: the system does not
 // exceed the model's Table 2 replica bound. It lives here (rather than in
-// the facade) so every execution backend — the simulation engines and the
+// the facade) so every execution backend — the simulator and the
 // distributed cluster — rejects under-provisioned systems with the same
 // typed error.
 var ErrBelowBound = errors.New("mbfaa: system does not exceed the replica bound")

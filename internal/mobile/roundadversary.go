@@ -151,10 +151,15 @@ func (d *Directives) AppendRow(dst []float64, receiver int) []float64 {
 	m := len(d.senders)
 	switch d.kinds[receiver] {
 	case rowBroadcast:
-		v, start := d.row[receiver], len(dst)
+		start := len(dst)
 		dst = slices.Grow(dst, m)[:start+m]
-		for i := start; i < len(dst); i++ {
-			dst[i] = v
+		// Fill by doubling copies: memmove does the work, so the fill's
+		// speed does not hinge on where the linker places a scalar loop.
+		if fill := dst[start:]; len(fill) > 0 {
+			fill[0] = d.row[receiver]
+			for k := 1; k < len(fill); k *= 2 {
+				copy(fill[k:], fill[:k])
+			}
 		}
 	case rowExplicit:
 		base := receiver * m

@@ -215,7 +215,7 @@ func (s *Splitter) placeM4(v *View) []int {
 		}
 	}
 	// Stable selection: lowest votes first, index as tie-break, so the
-	// deterministic and concurrent engines place identically.
+	// placement never depends on the candidates' scan order.
 	for i := 1; i < len(cands); i++ {
 		for j := i; j > 0 && (cands[j].vote < cands[j-1].vote ||
 			(cands[j].vote == cands[j-1].vote && cands[j].id < cands[j-1].id)); j-- {

@@ -2,12 +2,12 @@
 // generator used everywhere the simulator needs randomness.
 //
 // Reproducibility is a hard requirement of the experiment harness: a run is
-// identified by (config, seed) and must produce bit-identical results on the
-// deterministic engine, the concurrent engine, and across machines. The
-// standard library's math/rand/v2 is not splittable in a way that lets us
-// derive independent per-round, per-process streams from one master seed, so
-// we implement xoshiro256** (Blackman & Vigna) seeded through SplitMix64,
-// the construction recommended by its authors.
+// identified by (config, seed) and must produce bit-identical results on
+// every run and across machines. The standard library's math/rand/v2 is not
+// splittable in a way that lets us derive independent per-round,
+// per-process streams from one master seed, so we implement xoshiro256**
+// (Blackman & Vigna) seeded through SplitMix64, the construction
+// recommended by its authors.
 package prng
 
 import "math"
@@ -71,8 +71,8 @@ func (s *Source) Uint64() uint64 {
 // Derive returns a new Source whose stream is a deterministic function of
 // this Source's *identity path* and the given labels, without consuming any
 // output from the parent. It is the primitive behind per-(round, process)
-// streams: both engines call Derive with the same labels and therefore see
-// the same sub-stream regardless of scheduling.
+// streams: every caller that passes the same labels sees the same
+// sub-stream, regardless of scheduling.
 func (s *Source) Derive(labels ...uint64) *Source {
 	var child Source
 	s.DeriveInto(&child, labels...)

@@ -5,11 +5,9 @@
 // forces planSendPhase onto the n×n observation matrix, and every receiver
 // then gathers and sorts its full row (computeVote) — exactly the
 // pre-kernel computation. A plain run of the same Config takes the kernel
-// path (shared sorted base + per-receiver patch, voted as two runs), and
-// RunConcurrent takes the kernel's verified worker path over real message
-// passing. All
-// three must produce bit-identical Results, which this suite asserts via
-// the golden digest (every float folded by bit pattern) across models,
+// path (shared sorted base + per-receiver patch, voted as two runs). Both
+// must produce bit-identical Results, which this suite asserts via the
+// golden digest (every float folded by bit pattern) across models,
 // algorithms, adversaries (splitter, greedy, random, crash, mixed-mode),
 // seeds, omission-heavy rounds (crash omits everything; random omits 10%)
 // and sub-bound systems (n ≤ bound — the regime ClusterSpec.AllowSubBound
@@ -130,8 +128,8 @@ func buildTrials(t *testing.T) []trial {
 }
 
 // TestKernelMatchesNaiveReference is the randomized bit-exactness
-// cross-check: kernel path == matrix reference == concurrent kernel path,
-// digest-identical, for every trial.
+// cross-check: kernel path == matrix reference, digest-identical, for every
+// trial.
 func TestKernelMatchesNaiveReference(t *testing.T) {
 	runner := core.NewRunner()
 	for _, tr := range buildTrials(t) {
@@ -152,17 +150,6 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 		if kd, nd := golden.Digest(kernelRes), golden.Digest(naiveRes); kd != nd {
 			t.Errorf("%s: kernel digest %x != naive reference %x\nkernel votes: %v\nnaive votes:  %v",
 				tr.key, kd, nd, kernelRes.Votes, naiveRes.Votes)
-			continue
-		}
-
-		concCfg := tr.cfg
-		concCfg.Adversary = tr.fresh()
-		concRes, err := runner.RunConcurrent(concCfg)
-		if err != nil {
-			t.Fatalf("%s: concurrent run: %v", tr.key, err)
-		}
-		if kd, cd := golden.Digest(kernelRes), golden.Digest(concRes); kd != cd {
-			t.Errorf("%s: concurrent kernel digest %x != sequential %x", tr.key, cd, kd)
 		}
 	}
 }
@@ -268,6 +255,17 @@ func TestKernelMatchesNaiveWithCheckers(t *testing.T) {
 		if kc.Ok() != nc.Ok() || len(kc.Violations) != len(nc.Violations) || len(kc.Certificates) != len(nc.Certificates) {
 			t.Errorf("%s: check reports diverge: kernel ok=%v v=%d c=%d, naive ok=%v v=%d c=%d",
 				tr.key, kc.Ok(), len(kc.Violations), len(kc.Certificates), nc.Ok(), len(nc.Violations), len(nc.Certificates))
+			continue
+		}
+		for i := range kc.Violations {
+			if kc.Violations[i] != nc.Violations[i] {
+				t.Errorf("%s: violation %d differs: kernel %+v, naive %+v", tr.key, i, kc.Violations[i], nc.Violations[i])
+			}
+		}
+		for i := range kc.Certificates {
+			if kc.Certificates[i] != nc.Certificates[i] {
+				t.Errorf("%s: certificate %d differs: kernel %+v, naive %+v", tr.key, i, kc.Certificates[i], nc.Certificates[i])
+			}
 		}
 	}
 }

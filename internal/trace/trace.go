@@ -50,8 +50,8 @@ type Event struct {
 	Text    string  // human annotation (notes, move summaries)
 }
 
-// Recorder accumulates events. It is not safe for concurrent use; the
-// concurrent engine funnels events through its coordinator.
+// Recorder accumulates events. It is not safe for concurrent use; give each
+// run its own.
 type Recorder struct {
 	events []Event
 }

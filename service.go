@@ -458,12 +458,14 @@ func (s *Service) runInstance(h *Handle, inputs []float64) {
 	s.mu.Lock()
 	delete(s.active, h.id)
 	s.mu.Unlock()
-	close(h.done)
+	// Count the outcome before releasing the handle, so a Stats call made
+	// after Await returns already includes this instance.
 	if err != nil {
 		s.failed.Add(1)
 	} else {
 		s.completed.Add(1)
 	}
+	close(h.done)
 	if s.subscribed.Load() {
 		select {
 		case s.results <- InstanceResult{ID: h.id, Result: res, Trace: trace, Err: err}:

@@ -143,6 +143,35 @@ func TestServicePipelined(t *testing.T) {
 	}
 }
 
+// TestServiceStatsCountAwaited: once Await returns, Stats already counts
+// that instance as completed or failed. The lifecycle counter must be
+// updated before the handle is released, or a Stats call right after Await
+// reads one short.
+func TestServiceStatsCountAwaited(t *testing.T) {
+	const instances = 300
+	spec := serviceSpec()
+	spec.FixedRounds = 2
+	svc, err := mbfaa.NewEngine().Serve(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.Close() }()
+	inputs := deployInputs(7, spec.N, 0, 1)
+	for i := 0; i < instances; i++ {
+		h, err := svc.Submit(context.Background(), uint32(i+1), inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Await(context.Background(), h); err != nil {
+			t.Fatalf("instance %d: %v", i+1, err)
+		}
+		if st := svc.Stats(); st.Completed+st.Failed != int64(i+1) {
+			t.Fatalf("after awaiting instance %d: completed=%d failed=%d, want %d finished",
+				i+1, st.Completed, st.Failed, i+1)
+		}
+	}
+}
+
 // TestServiceConcurrentGoldenDigests is the tentpole determinism criterion:
 // many concurrent instances each produce a verdict bit-identical to their
 // single-instance Deployment digest, at different concurrency bounds and

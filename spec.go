@@ -49,9 +49,6 @@ type Spec struct {
 	// Checkers enables the Definition 4 / Lemma 5 / Theorem 1 runtime
 	// checkers; the report lands in Result.Check.
 	Checkers bool `json:"checkers,omitempty"`
-	// Concurrent selects the goroutine-per-process engine. Results are
-	// bit-identical to the deterministic engine. Not allowed in batches.
-	Concurrent bool `json:"concurrent,omitempty"`
 	// AlgorithmName selects the MSR voting function by registered name
 	// ("fta", "ftm", "dolev", "median"). Empty with a nil Algorithm means
 	// FTM.
