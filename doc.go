@@ -124,11 +124,11 @@
 // Dolev's selection looks up only the ranks it keeps, and FTA's mean walks
 // only the survivors. The camp-steering adversaries send every receiver
 // one value from all asymmetric senders (a broadcast row), so that patch
-// arrives sorted and is only scanned. Round cost is
-// O(n log n + n·(f + log n)) for FTM and Median under such adversaries and
-// O(n log n + n·(f log f + log n)) when the patch must be sorted, plus
-// those lookups or that walk per receiver for Dolev and FTA, instead of
-// O(n² log n).
+// is attached in O(1) as a constant run, count copies of one value read in
+// place. Round cost is O(n log n) for FTM and Median under such
+// adversaries and O(n log n + n·(f log f + log n)) when an explicit patch
+// must be copied and sorted, plus those lookups or that walk per receiver
+// for Dolev and FTA, instead of O(n² log n).
 //
 // The kernel is bit-exact by construction: the two runs are read in the
 // order their linear merge would emit (ties base-first), which is the

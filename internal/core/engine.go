@@ -110,7 +110,7 @@ type scratch struct {
 	// broadcast directive rows and O(n + f·n) once a row is explicit,
 	// instead of O(n²).
 	kern  kernelPlan
-	pvals []float64 // per-receiver patch values (≤ 2f per round)
+	pvals []float64 // an explicit row's patch values (≤ 2f per round)
 
 	// voteBufs are the parallel vote loop's per-worker patch buffers,
 	// sized lazily on the first parallel round (the sequential path uses

@@ -18,16 +18,17 @@ import (
 // most 2f of them. The kernel plan stores exactly that factored form: one
 // base, NaN-checked and sorted once per round (sealBase), plus the
 // adversary's Directives script, one row per receiver. Each receiver's vote
-// attaches its O(f) patch — the row — to the sealed base, NaN-checked and
-// sorted there, and applies the algorithm to the resulting two-run
-// multiset, which selects the surviving ranks by co-rank search instead of
-// merging n values. The camp-steering adversaries script broadcast rows (one
-// value from every asymmetric sender), so filling the script costs O(n) and
-// each patch arrives sorted and is scanned once: a round costs
-// O(n log n + n·(f + log n)) with FTM or Median. Explicit per-sender rows
-// keep the O(f log f) patch sort. Dolev adds a lookup per selected rank and
-// FTA a walk over each receiver's survivors. On the hot path (no OnRound
-// snapshot) planSendPhase emits this form directly and the matrix is never
+// attaches its row to the sealed base and applies the algorithm to the
+// resulting two-run multiset, which selects the surviving ranks by co-rank
+// search instead of merging n values. The camp-steering adversaries script
+// broadcast rows (one value from every asymmetric sender); such a row is
+// attached as a constant run in O(1), reading its value in place, so a
+// round costs O(n log n) with FTM or Median. An omitted row leaves the bare
+// base. Explicit per-sender rows are copied out and attached as a patch,
+// NaN-checked and sorted there: O(n log n + n·(f log f + log n)) per round.
+// Dolev adds a lookup per selected rank and FTA a walk over each
+// receiver's survivors. On the hot path (no OnRound snapshot)
+// planSendPhase emits this form directly and the matrix is never
 // materialized; the matrix and the per-sender expected values remain the
 // snapshot representation for OnRound consumers.
 
@@ -69,10 +70,20 @@ func (kp *kernelPlan) sealBase() error {
 	return nil
 }
 
-// patchInto appends receiver's non-omitted patch values to dst: the
-// receiver's row of the directives script.
-func (kp *kernelPlan) patchInto(dst []float64, receiver int) []float64 {
-	return kp.dirs.AppendRow(dst, receiver)
+// received returns receiver's multiset: the sealed base plus its row of
+// the directives script. A broadcast row becomes a constant run over the
+// script's own row slot and an omitted row leaves the base bare; only an
+// explicit row is copied into dst (capacity ≥ the sender count, so the
+// copy never allocates) and attached as a patch.
+func (kp *kernelPlan) received(dst []float64, receiver int) (multiset.Multiset, error) {
+	v, count, kind := kp.dirs.Row(receiver)
+	switch kind {
+	case mobile.RowBroadcast:
+		return kp.baseSet.WithRepeated(v, count)
+	case mobile.RowExplicit:
+		return kp.baseSet.WithPatch(kp.dirs.AppendRow(dst, receiver))
+	}
+	return kp.baseSet, nil
 }
 
 // planKernelSendPhase is planSendPhase's hot-path twin: it classifies every
@@ -153,18 +164,12 @@ func (st *runState) consultRound(round int, faulty, cured []int, d *mobile.Direc
 	st.batch.RoundDirectives(&st.sc.rview, d)
 }
 
-// computeVoteKernel is computeVote over the base+patch form: attach the
-// receiver's O(f) patch to the round's sealed base — the patch is
-// NaN-checked and sorted in place, nothing is merged or copied — and apply
-// the voting function over the two-run multiset, which reads its elements
-// in the order and with the left-to-right summation the per-receiver sort
-// produces, so the result is bit-identical. The total-silence fallback
-// mirrors computeVote: retain the previous value.
-func computeVoteKernel(algo msr.Algorithm, tau int, base multiset.Multiset, patch []float64, previous float64) (float64, error) {
-	received, err := base.WithPatch(patch)
-	if err != nil {
-		return 0, err
-	}
+// computeVoteKernel is computeVote over the base+patch form: apply the
+// voting function over the receiver's two-run multiset (kernelPlan.received),
+// which reads its elements in the order and with the left-to-right
+// summation the per-receiver sort produces, so the result is bit-identical.
+// The total-silence fallback mirrors computeVote: retain the previous value.
+func computeVoteKernel(algo msr.Algorithm, tau int, received multiset.Multiset, previous float64) (float64, error) {
 	if received.IsEmpty() {
 		if math.IsNaN(previous) {
 			return 0, fmt.Errorf("core: no values received and no previous state")

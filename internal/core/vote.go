@@ -8,8 +8,9 @@ import (
 )
 
 // parallelVoteMinN is the auto-mode crossover: below this system size the
-// per-round goroutine fan-out and join cost more than the
-// O(n·(f + log n)) vote work they would split, so
+// per-round goroutine fan-out and join cost more than the vote work they
+// would split — O(n log n) per round with broadcast rows, O(n·(f log f +
+// log n)) with explicit ones, plus FTA's and Dolev's walks — so
 // Config.VoteWorkers == 0 stays sequential. An explicit VoteWorkers > 1
 // bypasses the crossover (the equivalence tests force small parallel runs
 // through it).
@@ -83,9 +84,9 @@ func (st *runState) computeVotesKernel(round, tau int, kp *kernelPlan) error {
 }
 
 // voteRange computes the votes of receivers [lo, hi) over the round plan,
-// using the provided patch buffer (length ignored, capacity ≥ n; resliced
-// to empty per receiver). It is the one body both the sequential and the
-// parallel loops execute.
+// using the provided patch buffer for explicit rows (length ignored,
+// capacity ≥ n; resliced to empty per receiver). It is the one body both
+// the sequential and the parallel loops execute.
 func (st *runState) voteRange(round, tau int, kp *kernelPlan, lo, hi int, pvals []float64) error {
 	cfg := st.cfg
 	for i := lo; i < hi; i++ {
@@ -93,8 +94,11 @@ func (st *runState) voteRange(round, tau int, kp *kernelPlan, lo, hi int, pvals 
 			st.newVotes[i] = math.NaN()
 			continue
 		}
-		patch := kp.patchInto(pvals[:0], i)
-		v, err := computeVoteKernel(cfg.Algorithm, tau, kp.baseSet, patch, st.votes[i])
+		received, err := kp.received(pvals[:0], i)
+		var v float64
+		if err == nil {
+			v, err = computeVoteKernel(cfg.Algorithm, tau, received, st.votes[i])
+		}
 		if err != nil {
 			return fmt.Errorf("core: round %d process %d: %w", round, i, err)
 		}

@@ -9,23 +9,25 @@ import (
 // TestDirectivesRowOrder pins the order-dependent cases of the row forms:
 // a Set or Omit after SetRow changes one entry and keeps the rest of the
 // broadcast, a SetRow after Set replaces the whole row, and a NaN row is
-// omitted. Senders 0 and 1 are scripted; every case works on receiver 3.
+// omitted; Row reports the resulting form. Senders 0 and 1 are scripted;
+// every case works on receiver 3.
 func TestDirectivesRowOrder(t *testing.T) {
 	const none = -1.0 // marks an omitted entry in want
 	cases := []struct {
 		name  string
 		write func(d *Directives)
 		want  [2]float64
+		kind  RowKind
 	}{
-		{"SetRow", func(d *Directives) { d.SetRow(3, 0.5) }, [2]float64{0.5, 0.5}},
-		{"SetRow then Set", func(d *Directives) { d.SetRow(3, 0.5); d.Set(1, 3, 0.7) }, [2]float64{0.5, 0.7}},
-		{"SetRow then Omit", func(d *Directives) { d.SetRow(3, 0.5); d.Omit(0, 3) }, [2]float64{none, 0.5}},
-		{"SetRow then Set NaN", func(d *Directives) { d.SetRow(3, 0.5); d.Set(1, 3, math.NaN()) }, [2]float64{0.5, none}},
-		{"Set then SetRow", func(d *Directives) { d.Set(0, 3, 0.7); d.Omit(1, 3); d.SetRow(3, 0.5) }, [2]float64{0.5, 0.5}},
-		{"Set on an omitted row", func(d *Directives) { d.Set(1, 3, 0.7) }, [2]float64{none, 0.7}},
-		{"SetRow NaN", func(d *Directives) { d.SetRow(3, math.NaN()) }, [2]float64{none, none}},
-		{"SetRow then SetRow NaN", func(d *Directives) { d.SetRow(3, 0.5); d.SetRow(3, math.NaN()) }, [2]float64{none, none}},
-		{"Set then SetRow NaN", func(d *Directives) { d.Set(0, 3, 0.7); d.SetRow(3, math.NaN()) }, [2]float64{none, none}},
+		{"SetRow", func(d *Directives) { d.SetRow(3, 0.5) }, [2]float64{0.5, 0.5}, RowBroadcast},
+		{"SetRow then Set", func(d *Directives) { d.SetRow(3, 0.5); d.Set(1, 3, 0.7) }, [2]float64{0.5, 0.7}, RowExplicit},
+		{"SetRow then Omit", func(d *Directives) { d.SetRow(3, 0.5); d.Omit(0, 3) }, [2]float64{none, 0.5}, RowExplicit},
+		{"SetRow then Set NaN", func(d *Directives) { d.SetRow(3, 0.5); d.Set(1, 3, math.NaN()) }, [2]float64{0.5, none}, RowExplicit},
+		{"Set then SetRow", func(d *Directives) { d.Set(0, 3, 0.7); d.Omit(1, 3); d.SetRow(3, 0.5) }, [2]float64{0.5, 0.5}, RowBroadcast},
+		{"Set on an omitted row", func(d *Directives) { d.Set(1, 3, 0.7) }, [2]float64{none, 0.7}, RowExplicit},
+		{"SetRow NaN", func(d *Directives) { d.SetRow(3, math.NaN()) }, [2]float64{none, none}, RowOmitted},
+		{"SetRow then SetRow NaN", func(d *Directives) { d.SetRow(3, 0.5); d.SetRow(3, math.NaN()) }, [2]float64{none, none}, RowOmitted},
+		{"Set then SetRow NaN", func(d *Directives) { d.Set(0, 3, 0.7); d.SetRow(3, math.NaN()) }, [2]float64{none, none}, RowOmitted},
 	}
 	for _, c := range cases {
 		d := newDirectives(7)
@@ -42,6 +44,9 @@ func TestDirectivesRowOrder(t *testing.T) {
 		}
 		if got := d.AppendRow(nil, 3); !equalFloats(got, row) {
 			t.Errorf("%s: AppendRow(3) = %v, want %v", c.name, got, row)
+		}
+		if _, _, kind := d.Row(3); kind != c.kind {
+			t.Errorf("%s: Row(3) kind = %d, want %d", c.name, kind, c.kind)
 		}
 		for r := 0; r < d.N(); r++ { // no other row was touched
 			if got := d.AppendRow(nil, r); r != 3 && len(got) != 0 {
@@ -63,6 +68,7 @@ func TestDirectivesRangeChecks(t *testing.T) {
 	}
 	mustPanicRange(t, "SetRow", func() { d.SetRow(7, 1) })
 	mustPanicRange(t, "AppendRow", func() { d.AppendRow(nil, -1) })
+	mustPanicRange(t, "Row", func() { d.Row(7) })
 	for k := 0; k < d.Len(); k++ {
 		if _, omit := d.At(k, 0); !omit {
 			t.Fatalf("a rejected call wrote entry (%d, 0)", k)
@@ -99,7 +105,7 @@ func equalFloats(a, b []float64) bool {
 var directivesPalette = []float64{0, math.Copysign(0, -1), 1, -1, 0.5, math.Inf(1), math.Inf(-1), math.NaN()}
 
 // FuzzDirectives drives a random stream of SetRow, Set and Omit calls over
-// two consecutive Reset/AddSender/Seal rounds and checks every At and
+// two consecutive Reset/AddSender/Seal rounds and checks every At, Row and
 // AppendRow against a dense receiver-by-sender reference. The second round
 // reuses the first round's buffers, so an explicit row of round one that
 // leaked into round two shows up as a mismatch.
@@ -176,6 +182,25 @@ func fuzzDirectivesRound(t *testing.T, d *Directives, n, m int, ops []byte) {
 		dst := append(make([]float64, 0, 1+r%2*m), prefix...)
 		if got := d.AppendRow(dst, r); !equalFloats(got, want) {
 			t.Fatalf("n=%d m=%d: AppendRow(%d) = %v, want %v", n, m, r, got, want)
+		}
+		// Row's form must describe the same delivered values.
+		switch v, count, kind := d.Row(r); kind {
+		case RowBroadcast:
+			row := prefix
+			for range count {
+				row = append(row, *v)
+			}
+			if count != m || !equalFloats(row, want) {
+				t.Fatalf("n=%d m=%d: Row(%d) = broadcast %v×%d, want %v", n, m, r, *v, count, want)
+			}
+		case RowOmitted:
+			if v != nil || count != 0 || len(want) != len(prefix) {
+				t.Fatalf("n=%d m=%d: Row(%d) = omitted (%v, %d), want %v", n, m, r, v, count, want)
+			}
+		case RowExplicit:
+			if v != nil || count != 0 {
+				t.Fatalf("n=%d m=%d: Row(%d) = explicit (%v, %d), want nil, 0", n, m, r, v, count)
+			}
 		}
 	}
 }

@@ -27,8 +27,10 @@ type Greedy struct {
 	haveEra bool
 	era     int // round the chosen rule was computed for
 	// The lookahead's scratch, refilled every round: the shared base's
-	// backing store and the m-value patch.
-	base, patch []float64
+	// backing store, and the two camp values whose constant runs the
+	// received multisets read in place.
+	base []float64
+	ends [2]float64
 }
 
 // NewGreedy returns a fresh greedy adversary. Greedy is stateful and must
@@ -143,9 +145,9 @@ func (g *Greedy) decide(v *View) valueRule {
 // faulty ones, and under M3 the cured ones — and every rule has all m
 // send a receiver the same camp value, lo or hi. So across all rules a
 // receiver hears one of just two multisets, base ∪ {lo×m} and
-// base ∪ {hi×m}. Each is voted on once (msr.Algorithm.Apply is
-// deterministic), and a rule's diameter is the spread of the votes it
-// hands the camps that hold a non-faulty receiver.
+// base ∪ {hi×m}, each the base plus a constant run. Each is voted on once
+// (msr.Algorithm.Apply is deterministic), and a rule's diameter is the
+// spread of the votes it hands the camps that hold a non-faulty receiver.
 func (g *Greedy) lookahead(v *View) (diam [len(allValueRules)]float64) {
 	if v.Algo == nil {
 		return diam
@@ -178,14 +180,12 @@ func (g *Greedy) lookahead(v *View) (diam [len(allValueRules)]float64) {
 		return diam
 	}
 	// votes[0] is the vote on base ∪ {lo×m}, votes[1] on base ∪ {hi×m}.
+	// The runs read their value from g.ends, which outlives the votes.
 	var votes [2]float64
 	var voted [2]bool
-	for k, x := range [2]float64{lo, hi} {
-		g.patch = g.patch[:0]
-		for range m {
-			g.patch = append(g.patch, x)
-		}
-		received, err := base.WithPatch(g.patch)
+	g.ends = [2]float64{lo, hi}
+	for k := range g.ends {
+		received, err := base.WithRepeated(&g.ends[k], m)
 		if err != nil {
 			continue
 		}

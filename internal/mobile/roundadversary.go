@@ -37,19 +37,19 @@ type Directives struct {
 	n       int       // receivers
 	senders []int     // scripted senders, ascending
 	queue   []bool    // queue[k]: senders[k] is an M3 poisoned queue, not a live agent
-	kinds   []rowKind // kinds[r]: the form of receiver r's row
+	kinds   []RowKind // kinds[r]: the form of receiver r's row
 	row     []float64 // row[r]: the value of a broadcast row
 	values  []float64 // values[r*len(senders)+k], read only for explicit rows
 	omits   []bool    // omits[r*len(senders)+k], read only for explicit rows
 }
 
-// rowKind is the form of one receiver's row in a Directives script.
-type rowKind uint8
+// RowKind is the form of one receiver's row in a Directives script.
+type RowKind uint8
 
 const (
-	rowOmitted rowKind = iota
-	rowBroadcast
-	rowExplicit
+	RowOmitted   RowKind = iota // no scripted sender delivers anything
+	RowBroadcast                // every scripted sender delivers one value
+	RowExplicit                 // one value or omission per scripted sender
 )
 
 // Reset prepares the script for a round of n receivers with no senders yet.
@@ -95,10 +95,10 @@ func (d *Directives) IsQueue(k int) bool { return d.queue[k] }
 func (d *Directives) SetRow(receiver int, v float64) {
 	d.checkReceiver(receiver)
 	if math.IsNaN(v) {
-		d.kinds[receiver] = rowOmitted
+		d.kinds[receiver] = RowOmitted
 		return
 	}
-	d.kinds[receiver] = rowBroadcast
+	d.kinds[receiver] = RowBroadcast
 	d.row[receiver] = v
 }
 
@@ -124,9 +124,9 @@ func (d *Directives) Omit(k, receiver int) {
 func (d *Directives) At(k, receiver int) (v float64, omit bool) {
 	d.checkEntry(k, receiver)
 	switch d.kinds[receiver] {
-	case rowBroadcast:
+	case RowBroadcast:
 		return d.row[receiver], false
-	case rowExplicit:
+	case RowExplicit:
 		i := receiver*len(d.senders) + k
 		if d.omits[i] {
 			return 0, true
@@ -143,25 +143,34 @@ func (d *Directives) Index(sender int) (k int, ok bool) {
 	return k, k < len(d.senders) && d.senders[k] == sender
 }
 
+// Row returns the form of receiver's row. For a broadcast row, v points at
+// the row's value and count is the number of scripted senders that deliver
+// it; *v stays valid and unchanged until the next SetRow on the row or the
+// next Seal, so a vote may read it in place. Other forms return v nil and
+// count 0: an omitted row delivers nothing, and an explicit row's values
+// are read by AppendRow.
+func (d *Directives) Row(receiver int) (v *float64, count int, kind RowKind) {
+	d.checkReceiver(receiver)
+	kind = d.kinds[receiver]
+	if kind == RowBroadcast {
+		return &d.row[receiver], len(d.senders), kind
+	}
+	return nil, 0, kind
+}
+
 // AppendRow appends receiver's non-omitted directive values to dst, in
-// scripted-sender (ascending process) order — the vote kernel's patch. A
-// broadcast row appends m copies of its value, which is already ascending.
+// scripted-sender (ascending process) order — the vote kernel's patch for
+// an explicit row. A broadcast row appends m copies of its value, which is
+// already ascending.
 func (d *Directives) AppendRow(dst []float64, receiver int) []float64 {
 	d.checkReceiver(receiver)
 	m := len(d.senders)
 	switch d.kinds[receiver] {
-	case rowBroadcast:
-		start := len(dst)
-		dst = slices.Grow(dst, m)[:start+m]
-		// Fill by doubling copies: memmove does the work, so the fill's
-		// speed does not hinge on where the linker places a scalar loop.
-		if fill := dst[start:]; len(fill) > 0 {
-			fill[0] = d.row[receiver]
-			for k := 1; k < len(fill); k *= 2 {
-				copy(fill[k:], fill[:k])
-			}
+	case RowBroadcast:
+		for range m {
+			dst = append(dst, d.row[receiver])
 		}
-	case rowExplicit:
+	case RowExplicit:
 		base := receiver * m
 		for k := 0; k < m; k++ {
 			if !d.omits[base+k] {
@@ -180,19 +189,19 @@ func (d *Directives) explicit(k, receiver int) int {
 	d.checkEntry(k, receiver)
 	m := len(d.senders)
 	base := receiver * m
-	if d.kinds[receiver] == rowExplicit {
+	if d.kinds[receiver] == RowExplicit {
 		return base + k
 	}
 	if size := d.n * m; len(d.values) < size {
 		d.values = slices.Grow(d.values[:0], size)[:size]
 		d.omits = slices.Grow(d.omits[:0], size)[:size]
 	}
-	v, omit := d.row[receiver], d.kinds[receiver] == rowOmitted
+	v, omit := d.row[receiver], d.kinds[receiver] == RowOmitted
 	for j := base; j < base+m; j++ {
 		d.values[j] = v
 		d.omits[j] = omit
 	}
-	d.kinds[receiver] = rowExplicit
+	d.kinds[receiver] = RowExplicit
 	return base + k
 }
 

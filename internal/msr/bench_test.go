@@ -26,7 +26,10 @@ func benchMultiset(b *testing.B, n int) multiset.Multiset {
 // sim-n1024 benchmark workload (n=1024, f=255: 514 symmetric senders, 255
 // faulty ones, the 255 cured ones silent). The kernel arm seals the base
 // once outside the loop, as the engines do once per round, and pays the
-// per-receiver patch copy, sort and vote each iteration.
+// per-receiver patch copy, sort and vote each iteration. At the sim-n1024
+// shape the broadcast arm attaches the 255 faulty senders' common value as
+// a constant run (multiset.WithRepeated), as the engine does for a
+// broadcast row: O(log n) per vote against the kernel arm's O(f).
 func BenchmarkKernelVote(b *testing.B) {
 	shapes := []struct {
 		name             string
@@ -48,7 +51,22 @@ func BenchmarkKernelVote(b *testing.B) {
 		}
 		all := append(append([]float64(nil), baseVals...), patchVals...)
 		base := multiset.MustFromValues(baseVals...)
+		row := patchVals[0]
 		for _, algo := range All() {
+			if sh.name == "sim-n1024" {
+				b.Run(fmt.Sprintf("broadcast/%s/%s", sh.name, algo.Name()), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						received, err := base.WithRepeated(&row, sh.patch)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if _, err := ApplyReceived(algo, received, sh.tau); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 			b.Run(fmt.Sprintf("kernel/%s/%s", sh.name, algo.Name()), func(b *testing.B) {
 				patch := make([]float64, len(patchVals))
 				b.ReportAllocs()

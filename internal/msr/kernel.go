@@ -9,22 +9,26 @@ import "mbfaa/internal/multiset"
 // receivers' multisets differ only in the entries of the asymmetric
 // senders — at most 2f of them, the very fact the FTA/FTM contraction
 // proofs rest on. A received multiset is therefore the symmetric base,
-// sorted and NaN-checked once, plus the receiver's O(f) patch, sorted and
-// NaN-checked when it is attached (multiset.Multiset.WithPatch). The
-// algorithm's unchanged Apply reads that two-run form by co-rank search:
-// FTM and Median cost O(log n) per vote after the patch is sorted — one
-// O(f) scan when it arrives sorted, as a broadcast patch does, O(f log f)
-// otherwise — Dolev looks up only the ranks it selects, and FTA walks only
-// the survivors. The multi-receiver engines seal one base per round and
-// attach each receiver's patch to it, for O(n log n + n·(f + log n)) per
-// round with FTM or Median under the camp-steering adversaries' broadcast
-// rows, and O(n log n + n·(f log f + log n)) with explicit rows.
+// sorted and NaN-checked once, plus the receiver's patch: an O(f) slice,
+// sorted and NaN-checked when it is attached (multiset.Multiset.WithPatch),
+// or, when every asymmetric sender delivers the same value, a constant run
+// attached in O(1) (multiset.Multiset.WithRepeated). The algorithm's
+// unchanged Apply reads that two-run form by co-rank search: FTM and
+// Median cost O(log n) per vote once the patch is attached — O(f log f)
+// to sort a slice patch (one O(f) scan when it arrives sorted), O(1) for a
+// constant run — Dolev looks up only the
+// ranks it selects, and FTA walks only the survivors. The multi-receiver
+// engines seal one base per round and attach each receiver's patch to it,
+// for O(n log n) per round with FTM or Median under the camp-steering
+// adversaries' broadcast rows, and O(n log n + n·(f log f + log n)) with
+// explicit rows.
 //
 // Bit-exactness contract: the two-run form reads the elements in exactly
 // the order multiset.MergeSortedInto(base, patch) produces (ties
-// base-first), which is the ascending sequence sort.Float64s yields for the
-// combined multiset, and Apply sums them left to right — so kernel votes
-// are bit-identical to ApplyCapped over the concatenated values.
+// base-first; a constant run reads as its copies), which is the ascending
+// sequence sort.Float64s yields for the combined multiset, and Apply sums
+// them left to right — so kernel votes are bit-identical to ApplyCapped
+// over the concatenated values.
 
 // KernelVote computes the MSR vote over the union of base (the symmetric
 // contributions) and patch (this receiver's asymmetric values), capping τ

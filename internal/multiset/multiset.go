@@ -10,13 +10,15 @@
 //
 // A multiset received in a protocol round is stored as two ascending runs:
 // the round's shared base, validated once for every receiver, and the
-// receiver's own O(f) patch (WithPatch). Rank queries (At, Min, Max, Trim,
-// Median, Midpoint, and the ranks SelectEvery and MeanEvery keep) find
-// their element by a co-rank binary search over the two runs, and Mean
-// walks the elements in merge order, so a vote never materializes the n
-// received values. The merge order breaks ties base-first, exactly as
-// MergeSortedInto does, so every result is bit-identical to the same
-// method on the merged single-run multiset.
+// receiver's own patch. The patch is either an O(f) slice (WithPatch) or a
+// constant run of count copies of one value (WithRepeated), the shape of a
+// broadcast row, which costs O(1) to attach. Rank queries (At, Min, Max,
+// Trim, Median, Midpoint, and the ranks SelectEvery and MeanEvery keep)
+// find their element by a co-rank binary search over the two runs, O(log n)
+// whatever the patch's shape, and Mean walks the elements in merge order,
+// so a vote never materializes the n received values. The merge order
+// breaks ties base-first, exactly as MergeSortedInto does, so every result
+// is bit-identical to the same method on the merged single-run multiset.
 package multiset
 
 import (
@@ -28,8 +30,8 @@ import (
 	"unsafe"
 )
 
-// ErrNaN is returned by the constructors and WithPatch when an input value
-// is NaN.
+// ErrNaN is returned by the constructors, WithPatch and WithRepeated when
+// an input value is NaN.
 var ErrNaN = errors.New("multiset: NaN value has no place in a sorted multiset")
 
 // Multiset is an immutable sorted multiset of real values.
@@ -39,32 +41,73 @@ type Multiset struct {
 	// The two ascending runs, each as a pointer to its first element (nil
 	// when empty) and a length. Neither run is mutated after construction.
 	// The multiset is their merge, ties taken from the base first; the
-	// patch is empty except on a received multiset (WithPatch) and the
-	// reductions of one. Four words rather than two slice headers' six:
-	// the compiler keeps a struct of at most four words in registers, while
-	// a larger one is copied through memory at every call and inlined
-	// method, which roughly doubled the cost of a vote over a handful of
-	// values (the small-n runs of the sweep artifacts). runs rebuilds the
-	// slices.
+	// patch is empty except on a received multiset (WithPatch,
+	// WithRepeated) and the reductions of one. A negative npatch marks a
+	// constant run: −npatch copies of *patch. Four words rather than two
+	// slice headers' six plus a shape flag: the compiler keeps a struct of
+	// at most four words in registers, while a larger one is copied
+	// through memory at every call and inlined method, which roughly
+	// doubled the cost of a vote over a handful of values (the small-n
+	// runs of the sweep artifacts). runs rebuilds the readable form.
 	base, patch   *float64
 	nbase, npatch int
 }
 
+// run is a patch as the methods read it: n ascending elements, the j-th
+// stride·j bytes past first. A slice patch has stride floatSize; a
+// constant run has stride 0, so every element is its one value. Three
+// words, so that a run and the base slice still travel in registers: a
+// five-word form (a bounds-checked slice plus length and stride) doubled
+// the cost of FTM's vote on a single-run multiset. Callers read only
+// elements j < n.
+type run struct {
+	first  *float64 // element 0; nil when n is 0
+	n      int
+	stride uintptr
+}
+
+// floatSize is the stride of a slice patch.
+const floatSize = unsafe.Sizeof(float64(0))
+
+// at returns the run's j-th element, 0 ≤ j < n.
+func (r run) at(j int) float64 {
+	return *(*float64)(unsafe.Add(unsafe.Pointer(r.first), uintptr(j)*r.stride))
+}
+
+// sub returns the run's elements [i, j).
+func (r run) sub(i, j int) run {
+	if i == j {
+		return run{}
+	}
+	first := unsafe.Add(unsafe.Pointer(r.first), uintptr(i)*r.stride)
+	return run{first: (*float64)(first), n: j - i, stride: r.stride}
+}
+
 // of builds the multiset whose runs are a (the base) and b (the patch).
-func of(a, b []float64) Multiset {
-	m := Multiset{nbase: len(a), npatch: len(b)}
+func of(a []float64, b run) Multiset {
+	m := Multiset{patch: b.first, nbase: len(a), npatch: b.n}
 	if len(a) > 0 {
 		m.base = &a[0]
 	}
-	if len(b) > 0 {
-		m.patch = &b[0]
+	if b.stride == 0 {
+		m.npatch = -b.n
 	}
 	return m
 }
 
-// runs returns the base and patch runs.
-func (m Multiset) runs() (a, b []float64) {
-	return unsafe.Slice(m.base, m.nbase), unsafe.Slice(m.patch, m.npatch)
+// runs returns the base run and the patch.
+func (m Multiset) runs() ([]float64, run) {
+	b := run{first: m.patch, n: m.npatch, stride: floatSize}
+	if b.n < 0 {
+		b.n, b.stride = -b.n, 0
+	}
+	return unsafe.Slice(m.base, m.nbase), b
+}
+
+// Len returns the cardinality |V| of the multiset.
+func (m Multiset) Len() int {
+	a, b := m.runs()
+	return len(a) + b.n
 }
 
 // FromValues builds a Multiset from the given values. The input slice is
@@ -80,7 +123,7 @@ func FromValues(values ...float64) (Multiset, error) {
 	vs := make([]float64, len(values))
 	copy(vs, values)
 	sort.Float64s(vs)
-	return of(vs, nil), nil
+	return of(vs, run{}), nil
 }
 
 // FromOwned builds a Multiset that takes ownership of the given slice: the
@@ -94,14 +137,14 @@ func FromOwned(values []float64) (Multiset, error) {
 	if err := sortOwned(values); err != nil {
 		return Multiset{}, err
 	}
-	return of(values, nil), nil
+	return of(values, run{}), nil
 }
 
 // sortOwned rejects NaN, before mutating anything, then sorts values in
-// place. An input that is already NaN-free and non-decreasing — a
-// broadcast patch of m equal values, say — is accepted in one pass and left
-// as it is, which is exactly what sort.Float64s would leave (it moves no
-// element of a non-decreasing slice, −0/+0 interleavings included).
+// place. An input that is already NaN-free and non-decreasing is accepted
+// in one pass and left as it is, which is exactly what sort.Float64s would
+// leave (it moves no element of a non-decreasing slice, −0/+0
+// interleavings included).
 func sortOwned(values []float64) error {
 	prev := math.Inf(-1)
 	for i, v := range values {
@@ -142,15 +185,40 @@ func (m Multiset) WithPatch(patch []float64) (Multiset, error) {
 	if err := sortOwned(patch); err != nil {
 		return Multiset{}, err
 	}
-	return of(m.flat(), patch), nil
+	var b run
+	if len(patch) > 0 {
+		b = run{first: &patch[0], n: len(patch), stride: floatSize}
+	}
+	return of(m.flat(), b), nil
+}
+
+// WithRepeated returns the received multiset m ∪ {*v × count}: the patch
+// is a constant run, the shape of a broadcast row, in which every
+// asymmetric sender delivers the same value. It copies and allocates
+// nothing, so attaching the run costs O(1) whatever count is; *v is read
+// on every query and stays under the caller's ownership on WithPatch's
+// terms — it must not change while the result is in use. It returns
+// ErrNaN if *v is NaN and an error if count is negative. If m already
+// carries a patch, it is first merged into a fresh base, as WithPatch does.
+func (m Multiset) WithRepeated(v *float64, count int) (Multiset, error) {
+	if math.IsNaN(*v) {
+		return Multiset{}, ErrNaN
+	}
+	switch {
+	case count < 0:
+		return Multiset{}, fmt.Errorf("multiset: negative repeat count %d", count)
+	case count == 0:
+		return of(m.flat(), run{}), nil
+	}
+	return of(m.flat(), run{first: v, n: count}), nil
 }
 
 // split returns the co-rank of k in the merge of the ascending runs a and
 // b: how many of its first k elements come from a (the other k−split come
 // from b). It is a binary search over the O(1)-checkable merge condition,
 // a-first on ties as in MergeSortedInto.
-func split(a, b []float64, k int) int {
-	lo, hi := k-len(b), k
+func split(a []float64, b run, k int) int {
+	lo, hi := k-b.n, k
 	if lo < 0 {
 		lo = 0
 	}
@@ -161,7 +229,7 @@ func split(a, b []float64, k int) int {
 	// a prefix of (lo, hi], and the co-rank is its last i.
 	for lo < hi {
 		i := int(uint(lo+hi+1) >> 1)
-		if a[i-1] <= b[k-i] {
+		if a[i-1] <= b.at(k-i) {
 			lo = i
 		} else {
 			hi = i - 1
@@ -173,21 +241,21 @@ func split(a, b []float64, k int) int {
 // at returns the k-th element of the merge of the runs a and b. The
 // single-run case stays small enough to inline: the multisets an adversary
 // simulates and the snapshot path votes on carry no patch.
-func at(a, b []float64, k int) float64 {
-	if len(b) == 0 {
+func at(a []float64, b run, k int) float64 {
+	if b.n == 0 {
 		return a[k]
 	}
 	return atMerged(a, b, k)
 }
 
 // atMerged returns the k-th element of the merge of the runs a and b.
-func atMerged(a, b []float64, k int) float64 {
+func atMerged(a []float64, b run, k int) float64 {
 	i := split(a, b, k)
 	j := k - i
-	if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+	if j == b.n || (i < len(a) && a[i] <= b.at(j)) {
 		return a[i]
 	}
-	return b[j]
+	return b.at(j)
 }
 
 // kahan is a compensated running sum: experiment sweeps average thousands
@@ -202,17 +270,30 @@ func (k kahan) add(v float64) kahan {
 	return kahan{sum: t, comp: (t - k.sum) - y}
 }
 
-// Len returns the cardinality |V| of the multiset.
-func (m Multiset) Len() int { return m.nbase + m.npatch }
-
 // IsEmpty reports whether the multiset has no elements.
-func (m Multiset) IsEmpty() bool { return m.nbase+m.npatch == 0 }
+func (m Multiset) IsEmpty() bool { return m.Len() == 0 }
 
-// Values returns a copy of the sorted values. Mutating the returned slice
-// does not affect the multiset.
+// Values returns a copy of the sorted values, the runs merged as
+// MergeSortedInto merges two slices. Mutating the returned slice does not
+// affect the multiset.
 func (m Multiset) Values() []float64 {
 	a, b := m.runs()
-	return MergeSortedInto(make([]float64, 0, len(a)+len(b)), a, b)
+	out := make([]float64, 0, len(a)+b.n)
+	i, j := 0, 0
+	for i < len(a) && j < b.n {
+		if a[i] <= b.at(j) {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b.at(j))
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	for ; j < b.n; j++ {
+		out = append(out, b.at(j))
+	}
+	return out
 }
 
 // flat returns the elements as one ascending slice in merge order: the
@@ -232,7 +313,7 @@ func (m Multiset) flat() []float64 {
 // arithmetic that must be validated, not trusted.
 func (m Multiset) At(i int) (float64, error) {
 	a, b := m.runs()
-	if n := len(a) + len(b); i < 0 || i >= n {
+	if n := len(a) + b.n; i < 0 || i >= n {
 		return 0, fmt.Errorf("multiset: index %d out of range [0,%d)", i, n)
 	}
 	return at(a, b, i), nil
@@ -242,7 +323,7 @@ func (m Multiset) At(i int) (float64, error) {
 // the empty multiset.
 func (m Multiset) Min() (float64, bool) {
 	a, b := m.runs()
-	if len(a)+len(b) == 0 {
+	if len(a)+b.n == 0 {
 		return 0, false
 	}
 	return at(a, b, 0), true
@@ -252,7 +333,7 @@ func (m Multiset) Min() (float64, bool) {
 // the empty multiset.
 func (m Multiset) Max() (float64, bool) {
 	a, b := m.runs()
-	n := len(a) + len(b)
+	n := len(a) + b.n
 	if n == 0 {
 		return 0, false
 	}
@@ -301,7 +382,7 @@ func (iv Interval) Intersects(other Interval) bool {
 // empty multiset, whose range is undefined.
 func (m Multiset) Range() (Interval, bool) {
 	a, b := m.runs()
-	n := len(a) + len(b)
+	n := len(a) + b.n
 	if n == 0 {
 		return Interval{}, false
 	}
@@ -312,7 +393,7 @@ func (m Multiset) Range() (Interval, bool) {
 // The diameter of an empty or singleton multiset is 0.
 func (m Multiset) Diameter() float64 {
 	a, b := m.runs()
-	n := len(a) + len(b)
+	n := len(a) + b.n
 	if n < 2 {
 		return 0
 	}
@@ -325,26 +406,26 @@ func (m Multiset) Diameter() float64 {
 // for the empty multiset.
 func (m Multiset) Mean() (float64, bool) {
 	a, b := m.runs()
-	n := len(a) + len(b)
+	n := len(a) + b.n
 	if n == 0 {
 		return 0, false
 	}
 	var sum kahan
 	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
+	for i < len(a) && j < b.n {
+		if a[i] <= b.at(j) {
 			sum = sum.add(a[i])
 			i++
 		} else {
-			sum = sum.add(b[j])
+			sum = sum.add(b.at(j))
 			j++
 		}
 	}
 	for ; i < len(a); i++ {
 		sum = sum.add(a[i])
 	}
-	for ; j < len(b); j++ {
-		sum = sum.add(b[j])
+	for ; j < b.n; j++ {
+		sum = sum.add(b.at(j))
 	}
 	return sum.sum / float64(n), true
 }
@@ -354,7 +435,7 @@ func (m Multiset) Mean() (float64, bool) {
 // is false for the empty multiset.
 func (m Multiset) Median() (float64, bool) {
 	a, b := m.runs()
-	n := len(a) + len(b)
+	n := len(a) + b.n
 	if n == 0 {
 		return 0, false
 	}
@@ -368,7 +449,7 @@ func (m Multiset) Median() (float64, bool) {
 // is false for the empty multiset.
 func (m Multiset) Midpoint() (float64, bool) {
 	a, b := m.runs()
-	n := len(a) + len(b)
+	n := len(a) + b.n
 	if n == 0 {
 		return 0, false
 	}
@@ -380,21 +461,22 @@ func (m Multiset) Midpoint() (float64, bool) {
 // chosen so that every possibly-erroneous value is covered. It returns an
 // error if 2τ ≥ |V| (nothing would survive) or τ < 0. The result shares
 // m's storage: on a received multiset it is the survivors' slice of each
-// run, located by two co-rank searches.
+// run, located by two co-rank searches, so a constant run's survivors are
+// again a constant run.
 func (m Multiset) Trim(tau int) (Multiset, error) {
 	a, b := m.runs()
-	n := len(a) + len(b)
+	n := len(a) + b.n
 	if tau < 0 {
 		return Multiset{}, fmt.Errorf("multiset: negative trim count %d", tau)
 	}
 	if 2*tau >= n && !(tau == 0 && n == 0) {
 		return Multiset{}, fmt.Errorf("multiset: trim %d from each end of %d values leaves nothing", tau, n)
 	}
-	if len(b) == 0 {
-		return of(a[tau:n-tau], nil), nil
+	if b.n == 0 {
+		return of(a[tau:n-tau], run{}), nil
 	}
 	lo, hi := split(a, b, tau), split(a, b, n-tau)
-	return of(a[lo:hi], b[tau-lo:n-tau-hi]), nil
+	return of(a[lo:hi], b.sub(tau-lo, n-tau-hi)), nil
 }
 
 // eachSelected calls visit on the elements SelectEvery(step) keeps, in
@@ -405,7 +487,7 @@ func (m Multiset) Trim(tau int) (Multiset, error) {
 // 1/⌈(m−2τ)/τ⌉ no longer holds.
 func (m Multiset) eachSelected(step int, visit func(float64)) {
 	a, b := m.runs()
-	n := len(a) + len(b)
+	n := len(a) + b.n
 	for k := 0; k < n; k += step {
 		visit(at(a, b, k))
 	}
@@ -422,9 +504,9 @@ func (m Multiset) SelectEvery(step int) (Multiset, error) {
 	if step < 1 {
 		return Multiset{}, fmt.Errorf("multiset: selection step %d must be >= 1", step)
 	}
-	out := make([]float64, 0, (m.nbase+m.npatch)/step+2)
+	out := make([]float64, 0, m.Len()/step+2)
 	m.eachSelected(step, func(v float64) { out = append(out, v) })
-	return of(out, nil), nil
+	return of(out, run{}), nil
 }
 
 // MeanEvery returns the mean of SelectEvery(step) — the same elements
@@ -434,7 +516,7 @@ func (m Multiset) MeanEvery(step int) (float64, error) {
 	if step < 1 {
 		return 0, fmt.Errorf("multiset: selection step %d must be >= 1", step)
 	}
-	if m.nbase+m.npatch == 0 {
+	if m.IsEmpty() {
 		return 0, errors.New("multiset: empty selection has no mean")
 	}
 	var sum kahan
@@ -451,11 +533,11 @@ func (m Multiset) MeanEvery(step int) (float64, error) {
 // for the empty multiset.
 func (m Multiset) Extremes() (Multiset, bool) {
 	a, b := m.runs()
-	n := len(a) + len(b)
+	n := len(a) + b.n
 	if n == 0 {
 		return Multiset{}, false
 	}
-	return of([]float64{at(a, b, 0), at(a, b, n-1)}, nil), true
+	return of([]float64{at(a, b, 0), at(a, b, n-1)}, run{}), true
 }
 
 // Union returns the multiset union of m and other. Both operands are
@@ -463,7 +545,7 @@ func (m Multiset) Extremes() (Multiset, bool) {
 // instead of the former concatenate-then-sort O((a+b)·log(a+b)).
 func (m Multiset) Union(other Multiset) Multiset {
 	a, b := m.flat(), other.flat()
-	return of(MergeSortedInto(make([]float64, 0, len(a)+len(b)), a, b), nil)
+	return of(MergeSortedInto(make([]float64, 0, len(a)+len(b)), a, b), run{})
 }
 
 // MergeSortedInto appends the linear merge of the two ascending slices a
@@ -501,7 +583,7 @@ func (m Multiset) Add(v float64) (Multiset, error) {
 	out = append(out, vs[:i]...)
 	out = append(out, v)
 	out = append(out, vs[i:]...)
-	return of(out, nil), nil
+	return of(out, run{}), nil
 }
 
 // Count returns the multiplicity of v in the multiset.

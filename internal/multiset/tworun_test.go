@@ -6,11 +6,14 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // The two-run form must be indistinguishable from the single-run multiset
 // over MergeSortedInto(base, patch): every method, bit for bit, with ties
 // broken base-first (so a −0 in the base stays ahead of a +0 in the patch).
+// That holds for both patch shapes, a slice (WithPatch) and a constant run
+// (WithRepeated).
 
 var negZero = math.Copysign(0, -1)
 
@@ -72,7 +75,31 @@ func checkTwoRun(t *testing.T, base, patch []float64, tau, step int) {
 	}
 	sortedPatch := append([]float64(nil), patch...)
 	sort.Float64s(sortedPatch)
-	ref := of(MergeSortedInto(nil, b.Values(), sortedPatch), nil)
+	ref := of(MergeSortedInto(nil, b.Values(), sortedPatch), run{})
+	sameMultiset(t, two, ref, tau, step, 0)
+}
+
+// checkConstantRun builds base ∪ {v × count} both ways — as a constant run
+// and as the merge with count copies — and compares every method.
+func checkConstantRun(t *testing.T, base []float64, v float64, count, tau, step int) {
+	t.Helper()
+	b, err := FromValues(base...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := v
+	two, err := b.WithRepeated(&value, count)
+	if err != nil {
+		t.Fatalf("WithRepeated(%v, %d): %v", v, count, err)
+	}
+	if count > 0 && two.npatch >= 0 {
+		t.Fatalf("WithRepeated(%v, %d) is not a constant run: npatch %d", v, count, two.npatch)
+	}
+	copies := make([]float64, count)
+	for i := range copies {
+		copies[i] = v
+	}
+	ref := of(MergeSortedInto(nil, b.Values(), copies), run{})
 	sameMultiset(t, two, ref, tau, step, 0)
 }
 
@@ -175,6 +202,10 @@ func sameMultiset(t *testing.T, got, want Multiset, tau, step, depth int) {
 			fail("Trim error", gErr, wErr)
 		}
 		if gErr == nil {
+			// A constant run's survivors are again a constant run.
+			if got.npatch < 0 && g.npatch > 0 {
+				fail("Trim of a constant run", g.npatch, got.npatch)
+			}
 			sameMultiset(t, g, w, tau, step, depth+1)
 		}
 	}
@@ -183,6 +214,13 @@ func sameMultiset(t *testing.T, got, want Multiset, tau, step, depth int) {
 	w, wErr := want.WithPatch(append([]float64(nil), extra...))
 	if gErr != nil || wErr != nil {
 		fail("WithPatch on a patched multiset", gErr, wErr)
+	}
+	sameMultiset(t, g, w, tau, step, depth+1)
+	repeated := 0.0
+	g, gErr = got.WithRepeated(&repeated, 3)
+	w, wErr = want.WithPatch([]float64{0, 0, 0})
+	if gErr != nil || wErr != nil {
+		fail("WithRepeated on a patched multiset", gErr, wErr)
 	}
 	sameMultiset(t, g, w, tau, step, depth+1)
 }
@@ -217,6 +255,37 @@ func TestTwoRunMatchesMerged(t *testing.T) {
 	}
 }
 
+func TestConstantRunMatchesMerged(t *testing.T) {
+	inf := math.Inf(1)
+	tests := []struct {
+		name      string
+		base      []float64
+		v         float64
+		count     int
+		tau, step int
+	}{
+		{"empty both", nil, 1, 0, 0, 1},
+		{"empty base", nil, 2, 3, 1, 1},
+		{"count 0", []float64{3, 1, 2}, 5, 0, 1, 1},
+		{"run inside base", []float64{0, 2, 4, 6, 8}, 5, 4, 2, 2},
+		{"run below base", []float64{5, 6, 7}, 1, 2, 2, 1},
+		{"run above base", []float64{1, 2, 3}, 9, 2, 1, 3},
+		{"run tied with base", []float64{1, 2, 2, 3}, 2, 3, 3, 2},
+		{"minus zero base, plus zero run", []float64{negZero, negZero, 1}, 0, 3, 1, 1},
+		{"plus zero base, minus zero run", []float64{-1, 0, 0}, negZero, 2, 1, 2},
+		{"plus infinity run", []float64{0.4, 0.5, 0.6}, inf, 3, 1, 1},
+		{"minus infinity run", []float64{-inf, 0.5, inf}, -inf, 4, 2, 1},
+		{"tau at cap", []float64{1, 2, 3, 4}, 0, 3, 3, 2},
+		{"tau trims into run", []float64{1, 2}, 1.5, 5, 3, 1},
+		{"sim shape", make([]float64, 20), 1, 8, 7, 7},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			checkConstantRun(t, tt.base, tt.v, tt.count, tt.tau, tt.step)
+		})
+	}
+}
+
 // TestTwoRunRandom is the fuzz target's check over seeded random runs, so
 // plain `go test` covers far more shapes than the seed corpus.
 func TestTwoRunRandom(t *testing.T) {
@@ -225,7 +294,41 @@ func TestTwoRunRandom(t *testing.T) {
 		data := make([]byte, rng.Intn(40))
 		rng.Read(data)
 		base, patch := decodeRuns(data)
-		checkTwoRun(t, base, patch, rng.Intn(24), 1+rng.Intn(6))
+		tau, step := rng.Intn(24), 1+rng.Intn(6)
+		checkTwoRun(t, base, patch, tau, step)
+		v, count := constantRunOf(patch)
+		checkConstantRun(t, base, v, count, tau, step)
+	}
+}
+
+// constantRunOf turns a decoded patch into a constant run's parameters:
+// its first value, repeated once per patch value.
+func constantRunOf(patch []float64) (v float64, count int) {
+	if len(patch) == 0 {
+		return 1, 0
+	}
+	return patch[0], len(patch)
+}
+
+func TestWithRepeatedRejects(t *testing.T) {
+	base := MustFromValues(1, 2, 3)
+	nan := math.NaN()
+	for _, count := range []int{0, 1, 4} {
+		if _, err := base.WithRepeated(&nan, count); !errors.Is(err, ErrNaN) {
+			t.Errorf("WithRepeated(NaN, %d) error = %v, want ErrNaN", count, err)
+		}
+	}
+	one := 1.0
+	if _, err := base.WithRepeated(&one, -1); err == nil {
+		t.Error("WithRepeated(1, -1) accepted a negative count")
+	}
+}
+
+// TestMultisetFourWords pins the struct size the Multiset comment argues
+// for: four words keep it in registers across calls.
+func TestMultisetFourWords(t *testing.T) {
+	if got, want := unsafe.Sizeof(Multiset{}), 4*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("Multiset is %d bytes, want %d (four words)", got, want)
 	}
 }
 
@@ -270,7 +373,8 @@ func TestMergeSortedIntoMatchesSort(t *testing.T) {
 }
 
 // FuzzTwoRun checks every method of the two-run form against the merged
-// single-run multiset, and that a NaN in the patch is rejected.
+// single-run multiset, for the decoded slice patch and for a constant run
+// of its first value, and that a NaN in either patch shape is rejected.
 func FuzzTwoRun(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(1))
 	f.Add([]byte{3, 0x84, 20, 0x95, 0x96}, uint8(1), uint8(1))
@@ -283,9 +387,15 @@ func FuzzTwoRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, tau, step uint8) {
 		base, patch := decodeRuns(data)
 		checkTwoRun(t, base, patch, int(tau%32), 1+int(step%8))
+		v, count := constantRunOf(patch)
+		checkConstantRun(t, base, v, count, int(tau%32), 1+int(step%8))
 		m := MustFromValues(base...)
 		if _, err := m.WithPatch(append(patch, math.NaN())); !errors.Is(err, ErrNaN) {
 			t.Fatalf("WithPatch accepted a NaN: %v", err)
+		}
+		nan := math.NaN()
+		if _, err := m.WithRepeated(&nan, count); !errors.Is(err, ErrNaN) {
+			t.Fatalf("WithRepeated accepted a NaN: %v", err)
 		}
 	})
 }
