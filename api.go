@@ -14,21 +14,23 @@ type (
 	Model = mobile.Model
 	// Algorithm is an MSR voting function.
 	Algorithm = msr.Algorithm
-	// Adversary controls agent placement and Byzantine behaviour. The
-	// per-pair interface remains the supported extension surface for
-	// third-party adversaries: the engines lift any implementation onto
-	// the batched consultation path through a bit-identical adapter.
+	// Adversary controls agent placement and Byzantine behaviour: it
+	// places the agents, sets the state a departing agent leaves behind,
+	// and scripts each round's faulty sends in one RoundDirectives call.
 	Adversary = mobile.Adversary
-	// RoundAdversary is an Adversary consulted once per round with the
-	// full send plan instead of once per (sender, receiver) pair. All
-	// built-in adversaries implement it natively; custom adversaries may
-	// implement it for the same batching win, or stay per-pair and run
-	// through AdaptAdversary's compatibility path automatically.
-	RoundAdversary = mobile.RoundAdversary
-	// RoundView is the batched consultation's argument: the omniscient
-	// View plus the round's faulty and cured sender sets.
+	// PairAdversary is the per-pair form of an adversary, answering one
+	// (sender, receiver) pair per FaultyValue or QueueValue call.
+	// AdaptAdversary lifts it to an Adversary.
+	PairAdversary = mobile.PairAdversary
+	// RoundAdversary is Adversary under its former name, kept so that
+	// existing callers still compile.
+	//
+	// Deprecated: use Adversary.
+	RoundAdversary = mobile.Adversary
+	// RoundView is RoundDirectives' argument: the omniscient View plus the
+	// round's faulty and cured sender sets.
 	RoundView = mobile.RoundView
-	// Directives is the per-round adversarial send script a RoundAdversary
+	// Directives is the per-round adversarial send script an Adversary
 	// fills: one value-or-omission entry per (scripted sender, receiver).
 	Directives = mobile.Directives
 	// Result is a completed execution.
@@ -37,13 +39,11 @@ type (
 	Recorder = trace.Recorder
 )
 
-// AdaptAdversary lifts a per-pair Adversary onto the batched RoundAdversary
-// surface, bit-identically: the adapter replays the engines' historical
-// consultation order (senders ascending, receivers ascending within each
-// sender). The engines apply it automatically to any adversary that does
-// not implement RoundAdversary itself, so calling it is only needed when a
-// RoundAdversary value is wanted explicitly.
-func AdaptAdversary(a Adversary) RoundAdversary { return mobile.Adapt(a) }
+// AdaptAdversary lifts a per-pair adversary to an Adversary. The adapter
+// asks the per-pair methods for every scripted entry in a pinned order —
+// senders ascending, receivers ascending within each sender — so seeded
+// runs replay, and a NaN answer is an omission.
+func AdaptAdversary(a PairAdversary) Adversary { return mobile.Adapt(a) }
 
 // The four models, in paper order.
 const (
@@ -190,9 +190,6 @@ func AdversaryByName(name string) (Adversary, error) { return mobile.ByAdversary
 
 // AdversaryFactoryByName resolves a registered adversary name to a
 // constructor, the batch-safe form: every call yields a fresh instance.
-// Instances come batch-ready: native RoundAdversary implementations (all
-// registered names) are returned as-is, anything else would be wrapped in
-// the compatibility adapter, so the engines always consult once per round.
 func AdversaryFactoryByName(name string) (func() Adversary, error) {
 	return mobile.AdversaryFactoryByName(name)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -52,6 +53,41 @@ func runChaosDeploy(t *testing.T, spec mbfaa.ClusterSpec) (*mbfaa.ClusterResult,
 	return res, dep.FaultTrace()
 }
 
+// replayDiffs lists every field in which two same-seed chaos runs differ:
+// votes, decided sets, verdicts, chaos totals, and each per-node stats
+// field by name ("Stats[2].StallEvents: 1 vs 0"), so a replay failure
+// names the counter that raced.
+func replayDiffs(a, b *mbfaa.ClusterResult) []string {
+	var diffs []string
+	if !reflect.DeepEqual(a.Votes, b.Votes) {
+		diffs = append(diffs, fmt.Sprintf("Votes: %v vs %v", a.Votes, b.Votes))
+	}
+	if !reflect.DeepEqual(a.Decided, b.Decided) {
+		diffs = append(diffs, fmt.Sprintf("Decided: %v vs %v", a.Decided, b.Decided))
+	}
+	if a.Converged != b.Converged {
+		diffs = append(diffs, fmt.Sprintf("Converged: %v vs %v", a.Converged, b.Converged))
+	}
+	if !reflect.DeepEqual(a.Chaos, b.Chaos) {
+		diffs = append(diffs, fmt.Sprintf("Chaos: %+v vs %+v", a.Chaos, b.Chaos))
+	}
+	if reflect.DeepEqual(a.Stats, b.Stats) {
+		return diffs
+	}
+	if len(a.Stats) != len(b.Stats) || (a.Stats == nil) != (b.Stats == nil) {
+		return append(diffs, fmt.Sprintf("Stats: %+v vs %+v", a.Stats, b.Stats))
+	}
+	for i := range a.Stats {
+		x, y := reflect.ValueOf(a.Stats[i]), reflect.ValueOf(b.Stats[i])
+		for f := 0; f < x.NumField(); f++ {
+			if xf, yf := x.Field(f).Interface(), y.Field(f).Interface(); !reflect.DeepEqual(xf, yf) {
+				diffs = append(diffs, fmt.Sprintf("Stats[%d].%s: %v vs %v", i, x.Type().Field(f).Name, xf, yf))
+			}
+		}
+	}
+	return diffs
+}
+
 // TestDeployChaosReplayDeterminism is the PR's acceptance criterion: two
 // runs of the same ClusterSpec + ChaosSpec seed produce identical verdicts,
 // identical per-node NodeStats, and an identical injected-fault trace — and
@@ -69,20 +105,8 @@ func TestDeployChaosReplayDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(trace1, trace2) {
 		t.Fatalf("fault traces diverge across same-seed runs:\n  run1: %d events\n  run2: %d events", len(trace1), len(trace2))
 	}
-	if !reflect.DeepEqual(res1.Votes, res2.Votes) {
-		t.Errorf("votes diverge across same-seed runs:\n  %v\n  %v", res1.Votes, res2.Votes)
-	}
-	if !reflect.DeepEqual(res1.Decided, res2.Decided) {
-		t.Errorf("decided sets diverge: %v vs %v", res1.Decided, res2.Decided)
-	}
-	if res1.Converged != res2.Converged {
-		t.Errorf("verdicts diverge: %v vs %v", res1.Converged, res2.Converged)
-	}
-	if !reflect.DeepEqual(res1.Stats, res2.Stats) {
-		t.Errorf("per-node stats diverge:\n  %+v\n  %+v", res1.Stats, res2.Stats)
-	}
-	if !reflect.DeepEqual(res1.Chaos, res2.Chaos) {
-		t.Errorf("chaos stats diverge: %+v vs %+v", res1.Chaos, res2.Chaos)
+	for _, d := range replayDiffs(res1, res2) {
+		t.Errorf("same-seed runs diverge: %s", d)
 	}
 
 	// Pipelined depths replay the same way — and reproduce the lockstep
@@ -97,10 +121,8 @@ func TestDeployChaosReplayDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(ptrace1, ptrace2) {
 			t.Fatalf("depth %d: fault traces diverge across same-seed runs", depth)
 		}
-		if !reflect.DeepEqual(p1.Votes, p2.Votes) || !reflect.DeepEqual(p1.Decided, p2.Decided) ||
-			p1.Converged != p2.Converged || !reflect.DeepEqual(p1.Stats, p2.Stats) ||
-			!reflect.DeepEqual(p1.Chaos, p2.Chaos) {
-			t.Errorf("depth %d: same-seed runs diverge", depth)
+		for _, d := range replayDiffs(p1, p2) {
+			t.Errorf("depth %d: same-seed runs diverge: %s", depth, d)
 		}
 		if !reflect.DeepEqual(ptrace1, trace1) {
 			t.Errorf("depth %d: fault trace diverges from the lockstep baseline", depth)

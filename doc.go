@@ -181,23 +181,21 @@
 //
 // # Batched adversary consultation and the parallel vote loop
 //
-// The engines consult the adversary once per round, not once per
-// (sender, receiver) pair: after classifying senders they make a single
-// RoundAdversary.RoundDirectives call, handing the adversary the whole
-// round (RoundView — the omniscient view plus the faulty and cured
-// sender sets) and a Directives script to fill with one value-or-omission
-// entry per scripted pair (omission by default) — or, for an adversary
-// whose scripted senders all send a receiver the same value, with one
-// value per receiver (Directives.SetRow). Native implementations
-// must consume shared randomness in the pinned historical order — senders
-// ascending, receivers ascending within each sender. All built-in
-// adversaries are native; a custom per-pair Adversary remains fully
-// supported and is lifted onto the batched surface automatically by a
-// bit-identical adapter (AdaptAdversary) that replays exactly that order,
-// so the determinism guarantee covers both routes. The RoundView and
-// Directives are engine scratch: adversaries that retain views across
-// calls must declare mobile.ViewRetainer, which survives adapter
-// wrapping.
+// The engine consults the adversary once per round, not once per
+// (sender, receiver) pair: after classifying senders it makes a single
+// Adversary.RoundDirectives call, handing the adversary the whole round
+// (RoundView — the omniscient view plus the faulty and cured sender sets)
+// and a Directives script to fill with one value-or-omission entry per
+// scripted pair (omission by default) — or, for an adversary whose
+// scripted senders all send a receiver the same value, with one value per
+// receiver (Directives.SetRow). A randomized adversary draws from the
+// view's Rng in a fixed order, so seeded runs replay. An adversary written
+// one pair at a time implements PairAdversary instead and is lifted by an
+// explicit AdaptAdversary call, whose adapter asks the pairs senders
+// ascending, receivers ascending within each sender, and treats a NaN
+// answer as an omission. The RoundView and Directives are engine scratch:
+// adversaries that retain views across calls must declare
+// mobile.ViewRetainer, which is seen through the adapter.
 //
 // With directives prebuilt, per-receiver votes are mutually independent,
 // and the kernel path fans the vote loop out over Config.VoteWorkers

@@ -32,16 +32,12 @@ func (a *cancellingAdversary) Place(v *mobile.View) []int {
 	return a.inner.Place(v)
 }
 
-func (a *cancellingAdversary) FaultyValue(v *mobile.View, faulty, receiver int) (float64, bool) {
-	return a.inner.FaultyValue(v, faulty, receiver)
-}
-
 func (a *cancellingAdversary) LeaveBehind(v *mobile.View, p int) float64 {
 	return a.inner.LeaveBehind(v, p)
 }
 
-func (a *cancellingAdversary) QueueValue(v *mobile.View, cured, receiver int) (float64, bool) {
-	return a.inner.QueueValue(v, cured, receiver)
+func (a *cancellingAdversary) RoundDirectives(rv *mobile.RoundView, d *mobile.Directives) {
+	a.inner.RoundDirectives(rv, d)
 }
 
 // longRunSpec is a run that would execute far longer than any cancellation

@@ -82,6 +82,5 @@ func (badPlacementAdversary) Place(v *mobile.View) []int {
 	}
 	return out
 }
-func (badPlacementAdversary) FaultyValue(*mobile.View, int, int) (float64, bool) { return 0, false }
-func (badPlacementAdversary) LeaveBehind(*mobile.View, int) float64              { return 0 }
-func (badPlacementAdversary) QueueValue(*mobile.View, int, int) (float64, bool)  { return 0, true }
+func (badPlacementAdversary) LeaveBehind(*mobile.View, int) float64                 { return 0 }
+func (badPlacementAdversary) RoundDirectives(*mobile.RoundView, *mobile.Directives) {}

@@ -227,12 +227,6 @@ type runState struct {
 	rec    *trace.Recorder
 	sc     *scratch
 
-	// batch is cfg.Adversary resolved to its batched form, once per run:
-	// the adversary itself when it implements mobile.RoundAdversary
-	// natively (every built-in does), the per-pair compatibility Adapter
-	// otherwise. All send-phase consultation flows through it.
-	batch mobile.RoundAdversary
-
 	votes    []float64
 	newVotes []float64
 	states   []mobile.State
@@ -271,11 +265,10 @@ func newRunState(cfg Config, sc *scratch) (*runState, error) {
 		newVotes: sc.newVotes[:cfg.N],
 		states:   sc.states[:cfg.N],
 		faulty:   &sc.faulty,
-		batch:    mobile.AsRoundAdversary(cfg.Adversary),
 		snapshot: cfg.OnRound != nil,
 	}
-	// RetainsViews looks through the adapter, so a wrapped view-retaining
-	// adversary still gets its defensive copies.
+	// RetainsViews looks through Adapters and wrappers, so a wrapped
+	// view-retaining adversary still gets its defensive copies.
 	if mobile.RetainsViews(cfg.Adversary) {
 		st.copyViews = true
 	}

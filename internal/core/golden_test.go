@@ -8,7 +8,6 @@ import (
 
 	"mbfaa/internal/core"
 	"mbfaa/internal/golden"
-	"mbfaa/internal/mobile"
 )
 
 // The golden-determinism suite pins the exact outputs of Run for a matrix
@@ -67,27 +66,6 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		if got[gc.Key] != want {
 			t.Errorf("%s: digest 0x%016x, pinned 0x%016x — engine output changed", gc.Key, got[gc.Key], want)
-		}
-	}
-}
-
-// TestGoldenDigestsAdapter re-runs the whole matrix with every adversary
-// wrapped in the compatibility Adapter, forcing the engines to consult it
-// through the historical per-pair interface replayed by the batched
-// surface. The 192 pinned digests must reproduce bit-for-bit: the adapter
-// is the guarantee that third-party per-pair adversaries see no semantic
-// change from the batched-consultation refactor.
-func TestGoldenDigestsAdapter(t *testing.T) {
-	r := core.NewRunner()
-	for _, gc := range goldenCases(t) {
-		cfg := gc.Cfg
-		cfg.Adversary = mobile.Adapt(cfg.Adversary)
-		res, err := r.Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", gc.Key, err)
-		}
-		if d := golden.Digest(res); d != golden.Digests[gc.Key] {
-			t.Errorf("%s: adapter digest 0x%016x, pinned 0x%016x", gc.Key, d, golden.Digests[gc.Key])
 		}
 	}
 }

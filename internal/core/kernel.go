@@ -42,9 +42,9 @@ type kernelPlan struct {
 	// receiver's multiset contains all of it.
 	base    []float64
 	baseSet multiset.Multiset
-	// dirs is the round's adversarial send script, which the batched
-	// consultation filled. Its sender list is exactly the
-	// plan's asymmetric senders, ascending.
+	// dirs is the round's adversarial send script, which the round's
+	// consultation filled. Its sender list is exactly the plan's
+	// asymmetric senders, ascending.
 	dirs *mobile.Directives
 }
 
@@ -88,7 +88,7 @@ func (kp *kernelPlan) received(dst []float64, receiver int) (multiset.Multiset, 
 
 // planKernelSendPhase is planSendPhase's hot-path twin: it classifies every
 // sender in one ascending pass, then obtains the whole adversarial script
-// in a single batched RoundDirectives consultation, and emits the
+// in a single RoundDirectives consultation, and emits the
 // base+patch form without ever touching an observation matrix. U is
 // accumulated (over scratch) only when the checkers will read it.
 func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
@@ -149,11 +149,10 @@ func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
 }
 
 // consultRound performs the round's single adversary consultation: it seals
-// the directives script (every row omitted) and hands the batched
-// RoundView to the run's RoundAdversary to fill it. The view is the same
-// zero-copy send-phase snapshot the per-pair path always consulted over,
-// and the fault lists live in scratch like everything else the adversary
-// sees — the no-retention contract covers them.
+// the directives script (every row omitted) and hands the RoundView to the
+// run's adversary to fill it. The view is the zero-copy send-phase
+// snapshot, and the fault lists live in scratch like everything else the
+// adversary sees — the no-retention contract covers them.
 func (st *runState) consultRound(round int, faulty, cured []int, d *mobile.Directives) {
 	d.Seal()
 	st.sc.rview = mobile.RoundView{
@@ -161,7 +160,7 @@ func (st *runState) consultRound(round int, faulty, cured []int, d *mobile.Direc
 		Faulty: faulty,
 		Cured:  cured,
 	}
-	st.batch.RoundDirectives(&st.sc.rview, d)
+	st.cfg.Adversary.RoundDirectives(&st.sc.rview, d)
 }
 
 // computeVoteKernel is computeVote over the base+patch form: apply the

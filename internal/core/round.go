@@ -128,12 +128,9 @@ func (st *runState) freshView(round int, phase uint64) *mobile.View {
 }
 
 // planSendPhase computes one round's send phase. The adversary is consulted
-// exactly once, through the batched RoundAdversary surface, with the
-// consultation order inside the directives script pinned — senders
-// ascending, receivers ascending within each scripted sender — so that
-// randomized adversaries behave identically on both plan representations
-// (and identically to the historical per-pair calls, which the
-// compatibility Adapter replays in that same order).
+// exactly once, through Adversary.RoundDirectives, over a directives script
+// whose senders are registered ascending, so a randomized adversary draws
+// identically on both plan representations.
 //
 // Send semantics per state (paper §3 and Lemmas 1–4):
 //
@@ -205,7 +202,7 @@ func (st *runState) planSendPhase(round int) (plannedRound, error) {
 		}
 	}
 
-	// One batched consultation fills the adversarial entries; Directives.Set
+	// One consultation fills the adversarial entries; Directives.Set
 	// and SetRow already sanitised NaN into omissions, so non-omitted
 	// entries transfer to the matrix unconditionally.
 	st.consultRound(round, faulty, cured, d)

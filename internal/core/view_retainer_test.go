@@ -34,17 +34,14 @@ func (a *retainingAdversary) Place(v *mobile.View) []int {
 	return a.inner.Place(v)
 }
 
-func (a *retainingAdversary) FaultyValue(v *mobile.View, faulty, receiver int) (float64, bool) {
-	return a.inner.FaultyValue(v, faulty, receiver)
-}
-
 func (a *retainingAdversary) LeaveBehind(v *mobile.View, p int) float64 {
 	a.keep(v)
 	return a.inner.LeaveBehind(v, p)
 }
 
-func (a *retainingAdversary) QueueValue(v *mobile.View, cured, receiver int) (float64, bool) {
-	return a.inner.QueueValue(v, cured, receiver)
+func (a *retainingAdversary) RoundDirectives(rv *mobile.RoundView, d *mobile.Directives) {
+	a.keep(rv.View)
+	a.inner.RoundDirectives(rv, d)
 }
 
 func TestViewRetainerGetsStableCopies(t *testing.T) {

@@ -44,25 +44,16 @@ func (Stationary) Place(v *View) []int {
 	return out
 }
 
-// FaultyValue implements Adversary.
-func (Stationary) FaultyValue(v *View, faulty, receiver int) (float64, bool) {
-	return campValue(v, receiver), false
-}
-
 // LeaveBehind implements Adversary (never invoked: agents never leave).
 func (Stationary) LeaveBehind(v *View, p int) float64 {
 	_, hi, _ := v.CorrectRange()
 	return hi
 }
 
-// QueueValue implements Adversary (never invoked under a static schedule).
-func (Stationary) QueueValue(v *View, cured, receiver int) (float64, bool) {
-	return campValue(v, receiver), false
-}
-
-// RoundDirectives implements RoundAdversary: the camp value depends only on
-// the receiver, so it is evaluated once per receiver and broadcast across
-// the scripted senders.
+// RoundDirectives implements Adversary: live agents and M3 queues alike
+// send each receiver the camp value, which depends only on the receiver,
+// so it is evaluated once per receiver and broadcast across the scripted
+// senders.
 func (Stationary) RoundDirectives(rv *RoundView, d *Directives) {
 	fillColumns(d, func(receiver int) float64 { return campValue(rv.View, receiver) })
 }
@@ -93,11 +84,6 @@ func (Rotating) Place(v *View) []int {
 	return out
 }
 
-// FaultyValue implements Adversary.
-func (Rotating) FaultyValue(v *View, faulty, receiver int) (float64, bool) {
-	return campValue(v, receiver), false
-}
-
 // LeaveBehind implements Adversary: alternate extremes by process parity so
 // the corrupted states straddle the correct range.
 func (Rotating) LeaveBehind(v *View, p int) float64 {
@@ -111,13 +97,8 @@ func (Rotating) LeaveBehind(v *View, p int) float64 {
 	return lo
 }
 
-// QueueValue implements Adversary.
-func (Rotating) QueueValue(v *View, cured, receiver int) (float64, bool) {
-	return campValue(v, receiver), false
-}
-
-// RoundDirectives implements RoundAdversary: one camp-value evaluation per
-// receiver, broadcast across the scripted senders.
+// RoundDirectives implements Adversary: as Stationary's, one camp-value
+// evaluation per receiver, broadcast across the scripted senders.
 func (Rotating) RoundDirectives(rv *RoundView, d *Directives) {
 	fillColumns(d, func(receiver int) float64 { return campValue(rv.View, receiver) })
 }
@@ -148,20 +129,6 @@ func (Random) Place(v *View) []int {
 	return out
 }
 
-// FaultyValue implements Adversary: uniform in the correct range widened by
-// half its diameter, with a 10% chance of omission.
-func (Random) FaultyValue(v *View, faulty, receiver int) (float64, bool) {
-	if v.Rng.Bool(0.1) {
-		return 0, true
-	}
-	lo, hi, ok := v.CorrectRange()
-	if !ok {
-		return v.Rng.Range(-1, 1), false
-	}
-	pad := (hi - lo) / 2
-	return v.Rng.Range(lo-pad, hi+pad), false
-}
-
 // LeaveBehind implements Adversary.
 func (Random) LeaveBehind(v *View, p int) float64 {
 	lo, hi, ok := v.CorrectRange()
@@ -172,16 +139,12 @@ func (Random) LeaveBehind(v *View, p int) float64 {
 	return v.Rng.Range(lo-pad, hi+pad)
 }
 
-// QueueValue implements Adversary.
-func (r Random) QueueValue(v *View, cured, receiver int) (float64, bool) {
-	return r.FaultyValue(v, cured, receiver)
-}
-
-// RoundDirectives implements RoundAdversary. The Rng stream must be
-// consumed in exactly the pinned per-pair order — senders ascending,
-// receivers ascending — so the loop mirrors FaultyValue draw for draw
-// (QueueValue is the same rule), inlined to skip the per-pair call
-// overhead.
+// RoundDirectives implements Adversary. Live agents and M3 queues follow
+// one rule: each entry is omitted with probability 0.1, and otherwise
+// uniform in the correct range widened by half its diameter on each side
+// (uniform in [-1, 1) with no correct process). The Rng stream is drawn
+// senders ascending, then receivers ascending, one omission draw per
+// entry and one value draw per delivered entry.
 func (Random) RoundDirectives(rv *RoundView, d *Directives) {
 	v := rv.View
 	for k, m := 0, d.Len(); k < m; k++ {
@@ -215,9 +178,6 @@ func (Crash) Name() string { return "crash" }
 // everyone over time.
 func (Crash) Place(v *View) []int { return Rotating{}.Place(v) }
 
-// FaultyValue implements Adversary: always omitted.
-func (Crash) FaultyValue(v *View, faulty, receiver int) (float64, bool) { return 0, true }
-
 // LeaveBehind implements Adversary: the crash adversary does not corrupt
 // state; it leaves the midpoint of the correct range, the mildest value.
 func (Crash) LeaveBehind(v *View, p int) float64 {
@@ -228,16 +188,14 @@ func (Crash) LeaveBehind(v *View, p int) float64 {
 	return (lo + hi) / 2
 }
 
-// QueueValue implements Adversary: the queue is empty (omission).
-func (Crash) QueueValue(v *View, cured, receiver int) (float64, bool) { return 0, true }
-
-// RoundDirectives implements RoundAdversary: every entry stays omitted,
-// which is the script's post-Seal default, so there is nothing to write.
+// RoundDirectives implements Adversary: every faulty process and every M3
+// queue is mute. Every entry stays omitted, which is the script's
+// post-Seal default, so there is nothing to write.
 func (Crash) RoundDirectives(rv *RoundView, d *Directives) {}
 
 var (
-	_ RoundAdversary = Stationary{}
-	_ RoundAdversary = Rotating{}
-	_ RoundAdversary = Random{}
-	_ RoundAdversary = Crash{}
+	_ Adversary = Stationary{}
+	_ Adversary = Rotating{}
+	_ Adversary = Random{}
+	_ Adversary = Crash{}
 )

@@ -39,9 +39,9 @@ type View struct {
 	Rng *prng.Source
 
 	// Cached CorrectRange result. A View is immutable once handed to the
-	// adversary, and adversaries query the range per (sender, receiver)
-	// pair — without the cache that is an O(f·n²) scan per round, which
-	// dominates large-n simulations.
+	// adversary, and the camp-steering adversaries query the range once
+	// per receiver — without the cache that is an O(n²) scan per round,
+	// which dominates large-n simulations.
 	rangeDone        bool
 	rangeLo, rangeHi float64
 	rangeOK          bool
@@ -70,25 +70,20 @@ func (v *View) CorrectRange() (lo, hi float64, ok bool) {
 	return lo, hi, ok
 }
 
-// Adversary is the full interface a mobile Byzantine adversary implements.
-// The engine invokes it at the points the model grants the adversary power:
-// agent placement, faulty sends, the state left behind on departure, and —
-// in M3 — the poisoned outgoing queue of a cured process. Implementations
-// must be deterministic given the View (including its Rng), must NOT
-// mutate the View or its slices (they may be the engine's live state),
-// and must NOT retain them past the call that received them (the backing
-// buffers are recycled). An adversary that needs to retain views declares
-// it by implementing ViewRetainer, which restores defensively copied
-// snapshots at the cost of per-call allocations.
+// Adversary is the interface a mobile Byzantine adversary implements. The
+// engine invokes it at the points the model grants the adversary power:
+// agent placement, the state left behind on departure, and once per round
+// the send script of every faulty process and, in M3, of every cured
+// process's poisoned outgoing queue. Implementations must be deterministic
+// given the View (including its Rng), must NOT mutate the View or its
+// slices (they may be the engine's live state), and must NOT retain them
+// past the call that received them (the backing buffers are recycled). An
+// adversary that needs to retain views declares it by implementing
+// ViewRetainer, which restores defensively copied snapshots at the cost of
+// per-call allocations.
 //
-// The per-pair send methods (FaultyValue, QueueValue) are no longer the
-// engines' consultation entry point: every send phase is scripted by one
-// batched RoundDirectives call — natively when the adversary implements
-// RoundAdversary, through the bit-identical Adapter otherwise. Third-party
-// adversaries therefore keep working unchanged; implementing this
-// interface alone remains fully supported. The per-pair methods stay in
-// the contract both for the adapter and because Place/LeaveBehind-style
-// single-decision consultations still use direct calls.
+// An adversary written one (sender, receiver) pair at a time implements
+// PairAdversary instead and runs through Adapt.
 type Adversary interface {
 	// Name is the identifier used by flags and reports.
 	Name() string
@@ -103,26 +98,27 @@ type Adversary interface {
 	// Round 0's call sets the initial corruption for every model.
 	Place(v *View) []int
 
-	// FaultyValue returns the value the faulty process sends to receiver
-	// in this round's send phase, or omit=true to send nothing.
-	FaultyValue(v *View, faulty, receiver int) (value float64, omit bool)
-
 	// LeaveBehind returns the corrupted local value the departing agent
 	// writes into process p's state. In M2 this is exactly the value the
 	// cured process will broadcast next round; in the other models it is
 	// overwritten before it can do damage but is recorded for the trace.
 	LeaveBehind(v *View, p int) float64
 
-	// QueueValue returns the value cured process `cured` sends to receiver
-	// out of its agent-prepared outgoing queue (M3 only), or omit=true for
-	// silence. The engine only consults it under M3Sasaki.
-	QueueValue(v *View, cured, receiver int) (value float64, omit bool)
+	// RoundDirectives scripts the round's send phase: it fills d, which
+	// the engine has prepared with the scripted senders (ascending, M3
+	// queues marked by IsQueue) and every entry omitted, with what each
+	// scripted sender delivers to each receiver. Entries left untouched
+	// stay omitted. The engine calls it exactly once per send phase, also
+	// when no sender is scripted. A randomized adversary must draw from
+	// the View's Rng in a fixed order so that seeded runs replay; Adapt
+	// pins senders ascending, then receivers ascending.
+	RoundDirectives(rv *RoundView, d *Directives)
 }
 
 // Stateful is the marker interface for adversaries whose instances carry
 // per-run mutable state (the splitter pins its camp geometry at the first
-// placement, the greedy adversary caches its chosen rule per round, the
-// static mixed-mode adversary pins its camp values). A stateful instance
+// placement, the greedy adversary owns its lookahead's scratch, the static
+// mixed-mode adversary pins its camp values). A stateful instance
 // must be fresh per run: reusing one across runs replays stale decisions,
 // and sharing one across concurrently executing runs is a data race. Batch
 // layers use IsStateful to reject shared stateful instances eagerly and to
@@ -134,43 +130,45 @@ type Stateful interface {
 	FreshPerRun()
 }
 
-// wrapper is implemented by adversary decorators (the Adapter) so marker
-// lookups can reach the decorated adversary.
+// wrapper is implemented by forwarding adversary decorators, such as a
+// timing wrapper, so marker lookups can reach the decorated adversary.
 type wrapper interface {
 	Unwrap() Adversary
 }
 
+// unwrap returns the adversary a decorator wraps, or nil: the per-pair
+// adversary inside an Adapter, or what a wrapper's Unwrap returns.
+func unwrap(a any) any {
+	switch w := a.(type) {
+	case *Adapter:
+		return w.inner
+	case wrapper:
+		return w.Unwrap()
+	}
+	return nil
+}
+
 // IsStateful reports whether the adversary declares per-run mutable state
-// via the Stateful marker, looking through any wrappers (an Adapt-wrapped
-// splitter is as stateful as a bare one).
+// via the Stateful marker, looking through Adapters and wrappers (an
+// adapted stateful per-pair adversary is as stateful as a bare one).
 func IsStateful(a Adversary) bool {
-	for a != nil {
-		if _, ok := a.(Stateful); ok {
+	for x := any(a); x != nil; x = unwrap(x) {
+		if _, ok := x.(Stateful); ok {
 			return true
 		}
-		w, ok := a.(wrapper)
-		if !ok {
-			return false
-		}
-		a = w.Unwrap()
 	}
 	return false
 }
 
 // RetainsViews reports whether the adversary declares, via ViewRetainer,
 // that it keeps references to Views past the call that received them. Like
-// IsStateful it looks through wrappers, so the engines' defensive-copy
-// decision survives adaptation.
+// IsStateful it looks through Adapters and wrappers, so the engine's
+// defensive-copy decision survives adaptation.
 func RetainsViews(a Adversary) bool {
-	for a != nil {
-		if vr, ok := a.(ViewRetainer); ok {
+	for x := any(a); x != nil; x = unwrap(x) {
+		if vr, ok := x.(ViewRetainer); ok {
 			return vr.RetainsView()
 		}
-		w, ok := a.(wrapper)
-		if !ok {
-			return false
-		}
-		a = w.Unwrap()
 	}
 	return false
 }
@@ -213,9 +211,7 @@ func ValidatePlacement(placement []int, n, f int) ([]int, error) {
 }
 
 // ByAdversaryName constructs a registered adversary by name. Randomized
-// adversaries draw from View.Rng, so no seed is needed here. Every
-// registered adversary implements RoundAdversary natively, so the engines
-// consult it batched without an adapter.
+// adversaries draw from View.Rng, so no seed is needed here.
 func ByAdversaryName(name string) (Adversary, error) {
 	switch name {
 	case "splitter":
@@ -238,11 +234,7 @@ func ByAdversaryName(name string) (Adversary, error) {
 // AdversaryFactoryByName returns a constructor for a registered adversary
 // name: every call of the returned function yields a fresh instance, which
 // is what batch runners need for stateful adversaries. The name is resolved
-// eagerly, so an unknown name fails here, not on first use. Instances are
-// resolved to their batched form: native RoundAdversary implementations
-// (all current built-ins) are returned as-is, anything else comes wrapped
-// in the per-pair Adapter, so factory consumers always hand the engines a
-// batch-consultable adversary.
+// eagerly, so an unknown name fails here, not on first use.
 func AdversaryFactoryByName(name string) (func() Adversary, error) {
 	if _, err := ByAdversaryName(name); err != nil {
 		return nil, err
@@ -253,7 +245,7 @@ func AdversaryFactoryByName(name string) (func() Adversary, error) {
 			// Cannot happen: the name was resolved above.
 			panic(err)
 		}
-		return AsRoundAdversary(a)
+		return a
 	}, nil
 }
 

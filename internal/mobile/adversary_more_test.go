@@ -25,14 +25,14 @@ func TestAdversaryLeaveBehindAndQueues(t *testing.T) {
 		if lb < -1 || lb > 2 {
 			t.Errorf("%s: LeaveBehind %v outside plausible window", name, lb)
 		}
-		vq := testView(t, M3Sasaki, 1, 2, votes, allCorrect(8))
+		d := scriptOf(adv, testView(t, M3Sasaki, 1, 2, votes, allCorrect(8)), true, 0)
 		for recv := 0; recv < 8; recv++ {
-			qv, omit := adv.QueueValue(vq, 0, recv)
+			qv, omit := d.At(0, recv)
 			if omit {
 				continue
 			}
 			if math.IsNaN(qv) || qv < -1 || qv > 2 {
-				t.Errorf("%s: QueueValue %v outside plausible window", name, qv)
+				t.Errorf("%s: queue value %v outside plausible window", name, qv)
 			}
 		}
 	}
@@ -82,8 +82,8 @@ func TestGreedyLeaveBehindAndQueue(t *testing.T) {
 	states := allCorrect(6)
 	states[0] = StateCured
 	vq := testView(t, M3Sasaki, 2, 1, votes, states)
-	if qv, omit := g.QueueValue(vq, 0, 1); omit || math.IsNaN(qv) {
-		t.Errorf("greedy QueueValue = %v, %v", qv, omit)
+	if qv, omit := scriptOf(g, vq, true, 0).At(0, 1); omit || math.IsNaN(qv) {
+		t.Errorf("greedy queue value = %v, %v", qv, omit)
 	}
 }
 
@@ -143,8 +143,11 @@ func TestAdversariesWithNoCorrectProcesses(t *testing.T) {
 	if lb := (Crash{}).LeaveBehind(v, 0); lb != 0 {
 		t.Errorf("crash LeaveBehind with no correct = %v", lb)
 	}
-	if val, _ := (Random{}).FaultyValue(v, 0, 1); val < -1 || val > 1 {
-		t.Errorf("random fallback value = %v", val)
+	d := scriptOf(Random{}, v, false, 0)
+	for recv := 0; recv < 2; recv++ {
+		if val, omit := d.At(0, recv); !omit && (val < -1 || val > 1) {
+			t.Errorf("random fallback value = %v", val)
+		}
 	}
 	if campValue(v, 0) != 0 {
 		t.Error("campValue with no correct should be 0")

@@ -24,6 +24,26 @@ func testView(t *testing.T, model Model, round, f int, votes []float64, states [
 	}
 }
 
+// scriptOf consults adv once over v with the given scripted senders —
+// live agents, or M3 poisoned queues when queue is set — and returns the
+// filled script; the k-th sender's entries are read with At(k, receiver).
+func scriptOf(adv Adversary, v *View, queue bool, senders ...int) *Directives {
+	d := &Directives{}
+	d.Reset(v.N)
+	for _, s := range senders {
+		d.AddSender(s, queue)
+	}
+	d.Seal()
+	rv := &RoundView{View: v}
+	if queue {
+		rv.Cured = senders
+	} else {
+		rv.Faulty = senders
+	}
+	adv.RoundDirectives(rv, d)
+	return d
+}
+
 func allCorrect(n int) []State {
 	s := make([]State, n)
 	for i := range s {
@@ -140,17 +160,18 @@ func TestSplitterSteering(t *testing.T) {
 	votes := l.Inputs(8)
 	v := testView(t, M1Garay, 0, 2, votes, allCorrect(8))
 	// Low camp receiver (index 4) gets lo; high camp (index 6) gets hi.
-	if val, omit := s.FaultyValue(v, 0, l.Low[0]); omit || val != 0 {
-		t.Errorf("FaultyValue to low = %v, %v; want 0", val, omit)
+	d := scriptOf(s, v, false, 0)
+	if val, omit := d.At(0, l.Low[0]); omit || val != 0 {
+		t.Errorf("faulty value to low = %v, %v; want 0", val, omit)
 	}
-	if val, omit := s.FaultyValue(v, 0, l.High[0]); omit || val != 1 {
-		t.Errorf("FaultyValue to high = %v, %v; want 1", val, omit)
+	if val, omit := d.At(0, l.High[0]); omit || val != 1 {
+		t.Errorf("faulty value to high = %v, %v; want 1", val, omit)
 	}
 	if lb := s.LeaveBehind(v, 1); lb != 1 {
 		t.Errorf("LeaveBehind = %v, want hi", lb)
 	}
-	if qv, omit := s.QueueValue(v, 1, l.High[0]); omit || qv != 1 {
-		t.Errorf("QueueValue to high = %v, %v; want 1", qv, omit)
+	if qv, omit := scriptOf(s, v, true, 1).At(0, l.High[0]); omit || qv != 1 {
+		t.Errorf("queue value to high = %v, %v; want 1", qv, omit)
 	}
 }
 
@@ -201,11 +222,12 @@ func TestCrashAlwaysOmits(t *testing.T) {
 	c := NewCrash()
 	votes := []float64{1, 2, 3, 4, 5}
 	v := testView(t, M1Garay, 0, 2, votes, allCorrect(5))
+	faulty, queue := scriptOf(c, v, false, 0), scriptOf(c, v, true, 0)
 	for recv := 0; recv < 5; recv++ {
-		if _, omit := c.FaultyValue(v, 0, recv); !omit {
+		if _, omit := faulty.At(0, recv); !omit {
 			t.Errorf("crash adversary sent a value to %d", recv)
 		}
-		if _, omit := c.QueueValue(v, 0, recv); !omit {
+		if _, omit := queue.At(0, recv); !omit {
 			t.Errorf("crash queue sent a value to %d", recv)
 		}
 	}
@@ -238,17 +260,15 @@ func TestGreedyChoosesWorstRule(t *testing.T) {
 	states := []State{StateFaulty, StateCured, StateCorrect, StateCorrect, StateCorrect, StateCorrect}
 	v := testView(t, M2Bonnet, 1, 1, votes, states)
 	want := referenceDecide(v)
+	d := scriptOf(g, v, false, 0)
 	for recv := range votes {
-		got, omit := g.FaultyValue(v, 0, recv)
+		got, omit := d.At(0, recv)
 		if omit {
 			t.Fatalf("greedy omitted to %d", recv)
 		}
 		if w := want.apply(v, recv); got != w {
 			t.Errorf("greedy sends %v to %d, the reference's best rule %d sends %v", got, recv, want, w)
 		}
-	}
-	if g.chosen != want {
-		t.Errorf("greedy chose rule %d, the reference's best is %d", g.chosen, want)
 	}
 }
 
@@ -278,9 +298,9 @@ func TestAdversariesStayInRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := testView(t, M1Garay, 2, 2, votes, allCorrect(8))
+		d := scriptOf(adv, testView(t, M1Garay, 2, 2, votes, allCorrect(8)), false, 0)
 		for recv := 0; recv < 8; recv++ {
-			val, omit := adv.FaultyValue(v, 0, recv)
+			val, omit := d.At(0, recv)
 			if omit {
 				continue
 			}

@@ -4,27 +4,16 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
-
-// This file is the batched half of the adversary interface. The per-pair
-// Adversary methods pull one (sender, receiver) decision at a time — n
-// interface calls per scripted sender per round, which BENCH_pr5 measured
-// at ~63% of a kernel round at n=64. The adversary of the paper is
-// omniscient per round, so consulting it once per round with the complete
-// plan is semantically identical; RoundAdversary is that consultation
-// surface. All built-in adversaries implement it natively; any third-party
-// per-pair Adversary is lifted onto it by Adapt, bit-identically.
 
 // Directives is one round's complete adversarial send script: for every
 // scripted sender (faulty processes and, under M3, cured processes with a
 // poisoned queue) and every receiver, either a value or an omission. The
 // engine builds the sender list — in ascending process order — prepares
-// the script with Seal, and hands it to RoundAdversary.RoundDirectives to
-// fill; every entry starts as an omission, so an adversary only writes the
-// pairs it wants delivered. Set and SetRow sanitise NaN into an omission
-// exactly as the per-pair paths always have (NaN has no place in a
-// multiset).
+// the script with Seal, and hands it to Adversary.RoundDirectives to fill;
+// every entry starts as an omission, so an adversary only writes the pairs
+// it wants delivered. Set and SetRow sanitise NaN into an omission (NaN
+// has no place in a multiset).
 //
 // The script is stored per receiver row, in one of three forms: omitted
 // (every scripted sender sends nothing to the receiver), broadcast (every
@@ -61,9 +50,8 @@ func (d *Directives) Reset(n int) {
 }
 
 // AddSender appends a scripted sender. Senders must be added in ascending
-// process order (the engine's state scan is ascending); queue marks an
-// M3 poisoned queue, whose per-pair equivalent is QueueValue rather than
-// FaultyValue.
+// process order (the engine's state scan is ascending); queue marks a
+// cured process's M3 poisoned queue rather than a live agent.
 func (d *Directives) AddSender(sender int, queue bool) {
 	d.senders = append(d.senders, sender)
 	d.queue = append(d.queue, queue)
@@ -134,13 +122,6 @@ func (d *Directives) At(k, receiver int) (v float64, omit bool) {
 		return d.values[i], false
 	}
 	return 0, true
-}
-
-// Index returns the script index of the given sender, or ok=false if the
-// sender is not scripted. Senders are ascending, so this is a binary search.
-func (d *Directives) Index(sender int) (k int, ok bool) {
-	k = sort.SearchInts(d.senders, sender)
-	return k, k < len(d.senders) && d.senders[k] == sender
 }
 
 // Row returns the form of receiver's row. For a broadcast row, v points at
@@ -229,12 +210,12 @@ func (d *Directives) outOfRange(k, receiver int) {
 	panic(fmt.Sprintf("mobile: Directives sender index %d out of range [0, %d)", k, len(d.senders)))
 }
 
-// RoundView is the argument of the batched consultation: the same
-// omniscient View the per-pair calls receive, plus the round's fault plan.
-// Faulty and Cured list the processes faulty respectively cured during the
-// send phase, ascending. Like the View, a RoundView and its slices are
-// backed by engine scratch: implementations must not mutate or retain them
-// past the call (ViewRetainer restores defensive copies of the View; the
+// RoundView is the argument of Adversary.RoundDirectives: the omniscient
+// View of the send phase plus the round's fault plan. Faulty and Cured
+// list the processes faulty respectively cured during the send phase,
+// ascending. Like the View, a RoundView and its slices are backed by
+// engine scratch: implementations must not mutate or retain them past the
+// call (ViewRetainer restores defensive copies of the View; the
 // Faulty/Cured slices are never retained by any contract).
 type RoundView struct {
 	View   *View
@@ -242,107 +223,12 @@ type RoundView struct {
 	Cured  []int
 }
 
-// RoundAdversary is an Adversary that can be consulted once per round with
-// the full plan instead of once per (sender, receiver) pair. The engines
-// consult every adversary through this interface — natively when the
-// implementation provides it, through Adapt otherwise — exactly once per
-// send phase. RoundDirectives fills d (prepared by the engine, every entry
-// an omission) with the round's send script; entries left untouched remain
-// omissions.
-//
-// Equivalence contract: filling d must be observably identical to the
-// per-pair protocol evaluated in the pinned consultation order — senders
-// ascending, receivers ascending within each sender, FaultyValue for live
-// agents and QueueValue for M3 queues. "Observably" includes the draws an
-// implementation takes from the View's Rng: a randomized adversary must
-// consume the stream in that same pinned order, or its batched and
-// per-pair behaviours diverge. The golden suite and internal/proptest pin
-// this equivalence for every built-in.
-type RoundAdversary interface {
-	Adversary
-	RoundDirectives(rv *RoundView, d *Directives)
-}
-
-// Adapter lifts a per-pair Adversary onto RoundAdversary by replaying the
-// pinned consultation order. Wrapping is bit-identical to the pre-batch
-// engines: same calls, same order, same Rng stream. It is how third-party
-// Adversary implementations run on the batched engines without changes.
-type Adapter struct {
-	inner Adversary
-}
-
-// Adapt wraps a per-pair Adversary as a RoundAdversary. Adversaries that
-// already implement RoundAdversary natively do not need it (see
-// AsRoundAdversary); wrapping one anyway switches it to its per-pair code
-// path, which the equivalence tests exploit.
-func Adapt(a Adversary) *Adapter { return &Adapter{inner: a} }
-
-// Unwrap returns the wrapped per-pair adversary. Marker interfaces
-// (Stateful, ViewRetainer) are looked up through it — see IsStateful and
-// RetainsViews.
-func (ad *Adapter) Unwrap() Adversary { return ad.inner }
-
-// Name implements Adversary.
-func (ad *Adapter) Name() string { return ad.inner.Name() }
-
-// Place implements Adversary.
-func (ad *Adapter) Place(v *View) []int { return ad.inner.Place(v) }
-
-// FaultyValue implements Adversary.
-func (ad *Adapter) FaultyValue(v *View, faulty, receiver int) (float64, bool) {
-	return ad.inner.FaultyValue(v, faulty, receiver)
-}
-
-// LeaveBehind implements Adversary.
-func (ad *Adapter) LeaveBehind(v *View, p int) float64 { return ad.inner.LeaveBehind(v, p) }
-
-// QueueValue implements Adversary.
-func (ad *Adapter) QueueValue(v *View, cured, receiver int) (float64, bool) {
-	return ad.inner.QueueValue(v, cured, receiver)
-}
-
-// RoundDirectives implements RoundAdversary by pulling every pair through
-// the wrapped adversary in the pinned order: senders ascending (the order
-// the engine registered them), receivers ascending within each sender.
-func (ad *Adapter) RoundDirectives(rv *RoundView, d *Directives) {
-	v := rv.View
-	for k, m := 0, d.Len(); k < m; k++ {
-		s := d.Sender(k)
-		if d.IsQueue(k) {
-			for r := 0; r < d.n; r++ {
-				if val, omit := ad.inner.QueueValue(v, s, r); !omit {
-					d.Set(k, r, val)
-				}
-			}
-		} else {
-			for r := 0; r < d.n; r++ {
-				if val, omit := ad.inner.FaultyValue(v, s, r); !omit {
-					d.Set(k, r, val)
-				}
-			}
-		}
-	}
-}
-
-var _ RoundAdversary = (*Adapter)(nil)
-
-// AsRoundAdversary resolves an Adversary to its batched form: the adversary
-// itself when it implements RoundAdversary natively, an Adapter otherwise.
-// The engines call it once per run.
-func AsRoundAdversary(a Adversary) RoundAdversary {
-	if ra, ok := a.(RoundAdversary); ok {
-		return ra
-	}
-	return Adapt(a)
-}
-
-// fillColumns is the shared batched shape of the camp-steering built-ins:
-// faulty and queue values coincide and depend only on the receiver, so the
+// fillColumns is the shared script of the camp-steering built-ins: faulty
+// and queue values coincide and depend only on the receiver, so the
 // steering rule is evaluated once per receiver and recorded as that
-// receiver's broadcast row. This is the batching win the per-pair
-// interface could not express: m×n interface calls and m×n range lookups
-// collapse to n rule evaluations over the cached CorrectRange, and n
-// stored values.
+// receiver's broadcast row — n rule evaluations over the cached
+// CorrectRange and n stored values, whatever the number of scripted
+// senders.
 func fillColumns(d *Directives, value func(receiver int) float64) {
 	if len(d.senders) == 0 {
 		return

@@ -6,6 +6,67 @@ import (
 	"testing"
 )
 
+// newDirectives builds a sealed script with two scripted senders over n
+// receivers: process 0, a live agent, and process 4, an M3 queue.
+func newDirectives(n int) *Directives {
+	d := &Directives{}
+	d.Reset(n)
+	d.AddSender(0, false)
+	d.AddSender(4, true)
+	d.Seal()
+	return d
+}
+
+func TestDirectivesDefaultsToOmission(t *testing.T) {
+	d := newDirectives(7)
+	if d.Len() != 2 || d.N() != 7 {
+		t.Fatalf("Len=%d N=%d, want 2, 7", d.Len(), d.N())
+	}
+	if d.Sender(0) != 0 || d.Sender(1) != 4 || d.IsQueue(0) || !d.IsQueue(1) {
+		t.Fatalf("sender/queue bookkeeping wrong: senders (%d,%d) queue (%v,%v)",
+			d.Sender(0), d.Sender(1), d.IsQueue(0), d.IsQueue(1))
+	}
+	for k := 0; k < d.Len(); k++ {
+		for r := 0; r < d.N(); r++ {
+			if _, omit := d.At(k, r); !omit {
+				t.Fatalf("entry (%d,%d) not omitted after Seal", k, r)
+			}
+		}
+	}
+}
+
+func TestDirectivesSetAndReuse(t *testing.T) {
+	d := newDirectives(7)
+	d.Set(0, 3, 0.5)
+	d.Set(1, 3, 0.7)
+	d.Set(1, 6, math.NaN()) // NaN sanitises to an omission
+	d.Omit(0, 3)            // explicit omission after a Set
+
+	if v, omit := d.At(1, 3); omit || v != 0.7 {
+		t.Fatalf("At(1,3) = (%v, %v), want (0.7, false)", v, omit)
+	}
+	if _, omit := d.At(1, 6); !omit {
+		t.Fatal("NaN Set did not record an omission")
+	}
+	if _, omit := d.At(0, 3); !omit {
+		t.Fatal("Omit after Set did not stick")
+	}
+	if row := d.AppendRow(nil, 3); len(row) != 1 || row[0] != 0.7 {
+		t.Fatalf("AppendRow(3) = %v, want [0.7]", row)
+	}
+
+	// Reuse: a Reset/Seal cycle must fully clear the previous round.
+	d.Reset(7)
+	d.AddSender(2, false)
+	d.Seal()
+	if d.Len() != 1 || d.Sender(0) != 2 {
+		t.Fatalf("after reuse: Len=%d Sender(0)=%d", d.Len(), d.Sender(0))
+	}
+	if _, omit := d.At(0, 3); !omit {
+		t.Fatal("reused block leaked a directive from the previous round")
+	}
+}
+
 // TestDirectivesRowOrder pins the order-dependent cases of the row forms:
 // a Set or Omit after SetRow changes one entry and keeps the rest of the
 // broadcast, a SetRow after Set replaces the whole row, and a NaN row is

@@ -23,9 +23,6 @@ import (
 // strategies only, because the departing agent must fix LeaveBehind one
 // round before the value is broadcast and cannot search retroactively.
 type Greedy struct {
-	chosen  valueRule
-	haveEra bool
-	era     int // round the chosen rule was computed for
 	// The lookahead's scratch, refilled every round: the shared base's
 	// backing store, and the two camp values whose constant runs the
 	// received multisets read in place.
@@ -40,9 +37,8 @@ func NewGreedy() *Greedy { return &Greedy{} }
 // Name implements Adversary.
 func (g *Greedy) Name() string { return "greedy" }
 
-// FreshPerRun marks the greedy adversary as stateful: it caches the chosen
-// value rule per round, owns the lookahead's scratch, and must not be
-// shared across runs.
+// FreshPerRun marks the greedy adversary as stateful: it owns the
+// lookahead's scratch and must not be shared across runs.
 func (g *Greedy) FreshPerRun() {}
 
 // valueRule is one candidate strategy: what a faulty (or M3-cured) process
@@ -118,19 +114,15 @@ func (g *Greedy) Place(v *View) []int {
 	return out
 }
 
-// decide runs the lookahead once per round and caches the winning rule:
-// the first rule, in allValueRules order, with the largest diameter.
+// decide runs the lookahead and returns the winning rule: the first rule,
+// in allValueRules order, with the largest diameter.
 func (g *Greedy) decide(v *View) valueRule {
-	if g.haveEra && g.era == v.Round {
-		return g.chosen
-	}
 	best, bestDiam := ruleCampSplit, math.Inf(-1)
 	for i, d := range g.lookahead(v) {
 		if d > bestDiam {
 			best, bestDiam = allValueRules[i], d
 		}
 	}
-	g.chosen, g.era, g.haveEra = best, v.Round, true
 	return best
 }
 
@@ -215,11 +207,6 @@ func (g *Greedy) lookahead(v *View) (diam [len(allValueRules)]float64) {
 	return diam
 }
 
-// FaultyValue implements Adversary.
-func (g *Greedy) FaultyValue(v *View, faulty, receiver int) (float64, bool) {
-	return g.decide(v).apply(v, receiver), false
-}
-
 // LeaveBehind implements Adversary: park the corrupted state at the correct
 // maximum (the splitter's choice; searching here would require two-round
 // lookahead for no observed gain).
@@ -231,16 +218,10 @@ func (g *Greedy) LeaveBehind(v *View, p int) float64 {
 	return hi
 }
 
-// QueueValue implements Adversary (M3): the queue follows the chosen rule.
-func (g *Greedy) QueueValue(v *View, cured, receiver int) (float64, bool) {
-	return g.decide(v).apply(v, receiver), false
-}
-
-// RoundDirectives implements RoundAdversary: one lookahead decides the
-// round's rule (exactly what the per-round decide cache amortized the
-// per-pair calls to), then the rule is applied once per receiver and
-// broadcast across the scripted senders. With no scripted senders the
-// per-pair path would never have run the lookahead, so neither does this.
+// RoundDirectives implements Adversary: one lookahead decides the round's
+// rule, which live agents and M3 queues alike follow; it is applied once
+// per receiver and broadcast across the scripted senders. With no scripted
+// senders there is nothing to decide, so the lookahead is skipped.
 func (g *Greedy) RoundDirectives(rv *RoundView, d *Directives) {
 	if d.Len() == 0 {
 		return
@@ -249,4 +230,4 @@ func (g *Greedy) RoundDirectives(rv *RoundView, d *Directives) {
 	fillColumns(d, func(receiver int) float64 { return rule.apply(rv.View, receiver) })
 }
 
-var _ RoundAdversary = (*Greedy)(nil)
+var _ Adversary = (*Greedy)(nil)

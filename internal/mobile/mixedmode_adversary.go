@@ -78,39 +78,17 @@ func (m *MixedMode) role(p int) mixedmode.Class {
 	}
 }
 
-// FaultyValue implements Adversary per class: asymmetric splits camps,
-// symmetric broadcasts the high value uniformly, benign omits.
-func (m *MixedMode) FaultyValue(v *View, faulty, receiver int) (float64, bool) {
-	m.pin(v)
-	switch m.role(faulty) {
-	case mixedmode.ClassAsymmetric:
-		vote := v.Votes[receiver]
-		if vote != vote /* NaN */ || vote <= m.mid {
-			return m.lo, false
-		}
-		return m.hi, false
-	case mixedmode.ClassSymmetric:
-		return m.hi, false
-	default: // benign
-		return 0, true
-	}
-}
-
 // LeaveBehind implements Adversary (never invoked: agents never move).
 func (m *MixedMode) LeaveBehind(v *View, p int) float64 {
 	m.pin(v)
 	return m.hi
 }
 
-// QueueValue implements Adversary (never invoked under a static schedule).
-func (m *MixedMode) QueueValue(v *View, cured, receiver int) (float64, bool) {
-	return m.FaultyValue(v, cured, receiver)
-}
-
-// RoundDirectives implements RoundAdversary: each scripted sender's census
-// class fixes its whole column — asymmetric splits camps per receiver,
-// symmetric broadcasts hi, benign stays omitted. Pinning is skipped when no
-// sender is scripted, matching the per-pair path.
+// RoundDirectives implements Adversary: each scripted sender's census
+// class fixes its whole column — asymmetric splits camps per receiver
+// (lo to a NaN vote or one at most the pinned midpoint, hi otherwise),
+// symmetric broadcasts hi, benign stays omitted. Pinning is skipped when
+// no sender is scripted.
 func (m *MixedMode) RoundDirectives(rv *RoundView, d *Directives) {
 	if d.Len() == 0 {
 		return
@@ -138,7 +116,7 @@ func (m *MixedMode) RoundDirectives(rv *RoundView, d *Directives) {
 	}
 }
 
-var _ RoundAdversary = (*MixedMode)(nil)
+var _ Adversary = (*MixedMode)(nil)
 
 // MixedModeLayout returns the adversarial input assignment for a static
 // census run on n processes with values {lo, hi}: the faulty block first,

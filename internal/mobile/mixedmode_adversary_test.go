@@ -26,28 +26,26 @@ func TestMixedModeAdversaryRoles(t *testing.T) {
 
 	// Process 0: asymmetric — splits camps.
 	lowReceiver, highReceiver := 3, 6
-	if val, omit := adv.FaultyValue(v, 0, lowReceiver); omit || val != 0 {
+	d := scriptOf(adv, v, false, 0, 1, 2)
+	if val, omit := d.At(0, lowReceiver); omit || val != 0 {
 		t.Errorf("asymmetric to low = %v,%v", val, omit)
 	}
-	if val, omit := adv.FaultyValue(v, 0, highReceiver); omit || val != 1 {
+	if val, omit := d.At(0, highReceiver); omit || val != 1 {
 		t.Errorf("asymmetric to high = %v,%v", val, omit)
 	}
 	// Process 1: symmetric — same (wrong) value to everyone.
-	vLow, _ := adv.FaultyValue(v, 1, lowReceiver)
-	vHigh, _ := adv.FaultyValue(v, 1, highReceiver)
+	vLow, _ := d.At(1, lowReceiver)
+	vHigh, _ := d.At(1, highReceiver)
 	if vLow != vHigh || vLow != 1 {
 		t.Errorf("symmetric values differ: %v vs %v", vLow, vHigh)
 	}
 	// Process 2: benign — omits.
-	if _, omit := adv.FaultyValue(v, 2, lowReceiver); !omit {
+	if _, omit := d.At(2, lowReceiver); !omit {
 		t.Error("benign process sent a value")
 	}
-	// LeaveBehind and QueueValue exist for interface completeness.
+	// LeaveBehind exists for interface completeness: agents never move.
 	if lb := adv.LeaveBehind(v, 0); lb != 1 {
 		t.Errorf("LeaveBehind = %v", lb)
-	}
-	if qv, omit := adv.QueueValue(v, 0, highReceiver); omit || qv != 1 {
-		t.Errorf("QueueValue = %v,%v", qv, omit)
 	}
 }
 

@@ -243,12 +243,6 @@ func (s *Splitter) steer(v *View, receiver int) float64 {
 	return s.layout.Lo
 }
 
-// FaultyValue implements Adversary: camp-targeted extremes.
-func (s *Splitter) FaultyValue(v *View, faulty, receiver int) (float64, bool) {
-	s.pin(v)
-	return s.steer(v, receiver), false
-}
-
 // LeaveBehind implements Adversary. The corrupted state is hi: under M2 the
 // cured cohort then broadcasts hi symmetrically, which is what props up the
 // (smaller) High camp in the 2f/f equilibrium.
@@ -257,18 +251,11 @@ func (s *Splitter) LeaveBehind(v *View, p int) float64 {
 	return s.layout.Hi
 }
 
-// QueueValue implements Adversary (M3): the poisoned queue carries the same
-// camp-targeted extremes as a live agent.
-func (s *Splitter) QueueValue(v *View, cured, receiver int) (float64, bool) {
-	s.pin(v)
-	return s.steer(v, receiver), false
-}
-
-// RoundDirectives implements RoundAdversary: faulty and queue values are
-// both steer(receiver), so the camp geometry is pinned once and the steering
-// rule evaluated once per receiver, broadcast across the scripted senders.
-// With no scripted senders the per-pair path would never have consulted the
-// splitter, so the pin is skipped too.
+// RoundDirectives implements Adversary: live agents and M3 poisoned queues
+// alike send camp-targeted extremes, steer(receiver), so the camp geometry
+// is pinned once and the steering rule evaluated once per receiver,
+// broadcast across the scripted senders. With no scripted senders there is
+// nothing to steer, so nothing is pinned either.
 func (s *Splitter) RoundDirectives(rv *RoundView, d *Directives) {
 	if d.Len() == 0 {
 		return
@@ -277,4 +264,4 @@ func (s *Splitter) RoundDirectives(rv *RoundView, d *Directives) {
 	fillColumns(d, func(receiver int) float64 { return s.steer(rv.View, receiver) })
 }
 
-var _ RoundAdversary = (*Splitter)(nil)
+var _ Adversary = (*Splitter)(nil)

@@ -154,41 +154,6 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-// TestAdapterMatchesNative is the batched-consultation equivalence axis:
-// for every trial, a run whose adversary is consulted through its native
-// RoundAdversary implementation must be digest-identical to a run whose
-// adversary is wrapped in the compatibility Adapter (forcing the per-pair
-// protocol, replayed in the pinned order). The space includes the stateful
-// adversaries (splitter, greedy, mixed-mode), the omission-heavy ones
-// (crash omits everything, random omits 10%) and every model × algorithm ×
-// seed combination buildTrials enumerates.
-func TestAdapterMatchesNative(t *testing.T) {
-	runner := core.NewRunner()
-	for _, tr := range buildTrials(t) {
-		native := tr.fresh()
-		if _, ok := native.(mobile.RoundAdversary); !ok {
-			t.Fatalf("%s: built-in %s has no native RoundAdversary implementation", tr.key, native.Name())
-		}
-		nativeCfg := tr.cfg
-		nativeCfg.Adversary = native
-		nativeRes, err := runner.Run(nativeCfg)
-		if err != nil {
-			t.Fatalf("%s: native run: %v", tr.key, err)
-		}
-
-		adaptedCfg := tr.cfg
-		adaptedCfg.Adversary = mobile.Adapt(tr.fresh())
-		adaptedRes, err := runner.Run(adaptedCfg)
-		if err != nil {
-			t.Fatalf("%s: adapter run: %v", tr.key, err)
-		}
-		if nd, ad := golden.Digest(nativeRes), golden.Digest(adaptedRes); nd != ad {
-			t.Errorf("%s: native digest %x != adapter %x\nnative votes:  %v\nadapter votes: %v",
-				tr.key, nd, ad, nativeRes.Votes, adaptedRes.Votes)
-		}
-	}
-}
-
 // TestParallelVoteMatchesSequential sweeps the randomized space through the
 // parallel vote loop at two explicit worker counts and asserts digest
 // equality with the sequential loop — the worker-count invariance of the
