@@ -335,48 +335,6 @@ func BenchmarkEngineScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelVote contrasts the sequential per-receiver vote loop
-// (VoteWorkers=1) with the parallel partition at 2 workers and at the full
-// core count, over the kernel path at the sizes where the crossover admits
-// fan-out. The digests are bit-identical for every worker count (asserted
-// by the golden and proptest suites); this bench measures only the speed of
-// the partition.
-func BenchmarkParallelVote(b *testing.B) {
-	workerCounts := []int{1, 2}
-	if c := runtime.NumCPU(); c > 2 {
-		workerCounts = append(workerCounts, c)
-	}
-	r := core.NewRunner()
-	for _, n := range []int{256, 1024} {
-		f := mobile.M1Garay.MaxFaulty(n)
-		inputs := make([]float64, n)
-		for i := range inputs {
-			inputs[i] = float64(i) / float64(n)
-		}
-		for _, workers := range workerCounts {
-			cfg := core.Config{
-				Model:       mobile.M1Garay,
-				N:           n,
-				F:           f,
-				Algorithm:   msr.FTM{},
-				Adversary:   mobile.NewRotating(),
-				Inputs:      inputs,
-				Epsilon:     1e-9,
-				FixedRounds: 20,
-				VoteWorkers: workers,
-			}
-			b.Run(fmt.Sprintf("%s/workers=%d", sizeName(n), workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := r.Run(cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(20*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
-			})
-		}
-	}
-}
-
 // BenchmarkFigure6Engines compares the deterministic simulator with a real
 // TCP cluster on the same workload (F6).
 func BenchmarkFigure6Engines(b *testing.B) {

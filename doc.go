@@ -136,9 +136,10 @@
 // function consumes it with the same left-to-right summation (no sums are
 // re-associated), so the determinism guarantee above is unaffected — the
 // golden digests were recorded on the pre-kernel engine and still hold.
-// Runs with an OnRound callback keep the full matrix representation (the
-// snapshot path), which doubles as the kernel's naive cross-check
-// reference in internal/proptest.
+// Runs with an OnRound callback vote through the same kernel; the engine
+// materializes the round's observation matrix from the plan for the
+// callback, and the test reference (golden.CheckMatrixVotes) re-votes every
+// receiver's row of it with msr.ApplyCapped, bit for bit, every round.
 //
 // # The chaos layer and its determinism contract
 //
@@ -196,13 +197,6 @@
 // answer as an omission. The RoundView and Directives are engine scratch:
 // adversaries that retain views across calls must declare
 // mobile.ViewRetainer, which is seen through the adapter.
-//
-// With directives prebuilt, per-receiver votes are mutually independent,
-// and the kernel path fans the vote loop out over Config.VoteWorkers
-// goroutines (0 = auto: GOMAXPROCS workers above the size crossover,
-// sequential otherwise). Workers own disjoint scratch and vote slots, so
-// results are bit-identical for every worker count — the golden matrix
-// and the randomized proptest space are asserted at multiple counts.
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the
 // paper-versus-measured record, and the examples/ directory for runnable

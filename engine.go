@@ -76,10 +76,10 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 // consumer's pace (the engine blocks on the unbuffered hand-off, so memory
 // use is one round regardless of run length). Cancelling the context stops
 // the run within one round; Close does the same for consumers abandoning a
-// stream early. Streaming runs take the engine's snapshot path (each
-// RoundInfo is freshly allocated and retainable), but the protocol outputs
-// remain bit-identical to Engine.Run, which the golden equivalence suite
-// asserts.
+// stream early. Each streamed RoundInfo is freshly allocated and
+// retainable (its observation matrix is materialized from the round's plan),
+// and the protocol outputs remain bit-identical to Engine.Run, which the
+// golden equivalence suite asserts.
 func (e *Engine) Stream(ctx context.Context, spec Spec) *Stream {
 	if ctx == nil {
 		ctx = context.Background()

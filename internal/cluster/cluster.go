@@ -995,11 +995,16 @@ closed:
 	// Refresh the stall classification for the next round: a peer whose
 	// newest observed frame trails the round this node is advancing to by
 	// more than k is stalled; it recovers as soon as its frames catch back
-	// up within the window.
+	// up within the window. A round-r frame that arrived while an earlier
+	// round was open counts now (admit defers it under SyncRounds; without
+	// SyncRounds lastSeen already covers it).
 	k := nd.cfg.PipelineDepth
 	for _, s := range nd.dests {
 		if s == nd.cfg.ID {
 			continue
+		}
+		if st.seen[s] && nd.lastSeen[s] < round {
+			nd.lastSeen[s] = round
 		}
 		stalled := round+1-nd.lastSeen[s] > k
 		if stalled && !nd.stalled[s] {
@@ -1028,13 +1033,17 @@ closed:
 // admit routes one inbound frame against the pipeline window [round,
 // round+k]. Any frame from an expected sender — stale ones included —
 // refreshes lastSeen: even a too-old frame proves the peer alive, which the
-// stall detector and pacing brake feed on.
+// stall detector and pacing brake feed on. Under SyncRounds only frames of
+// rounds up to the open one refresh it here: whether a peer's next-round
+// frame beats this node's deadline is a scheduling race, and the stall
+// classification (hence StallEvents) must replay bit for bit. A frame
+// recorded for a later round counts when that round closes.
 func (nd *Node) admit(m transport.Message, round int) {
 	if m.From < 0 || m.From >= nd.cfg.N || !nd.inNbr[m.From] {
 		nd.stats.Rejected++
 		return
 	}
-	if m.Round > nd.lastSeen[m.From] {
+	if m.Round > nd.lastSeen[m.From] && (m.Round <= round || !nd.cfg.SyncRounds) {
 		nd.lastSeen[m.From] = m.Round
 	}
 	switch {

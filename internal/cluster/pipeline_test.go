@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -228,5 +229,64 @@ func TestPipelineWedgedPeerStall(t *testing.T) {
 	}
 	if st.Received != 2*rounds {
 		t.Errorf("Received = %d, want %d (self + peer 1 per round)", st.Received, 2*rounds)
+	}
+}
+
+// TestSyncRoundsStallIgnoresNextRoundFrames: under SyncRounds the stall
+// classification at the close of round r counts only frames of rounds ≤ r.
+// Node 0 runs two rounds at depth 1; the test plays peer 1 (prompt) and
+// peer 2, whose round-0 frame is lost and whose round-1 frame arrives
+// either early (queued before round 0 closes) or late (sent only once node
+// 0 has moved on to round 1). Which of the two happens is a scheduling race
+// in a real deployment, so both must give the same counters: peer 2 is
+// stall-flagged at round 0's close and recovers at round 1's.
+func TestSyncRoundsStallIgnoresNextRoundFrames(t *testing.T) {
+	const n, k, rounds = 3, 1, 2
+	run := func(early bool) NodeStats {
+		hub, err := transport.NewChannel(n, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = hub.Close() }()
+		cfg := pipelineConfigs(n, rounds, k, 150*time.Millisecond)[0]
+		cfg.SyncRounds = true
+		nd, err := NewNode(cfg, hub.Link(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer1, peer2 := hub.Link(1), hub.Link(2)
+		for r := 0; r < rounds; r++ {
+			if err := peer1.Send(transport.Message{Round: r, To: 0, Value: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if early {
+			if err := peer2.Send(transport.Message{Round: 1, To: 0, Value: 2}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			go func() {
+				for m := range peer2.Recv() {
+					if m.From == 0 && m.Round == 1 {
+						_ = peer2.Send(transport.Message{Round: 1, To: 0, Value: 2})
+						return
+					}
+				}
+			}()
+		}
+		if _, err := nd.RunContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return nd.Stats()
+	}
+	early, late := run(true), run(false)
+	if !reflect.DeepEqual(early, late) {
+		t.Fatalf("counters depend on when peer 2's round-1 frame arrived:\nearly %+v\nlate  %+v", early, late)
+	}
+	if early.StallEvents != 1 {
+		t.Errorf("StallEvents = %d, want 1 (peer 2 shows no frame of round ≤ 0 when round 0 closes)", early.StallEvents)
+	}
+	if early.Omissions != 1 || early.Received != 3*rounds-1 {
+		t.Errorf("Omissions = %d, Received = %d, want 1 and %d", early.Omissions, early.Received, 3*rounds-1)
 	}
 }

@@ -72,21 +72,12 @@ type Config struct {
 	// Theorem 1 invariant checkers. They are meaningful when n exceeds
 	// the model bound; below it, violations are expected and recorded.
 	EnableCheckers bool
-	// VoteWorkers bounds the deterministic engine's per-round parallel
-	// vote loop (the kernel path's per-receiver patch sort and two-run vote
-	// over the shared read-only base). 0, the default, auto-selects: sequential
-	// below the crossover size or when runtime.GOMAXPROCS(0) is 1, one
-	// worker per available CPU otherwise. 1 forces the sequential loop;
-	// any larger value forces exactly that worker count regardless of n.
-	// Results are bit-identical for every setting — receivers are
-	// partitioned over an immutable plan and each vote is independent —
-	// which the golden suite asserts at multiple worker counts.
-	VoteWorkers int
 	// Recorder, when non-nil, receives a structured event trace.
 	Recorder *trace.Recorder
 	// OnRound, when non-nil, is invoked after every round's computation
-	// phase with a full snapshot (observation matrix included). It is the
-	// hook the Table 1 experiment uses to classify behaviour.
+	// phase with a full snapshot. Its observation matrix is materialized
+	// from the round's kernel plan; the votes are the kernel's either way.
+	// It is the hook the Table 1 experiment uses to classify behaviour.
 	OnRound func(RoundInfo)
 	// Ctx, when non-nil, makes the run cancellable: the engine checks it
 	// once per round boundary and aborts with the context's error (wrapping
@@ -137,8 +128,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: negative round limits", ErrConfig)
 	case c.TrimOverride < 0:
 		return fmt.Errorf("%w: negative trim override %d", ErrConfig, c.TrimOverride)
-	case c.VoteWorkers < 0:
-		return fmt.Errorf("%w: negative vote workers %d", ErrConfig, c.VoteWorkers)
 	}
 	for i, v := range c.Inputs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -92,7 +92,6 @@ type scratch struct {
 	faulty faultySet
 
 	sendStates []mobile.State // send-phase state snapshot for the checkers
-	values     []float64      // computeVote's non-omitted value buffer (snapshot path)
 	uValues    []float64      // planSendPhase's U accumulation buffer
 
 	// Batched-consultation state: the per-round directives script the
@@ -104,25 +103,13 @@ type scratch struct {
 	cList []int
 
 	// Base+patch kernel state: the per-round plan (base and directives
-	// script) plus the per-receiver patch buffer. The kernel
-	// replaced the scratch observation matrix — the hot path never
-	// materializes n×n state at all, so scratch memory is O(n) with
+	// script) plus the per-receiver patch buffer. Scratch never holds
+	// n×n state (only an OnRound snapshot materializes a matrix, freshly
+	// allocated), so scratch memory is O(n) with
 	// broadcast directive rows and O(n + f·n) once a row is explicit,
 	// instead of O(n²).
 	kern  kernelPlan
 	pvals []float64 // an explicit row's patch values (≤ 2f per round)
-
-	// voteBufs are the parallel vote loop's per-worker patch buffers,
-	// sized lazily on the first parallel round (the sequential path uses
-	// pvals above and never touches them).
-	voteBufs []voteBuf
-}
-
-// voteBuf is one vote worker's private state: its patch scratch plus the
-// first error its receiver range produced.
-type voteBuf struct {
-	pvals []float64
-	err   error
 }
 
 // ensure sizes every buffer for n processes. Flat buffers grow
@@ -136,32 +123,18 @@ func (sc *scratch) ensure(n int) error {
 		sc.viewVotes = make([]float64, n)
 		sc.viewStates = make([]mobile.State, n)
 		sc.sendStates = make([]mobile.State, n)
-		sc.values = make([]float64, 0, n)
 		sc.uValues = make([]float64, 0, n)
 		sc.pvals = make([]float64, 0, n)
 		sc.fList = make([]int, 0, n)
 		sc.cList = make([]int, 0, n)
-		sc.voteBufs = nil // re-sized lazily against the new n
 		sc.n = n
 	}
 	return nil
 }
 
-// ensureVoteBufs sizes the per-worker vote buffers for the parallel loop.
-func (sc *scratch) ensureVoteBufs(workers, n int) {
-	for len(sc.voteBufs) < workers {
-		sc.voteBufs = append(sc.voteBufs, voteBuf{})
-	}
-	for i := 0; i < workers; i++ {
-		if cap(sc.voteBufs[i].pvals) < n {
-			sc.voteBufs[i].pvals = make([]float64, 0, n)
-		}
-	}
-}
-
 // Runner executes protocol runs while recycling all per-round scratch
-// state: vote and state buffers, the adversary view, the observation
-// matrix, the faulty set, and the computation-phase value buffer. A Runner
+// state: vote and state buffers, the adversary view, the round plan, the
+// faulty set, and the vote loop's patch buffer. A Runner
 // is NOT safe for concurrent use — hold one per goroutine (internal/sweep
 // gives each pool worker its own). Results remain valid after the Runner is
 // reused: everything a Result carries is copied out of scratch at the end
@@ -233,9 +206,10 @@ type runState struct {
 	faulty   *faultySet
 
 	// snapshot is set when Config.OnRound is non-nil: the per-round
-	// matrix, send states, expected values and U must then be freshly
-	// allocated, because the callback may legitimately retain them (the
-	// Table 1 experiment does). Without a callback they live in scratch.
+	// matrix, send states, expected values and U are then materialized
+	// and freshly allocated, because the callback may legitimately retain
+	// them (the Table 1 experiment does). Without a callback no matrix
+	// exists and the rest lives in scratch.
 	snapshot bool
 	// copyViews is set when the adversary declares (via
 	// mobile.ViewRetainer) that it retains views across calls; the engine
@@ -422,34 +396,11 @@ func (st *runState) runRound(round int) error {
 		}
 	}
 
-	// Receive + compute for every process not faulty during computation.
-	// On the kernel path each receiver gathers its O(f) patch, sorts it,
-	// and votes over it and the round's shared sorted base as two runs —
-	// a loop that parallelizes over receivers when the system is large
-	// enough (see computeVotesKernel); on the snapshot path it sorts its
-	// full matrix row as before. All paths produce bit-identical votes (the
-	// golden suite pins this at multiple worker counts).
-	tau := cfg.Tau()
-	if plan.kern != nil {
-		if err := st.computeVotesKernel(round, tau, plan.kern); err != nil {
-			return err
-		}
-	} else {
-		for i := 0; i < cfg.N; i++ {
-			if st.faulty.has(i) {
-				st.newVotes[i] = math.NaN()
-				continue
-			}
-			obsRow, err := plan.matrix.Row(i)
-			if err != nil {
-				return err
-			}
-			v, err := computeVote(cfg.Algorithm, tau, obsRow, st.votes[i], st.sc.values[:0])
-			if err != nil {
-				return fmt.Errorf("core: round %d process %d: %w", round, i, err)
-			}
-			st.newVotes[i] = v
-		}
+	// Receive + compute for every process not faulty during computation:
+	// each receiver votes over the round's shared sorted base plus its row
+	// of the directives script, as two runs.
+	if err := st.voteRange(round, cfg.Tau(), plan.kern); err != nil {
+		return err
 	}
 	if st.rec.Enabled() {
 		for i := 0; i < cfg.N; i++ {

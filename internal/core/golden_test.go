@@ -70,29 +70,6 @@ func TestGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestGoldenDigestsParallelVote re-runs the whole matrix through the
-// parallel vote loop at two explicit worker counts (explicit settings
-// bypass the size crossover, so even the small golden systems fan out).
-// The pinned digests must reproduce for every worker count — the loop
-// partitions receivers over an immutable plan, so the partition must not
-// be observable.
-func TestGoldenDigestsParallelVote(t *testing.T) {
-	r := core.NewRunner()
-	for _, workers := range []int{2, 4} {
-		for _, gc := range goldenCases(t) {
-			cfg := gc.Cfg
-			cfg.VoteWorkers = workers
-			res, err := r.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", gc.Key, workers, err)
-			}
-			if d := golden.Digest(res); d != golden.Digests[gc.Key] {
-				t.Errorf("%s: workers=%d digest 0x%016x, pinned 0x%016x", gc.Key, workers, d, golden.Digests[gc.Key])
-			}
-		}
-	}
-}
-
 // TestGoldenRunnerReuse asserts that a single Runner executing the entire
 // golden matrix back-to-back — recycling its scratch state between runs —
 // still reproduces every pinned digest. This is the regression test for

@@ -27,15 +27,13 @@ import (
 // base. Explicit per-sender rows are copied out and attached as a patch,
 // NaN-checked and sorted there: O(n log n + n·(f log f + log n)) per round.
 // Dolev adds a lookup per selected rank and FTA a walk over each
-// receiver's survivors. On the hot path (no OnRound snapshot)
-// planSendPhase emits this form directly and the matrix is never
-// materialized; the matrix and the per-sender expected values remain the
-// snapshot representation for OnRound consumers.
+// receiver's survivors. planSendPhase emits this form for every round and
+// voteRange is the one vote loop over it; the n×n matrix exists only as a
+// view materialized from the plan for OnRound consumers (snapshotPlan).
 
 // kernelPlan is one round's send phase in base+patch form. Its buffers live
 // in the Runner's scratch and grow monotonically; a plan is valid until the
-// next round is planned. The parallel vote loop shares it read-only with
-// its vote workers.
+// next round is planned.
 type kernelPlan struct {
 	// base accumulates the symmetric senders' values; sealBase validates
 	// and sorts it in place into baseSet, the round's shared base. Every
@@ -86,68 +84,6 @@ func (kp *kernelPlan) received(dst []float64, receiver int) (multiset.Multiset, 
 	return kp.baseSet, nil
 }
 
-// planKernelSendPhase is planSendPhase's hot-path twin: it classifies every
-// sender in one ascending pass, then obtains the whole adversarial script
-// in a single RoundDirectives consultation, and emits the
-// base+patch form without ever touching an observation matrix. U is
-// accumulated (over scratch) only when the checkers will read it.
-func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
-	cfg := st.cfg
-	votes, states := st.votes, st.states
-	kp := &st.sc.kern
-	kp.reset()
-	d := &st.sc.dirs
-	d.Reset(cfg.N)
-	faulty := st.sc.fList[:0]
-	cured := st.sc.cList[:0]
-	needU := st.report != nil
-	var uValues []float64
-	if needU {
-		uValues = st.sc.uValues[:0]
-	}
-
-	for sender := 0; sender < cfg.N; sender++ {
-		switch states[sender] {
-		case mobile.StateCorrect:
-			if needU {
-				uValues = append(uValues, votes[sender])
-			}
-			kp.addSymmetric(votes[sender])
-		case mobile.StateFaulty:
-			faulty = append(faulty, sender)
-			d.AddSender(sender, false)
-		case mobile.StateCured:
-			cured = append(cured, sender)
-			switch cfg.Model {
-			case mobile.M1Garay:
-				// Aware and silent: no receiver observes anything.
-			case mobile.M2Bonnet:
-				kp.addSymmetric(votes[sender])
-			case mobile.M3Sasaki:
-				d.AddSender(sender, true)
-			case mobile.M4Buhrman:
-				return plannedRound{}, fmt.Errorf("core: cured process %d during an M4 send phase", sender)
-			}
-		default:
-			return plannedRound{}, fmt.Errorf("core: process %d in invalid state %v", sender, states[sender])
-		}
-	}
-	st.consultRound(round, faulty, cured, d)
-	kp.dirs = d
-	if err := kp.sealBase(); err != nil {
-		return plannedRound{}, err
-	}
-	plan := plannedRound{kern: kp}
-	if needU {
-		u, err := multiset.FromOwned(uValues)
-		if err != nil {
-			return plannedRound{}, fmt.Errorf("core: building U: %w", err)
-		}
-		plan.u = u
-	}
-	return plan, nil
-}
-
 // consultRound performs the round's single adversary consultation: it seals
 // the directives script (every row omitted) and hands the RoundView to the
 // run's adversary to fill it. The view is the zero-copy send-phase
@@ -163,11 +99,15 @@ func (st *runState) consultRound(round int, faulty, cured []int, d *mobile.Direc
 	st.cfg.Adversary.RoundDirectives(&st.sc.rview, d)
 }
 
-// computeVoteKernel is computeVote over the base+patch form: apply the
-// voting function over the receiver's two-run multiset (kernelPlan.received),
-// which reads its elements in the order and with the left-to-right
-// summation the per-receiver sort produces, so the result is bit-identical.
-// The total-silence fallback mirrors computeVote: retain the previous value.
+// computeVoteKernel applies the voting function over the receiver's two-run
+// multiset (kernelPlan.received), which reads its elements in the order and
+// with the left-to-right summation a per-receiver sort of the full row
+// produces, so the result is bit-identical to msr.ApplyCapped over that
+// row. Trimming degrades gracefully when omissions leave fewer than 2τ+1
+// values (τ_eff = min(τ, (m−1)/2)); only deliberately sub-bound runs reach
+// that. On total silence the receiver retains its previous value (a real
+// protocol has nothing better); a NaN previous value means it had no usable
+// state, which cannot happen for a non-faulty process with n > 1.
 func computeVoteKernel(algo msr.Algorithm, tau int, received multiset.Multiset, previous float64) (float64, error) {
 	if received.IsEmpty() {
 		if math.IsNaN(previous) {

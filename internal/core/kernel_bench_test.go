@@ -9,11 +9,10 @@ import (
 )
 
 // BenchmarkKernelRound measures the steady-state round loop on a reused
-// Runner in both plan representations: the base+patch kernel (the hot
-// path) and the n×n matrix reference (forced via an OnRound no-op, the
-// snapshot path). The gap between the two arms is the kernel's win with
-// everything else — adversary consultation, movement, PRNG derivation —
-// held identical.
+// Runner, without and with an OnRound callback (a no-op). Both arms vote
+// through the kernel; the gap between them is the cost of materializing
+// each round's n×n observation matrix, expected values and U for the
+// callback.
 func BenchmarkKernelRound(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		f := mobile.M2Bonnet.MaxFaulty(n)
@@ -36,7 +35,7 @@ func BenchmarkKernelRound(b *testing.B) {
 			cfg  Config
 		}{
 			{"kernel", cfg},
-			{"matrix", func() Config {
+			{"snapshot", func() Config {
 				c := cfg
 				c.OnRound = func(RoundInfo) {}
 				return c

@@ -1,10 +1,12 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"math"
 	"testing"
 
+	"mbfaa/internal/core"
+	"mbfaa/internal/golden"
 	"mbfaa/internal/mobile"
 	"mbfaa/internal/msr"
 )
@@ -41,54 +43,59 @@ func (a *mixedRowAdversary) RoundDirectives(rv *mobile.RoundView, d *mobile.Dire
 	}
 }
 
-// TestKernelMixedRowForms checks that the kernel path — a broadcast row
-// voted on as a constant run, an explicit row as a patch, an omitted row
-// as the bare base — gives every round's votes bit for bit as the snapshot
-// path's per-receiver sort over the observation matrix does, for every
-// model and algorithm, sequentially and with four vote workers.
+// TestKernelMixedRowForms checks that the kernel's votes — a broadcast row
+// voted on as a constant run, an explicit row as a patch, an omitted row as
+// the bare base — equal, bit for bit and every round, the matrix reference's
+// per-receiver sort over the observation matrix materialized from the same
+// plan (golden.CheckMatrixVotes), for every model and algorithm. A run
+// without OnRound must also give the same votes as one with it: the
+// snapshot materialization must not perturb the run.
 func TestKernelMixedRowForms(t *testing.T) {
 	const n = 13
 	inputs := []float64{0, 0, 1, 0.5, 0.25, 0.75, 0.1, 0.9, 0.3, 0.7, 0, 0.6, 0.4}
 	for _, model := range []mobile.Model{mobile.M1Garay, mobile.M2Bonnet, mobile.M3Sasaki, mobile.M4Buhrman} {
 		for _, algo := range msr.All() {
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%v/%s/workers=%d", model, algo.Name(), workers)
-				run := func(snapshot bool) (*Result, [][]float64) {
-					adv := &mixedRowAdversary{}
-					cfg := Config{
-						Model:       model,
-						N:           n,
-						F:           model.MaxFaulty(n),
-						Algorithm:   algo,
-						Adversary:   adv,
-						Inputs:      inputs,
-						Epsilon:     1e-9,
-						FixedRounds: 6,
-						Seed:        3,
-						VoteWorkers: workers,
-					}
-					if snapshot {
-						cfg.OnRound = func(RoundInfo) {}
-					}
-					res, err := Run(cfg)
-					if err != nil {
-						t.Fatalf("%s (snapshot %v): %v", name, snapshot, err)
-					}
-					return res, adv.votes
+			name := fmt.Sprintf("%v/%s", model, algo.Name())
+			run := func(snapshot bool) (*core.Result, [][]float64) {
+				adv := &mixedRowAdversary{}
+				cfg := core.Config{
+					Model:       model,
+					N:           n,
+					F:           model.MaxFaulty(n),
+					Algorithm:   algo,
+					Adversary:   adv,
+					Inputs:      inputs,
+					Epsilon:     1e-9,
+					FixedRounds: 6,
+					Seed:        3,
 				}
-				kres, kvotes := run(false)
-				sres, svotes := run(true)
-				if len(kvotes) != len(svotes) {
-					t.Fatalf("%s: %d consultations on the kernel path, %d on the snapshot path", name, len(kvotes), len(svotes))
+				var report func() (int, error)
+				if snapshot {
+					cfg.OnRound, report = golden.ReferenceHook(cfg)
 				}
-				for round := range kvotes {
-					if !sameVoteBits(kvotes[round], svotes[round]) {
-						t.Fatalf("%s: votes before round %d: kernel %v, snapshot %v", name, round, kvotes[round], svotes[round])
+				res, err := core.Run(cfg)
+				if err != nil {
+					t.Fatalf("%s (snapshot %v): %v", name, snapshot, err)
+				}
+				if snapshot {
+					if rounds, err := report(); err != nil || rounds != res.Rounds {
+						t.Fatalf("%s: %d of %d rounds checked against the matrix reference: %v", name, rounds, res.Rounds, err)
 					}
 				}
-				if !sameVoteBits(kres.Votes, sres.Votes) || !sameVoteBits(kres.DiameterSeries, sres.DiameterSeries) {
-					t.Fatalf("%s: final votes: kernel %v, snapshot %v", name, kres.Votes, sres.Votes)
+				return res, adv.votes
+			}
+			kres, kvotes := run(false)
+			sres, svotes := run(true)
+			if len(kvotes) != len(svotes) {
+				t.Fatalf("%s: %d consultations without OnRound, %d with it", name, len(kvotes), len(svotes))
+			}
+			for round := range kvotes {
+				if !sameVoteBits(kvotes[round], svotes[round]) {
+					t.Fatalf("%s: votes before round %d: without OnRound %v, with it %v", name, round, kvotes[round], svotes[round])
 				}
+			}
+			if !sameVoteBits(kres.Votes, sres.Votes) || !sameVoteBits(kres.DiameterSeries, sres.DiameterSeries) {
+				t.Fatalf("%s: final votes: without OnRound %v, with it %v", name, kres.Votes, sres.Votes)
 			}
 		}
 	}

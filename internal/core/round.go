@@ -6,13 +6,10 @@ import (
 
 	"mbfaa/internal/mixedmode"
 	"mbfaa/internal/mobile"
-	"mbfaa/internal/msr"
 	"mbfaa/internal/multiset"
 )
 
-// Labels for deriving per-phase adversary random streams. Both plan
-// representations derive the same streams, which keeps randomized
-// adversaries identical whether or not OnRound is set.
+// Labels for deriving per-phase adversary random streams.
 const (
 	phasePlace uint64 = iota + 1
 	phaseSend
@@ -23,6 +20,9 @@ const (
 // fields are owned by the callback and remain valid after the run — the
 // engine allocates them fresh whenever OnRound is set (experiments such as
 // Table 1 retain the matrix and classify it after the sweep completes).
+// Matrix and Expected are materialized from the round's kernel plan (its
+// states, votes and directives script); the votes themselves come from the
+// kernel, never from the matrix.
 type RoundInfo struct {
 	// Round is the round index, starting at 0.
 	Round int
@@ -46,13 +46,13 @@ type RoundInfo struct {
 	U multiset.Multiset
 }
 
-// plannedRound holds the fully determined send phase of one round, in one
-// of two representations. On the hot path (no OnRound callback) kern holds
-// the base+patch kernel form and no matrix exists; when OnRound is set the
-// observation matrix and expected values are materialized instead, because
-// the callback may legitimately retain them. Kernel plans live in the
-// engine's scratch and are only valid until the next round is planned;
-// snapshot plans are freshly allocated.
+// plannedRound is one round's fully determined send phase. kern is the
+// base+patch kernel plan the votes are computed from; it lives in the
+// engine's scratch and is only valid until the next round is planned. With
+// an OnRound callback the plan also carries the observation matrix and the
+// expected values materialized from kern, freshly allocated because the
+// callback may retain them; u is set whenever the checkers or the callback
+// read it.
 type plannedRound struct {
 	kern     *kernelPlan
 	matrix   *mixedmode.Matrix
@@ -127,10 +127,10 @@ func (st *runState) freshView(round int, phase uint64) *mobile.View {
 	}
 }
 
-// planSendPhase computes one round's send phase. The adversary is consulted
-// exactly once, through Adversary.RoundDirectives, over a directives script
-// whose senders are registered ascending, so a randomized adversary draws
-// identically on both plan representations.
+// planSendPhase computes one round's send phase in base+patch kernel form
+// (kernel.go). Every sender is classified in one ascending pass, then the
+// adversary is consulted exactly once, through Adversary.RoundDirectives,
+// over a directives script whose senders are registered ascending.
 //
 // Send semantics per state (paper §3 and Lemmas 1–4):
 //
@@ -142,56 +142,42 @@ func (st *runState) freshView(round int, phase uint64) *mobile.View {
 //	cured, M4    cannot occur: agents move with messages, so no process
 //	             is cured during a send phase
 //
-// On the hot path (no OnRound callback) the plan is emitted in base+patch
-// kernel form and the n×n observation matrix is skipped entirely; U is
-// built — over scratch — only when the checkers will read it. The matrix
-// path below serves OnRound snapshots, whose consumers (the Table 1
-// classifier) need the full matrix and the expected values and may retain
-// them, so everything is freshly allocated.
+// U is built only when the checkers or an OnRound callback will read it:
+// over scratch for the checkers, freshly allocated for the callback, which
+// may retain it. With OnRound set the plan also carries the observation
+// matrix and expected values (snapshotPlan).
 func (st *runState) planSendPhase(round int) (plannedRound, error) {
-	if !st.snapshot {
-		return st.planKernelSendPhase(round)
-	}
 	cfg := st.cfg
 	votes, states := st.votes, st.states
-
-	matrix, err := mixedmode.NewMatrix(cfg.N)
-	if err != nil {
-		return plannedRound{}, err
-	}
-	expected := make([]float64, cfg.N)
-	var uValues []float64
-
+	kp := &st.sc.kern
+	kp.reset()
 	d := &st.sc.dirs
 	d.Reset(cfg.N)
 	faulty := st.sc.fList[:0]
 	cured := st.sc.cList[:0]
+	needU := st.report != nil || st.snapshot
+	var uValues []float64 // fresh for a callback, which may retain U
+	if !st.snapshot {
+		uValues = st.sc.uValues[:0]
+	}
+
 	for sender := 0; sender < cfg.N; sender++ {
 		switch states[sender] {
 		case mobile.StateCorrect:
-			expected[sender] = votes[sender]
-			uValues = append(uValues, votes[sender])
-			for receiver := 0; receiver < cfg.N; receiver++ {
-				if err := matrix.Record(receiver, sender, mixedmode.Observation{Value: votes[sender]}); err != nil {
-					return plannedRound{}, err
-				}
+			if needU {
+				uValues = append(uValues, votes[sender])
 			}
+			kp.addSymmetric(votes[sender])
 		case mobile.StateFaulty:
-			expected[sender] = math.NaN()
 			faulty = append(faulty, sender)
 			d.AddSender(sender, false)
 		case mobile.StateCured:
-			expected[sender] = math.NaN()
 			cured = append(cured, sender)
 			switch cfg.Model {
 			case mobile.M1Garay:
-				// Aware and silent: every entry stays Omitted.
+				// Aware and silent: no receiver observes anything.
 			case mobile.M2Bonnet:
-				for receiver := 0; receiver < cfg.N; receiver++ {
-					if err := matrix.Record(receiver, sender, mixedmode.Observation{Value: votes[sender]}); err != nil {
-						return plannedRound{}, err
-					}
-				}
+				kp.addSymmetric(votes[sender])
 			case mobile.M3Sasaki:
 				d.AddSender(sender, true)
 			case mobile.M4Buhrman:
@@ -201,55 +187,65 @@ func (st *runState) planSendPhase(round int) (plannedRound, error) {
 			return plannedRound{}, fmt.Errorf("core: process %d in invalid state %v", sender, states[sender])
 		}
 	}
-
-	// One consultation fills the adversarial entries; Directives.Set
-	// and SetRow already sanitised NaN into omissions, so non-omitted
-	// entries transfer to the matrix unconditionally.
 	st.consultRound(round, faulty, cured, d)
-	for k, m := 0, d.Len(); k < m; k++ {
-		sender := d.Sender(k)
-		for receiver := 0; receiver < cfg.N; receiver++ {
-			val, omit := d.At(k, receiver)
-			if omit {
-				continue // entry remains Omitted
-			}
-			if err := matrix.Record(receiver, sender, mixedmode.Observation{Value: val}); err != nil {
-				return plannedRound{}, err
-			}
+	kp.dirs = d
+	if err := kp.sealBase(); err != nil {
+		return plannedRound{}, err
+	}
+	plan := plannedRound{kern: kp}
+	if needU {
+		u, err := multiset.FromOwned(uValues)
+		if err != nil {
+			return plannedRound{}, fmt.Errorf("core: building U: %w", err)
+		}
+		plan.u = u
+	}
+	if st.snapshot {
+		if err := st.snapshotPlan(&plan); err != nil {
+			return plannedRound{}, err
 		}
 	}
-
-	plan := plannedRound{matrix: matrix, expected: expected}
-	u, err := multiset.FromOwned(uValues)
-	if err != nil {
-		return plannedRound{}, fmt.Errorf("core: building U: %w", err)
-	}
-	plan.u = u
 	return plan, nil
 }
 
-// computeVote applies the voting function to one receiver's observation
-// row, accumulating the non-omitted values in the provided scratch buffer
-// (passed with length 0; capacity must cover len(row), which the engine
-// guarantees). Trimming degrades gracefully when omissions leave fewer than
-// 2τ+1 values: the process trims as much as it can while keeping one
-// survivor (τ_eff = min(τ, (m−1)/2)). Above the replica bound τ_eff always
-// equals τ; the degradation only matters in deliberately sub-bound runs.
-func computeVote(algo msr.Algorithm, tau int, row []mixedmode.Observation, previous float64, scratch []float64) (float64, error) {
-	values := scratch
-	for _, o := range row {
-		if !o.Omitted {
-			values = append(values, o.Value)
+// snapshotPlan materializes the planned round for an OnRound callback: the
+// n×n observation matrix and the expected values, read off the same states,
+// votes and directives script the kernel votes on. It must run before
+// moveM4 mutates states and votes. Both are freshly allocated, because the
+// callback may retain them (the Table 1 classifier does).
+func (st *runState) snapshotPlan(plan *plannedRound) error {
+	n := st.cfg.N
+	matrix, err := mixedmode.NewMatrix(n)
+	if err != nil {
+		return err
+	}
+	expected := make([]float64, n)
+	for sender, state := range st.states {
+		expected[sender] = math.NaN()
+		if state == mobile.StateCorrect {
+			expected[sender] = st.votes[sender]
+		} else if state != mobile.StateCured || st.cfg.Model != mobile.M2Bonnet {
+			continue // asymmetric senders are scripted below; M1-cured ones are silent
+		}
+		for receiver := 0; receiver < n; receiver++ {
+			if err := matrix.Record(receiver, sender, mixedmode.Observation{Value: st.votes[sender]}); err != nil {
+				return err
+			}
 		}
 	}
-	if len(values) == 0 {
-		// Total silence: retain the previous value (a real protocol has
-		// nothing better); NaN previous means the process had no usable
-		// state, which cannot happen for a non-faulty process with n > 1.
-		if math.IsNaN(previous) {
-			return 0, fmt.Errorf("core: no values received and no previous state")
+	// Directives.Set and SetRow already sanitised NaN into omissions, so
+	// non-omitted entries transfer to the matrix unconditionally.
+	d := plan.kern.dirs
+	for k, m := 0, d.Len(); k < m; k++ {
+		sender := d.Sender(k)
+		for receiver := 0; receiver < n; receiver++ {
+			if val, omit := d.At(k, receiver); !omit {
+				if err := matrix.Record(receiver, sender, mixedmode.Observation{Value: val}); err != nil {
+					return err
+				}
+			}
 		}
-		return previous, nil
 	}
-	return msr.ApplyCapped(algo, values, tau)
+	plan.matrix, plan.expected = matrix, expected
+	return nil
 }

@@ -9,7 +9,9 @@
 //
 // The package lives outside the test binaries on purpose: internal/core and
 // the root mbfaa package both import it, which keeps one case matrix and
-// one digest table shared between every equivalence suite.
+// one digest table shared between every equivalence suite. For the same
+// reason it holds the per-round vote reference (CheckMatrixVotes), which
+// the core and proptest suites hold the engine's kernel to.
 package golden
 
 import (

@@ -41,10 +41,9 @@ func NewMatrix(n int) (*Matrix, error) {
 func (m *Matrix) N() int { return m.n }
 
 // Row returns receiver's observation row as a read-only view of the
-// matrix's backing store — no copy. (Matrix.Reset, which once let the
-// engine recycle a scratch matrix across rounds, is gone: the hot path
-// runs on the base+patch kernel and a matrix is only materialized for
-// OnRound snapshots, freshly allocated per round.)
+// matrix's backing store — no copy. The engine never votes on a matrix:
+// it votes on its base+patch kernel plan and materializes a matrix from
+// that plan only for OnRound snapshots, freshly allocated per round.
 func (m *Matrix) Row(receiver int) ([]Observation, error) {
 	if receiver < 0 || receiver >= m.n {
 		return nil, fmt.Errorf("mixedmode: row %d out of range for n=%d", receiver, m.n)

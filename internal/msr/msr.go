@@ -211,11 +211,13 @@ func (Median) Contraction(m, tau, asym int) (float64, bool) { return 0, false }
 // trim parameter so at least one value survives reduction (see
 // ApplyReceived). It returns an error for an empty value set.
 //
-// ApplyCapped takes ownership of values for the duration of the call and
-// sorts the slice in place (multiset.FromOwned) — the computation phase
-// runs once per process per round and must not allocate. Callers that need
-// the original order must copy first; every engine call site feeds a
-// scratch buffer that is rebuilt before its next use.
+// ApplyCapped is the naive vote over one receiver's full set of received
+// values — one sort per receiver — and the reference the base+patch
+// kernel (KernelVote, ApplyReceived over a two-run multiset) is held to bit
+// for bit: by this package's kernel tests, and per round of the engine by
+// golden.CheckMatrixVotes. It takes ownership of values for the duration
+// of the call and sorts the slice in place (multiset.FromOwned); callers
+// that need the original order must copy first.
 func ApplyCapped(algo Algorithm, values []float64, tau int) (float64, error) {
 	ms, err := multiset.FromOwned(values)
 	if err != nil {

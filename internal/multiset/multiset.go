@@ -13,9 +13,9 @@
 // receiver's own patch. The patch is either an O(f) slice (WithPatch) or a
 // constant run of count copies of one value (WithRepeated), the shape of a
 // broadcast row, which costs O(1) to attach. Rank queries (At, Min, Max,
-// Trim, Median, Midpoint, and the ranks SelectEvery and MeanEvery keep)
-// find their element by a co-rank binary search over the two runs, O(log n)
-// whatever the patch's shape, and Mean walks the elements in merge order,
+// Trim, Median, Midpoint, and the ranks MeanEvery selects) find their
+// element by a co-rank binary search over the two runs, O(log n) whatever
+// the patch's shape, and Mean walks the elements in merge order,
 // so a vote never materializes the n received values. The merge order
 // breaks ties base-first, exactly as MergeSortedInto does, so every result
 // is bit-identical to the same method on the merged single-run multiset.
@@ -240,7 +240,7 @@ func split(a []float64, b run, k int) int {
 
 // at returns the k-th element of the merge of the runs a and b. The
 // single-run case stays small enough to inline: the multisets an adversary
-// simulates and the snapshot path votes on carry no patch.
+// simulates and a round's bare base carry no patch.
 func at(a []float64, b run, k int) float64 {
 	if b.n == 0 {
 		return a[k]
@@ -365,18 +365,8 @@ func (iv Interval) ContainsWithin(x, rel float64) bool {
 	return iv.Lo-tol <= x && x <= iv.Hi+tol
 }
 
-// ContainsInterval reports whether other is entirely inside iv.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	return iv.Lo <= other.Lo && other.Hi <= iv.Hi
-}
-
 // Width returns Hi − Lo.
 func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
-// Intersects reports whether the two closed intervals share a point.
-func (iv Interval) Intersects(other Interval) bool {
-	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
-}
 
 // Range returns ρ(V) = [min(V), max(V)]. The second return is false for the
 // empty multiset, whose range is undefined.
@@ -479,12 +469,12 @@ func (m Multiset) Trim(tau int) (Multiset, error) {
 	return of(a[lo:hi], b.sub(tau-lo, n-tau-hi)), nil
 }
 
-// eachSelected calls visit on the elements SelectEvery(step) keeps, in
-// order, looking each selected rank up directly; step ≥ 1. The final
-// element is always included (Dolev et al. select indices 0, step, ... and
-// the last) so the selected subsequence spans the full reduced range;
-// without it the mean loses range coverage and the convergence-rate bound
-// 1/⌈(m−2τ)/τ⌉ no longer holds.
+// eachSelected calls visit, in order, on the elements at indices 0, step,
+// 2·step, …, plus the last — the selection function of Dolev et al.'s
+// averaging algorithms — looking each selected rank up directly; step ≥ 1.
+// The final element is always included so the selection spans the full
+// reduced range; without it the mean loses range coverage and the
+// convergence-rate bound 1/⌈(m−2τ)/τ⌉ no longer holds.
 func (m Multiset) eachSelected(step int, visit func(float64)) {
 	a, b := m.runs()
 	n := len(a) + b.n
@@ -496,22 +486,9 @@ func (m Multiset) eachSelected(step int, visit func(float64)) {
 	}
 }
 
-// SelectEvery returns the subsequence of every step-th element starting at
-// index 0: elements at indices 0, step, 2·step, …, plus the last. This is
-// the selection function of Dolev et al.'s averaging algorithms. step must
-// be ≥ 1.
-func (m Multiset) SelectEvery(step int) (Multiset, error) {
-	if step < 1 {
-		return Multiset{}, fmt.Errorf("multiset: selection step %d must be >= 1", step)
-	}
-	out := make([]float64, 0, m.Len()/step+2)
-	m.eachSelected(step, func(v float64) { out = append(out, v) })
-	return of(out, run{}), nil
-}
-
-// MeanEvery returns the mean of SelectEvery(step) — the same elements
-// Kahan-summed in the same order, so the same bits — without building the
-// selection. It returns an error if step < 1 or the multiset is empty.
+// MeanEvery returns the Kahan-summed mean of the every-step-th selection
+// (eachSelected), without building the selection. It returns an error if
+// step < 1 or the multiset is empty.
 func (m Multiset) MeanEvery(step int) (float64, error) {
 	if step < 1 {
 		return 0, fmt.Errorf("multiset: selection step %d must be >= 1", step)
@@ -528,34 +505,14 @@ func (m Multiset) MeanEvery(step int) (float64, error) {
 	return sum.sum / float64(count), nil
 }
 
-// Extremes returns the two-element multiset {min(V), max(V)}, the selection
-// used by the fault-tolerant midpoint algorithm. The second return is false
-// for the empty multiset.
-func (m Multiset) Extremes() (Multiset, bool) {
-	a, b := m.runs()
-	n := len(a) + b.n
-	if n == 0 {
-		return Multiset{}, false
-	}
-	return of([]float64{at(a, b, 0), at(a, b, n-1)}, run{}), true
-}
-
-// Union returns the multiset union of m and other. Both operands are
-// already sorted, so the result is built by one linear merge — O(a+b)
-// instead of the former concatenate-then-sort O((a+b)·log(a+b)).
-func (m Multiset) Union(other Multiset) Multiset {
-	a, b := m.flat(), other.flat()
-	return of(MergeSortedInto(make([]float64, 0, len(a)+len(b)), a, b), run{})
-}
-
 // MergeSortedInto appends the linear merge of the two ascending slices a
-// and b to dst and returns the extended slice — the raw-slice merge behind
-// Union and Values, and the order a received multiset's two runs are read
-// in. Ties take a's element first; since tied float64s are bit-identical
-// (NaN is excluded upstream and ±0.0 are interchangeable in every
-// downstream reduction), the output is the same ascending value sequence a
-// full sort of the concatenation yields. Callers pass dst with length 0
-// and sufficient capacity to stay allocation-free.
+// and b to dst and returns the extended slice — the order Values and every
+// rank lookup read a received multiset's two runs in. Ties take a's element
+// first; since tied float64s are bit-identical (NaN is excluded upstream
+// and ±0.0 are interchangeable in every downstream reduction), the output
+// is the same ascending value sequence a full sort of the concatenation
+// yields. Callers pass dst with length 0 and sufficient capacity to stay
+// allocation-free.
 func MergeSortedInto(dst, a, b []float64) []float64 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -584,28 +541,6 @@ func (m Multiset) Add(v float64) (Multiset, error) {
 	out = append(out, v)
 	out = append(out, vs[i:]...)
 	return of(out, run{}), nil
-}
-
-// Count returns the multiplicity of v in the multiset.
-func (m Multiset) Count(v float64) int {
-	vs := m.flat()
-	lo := sort.SearchFloat64s(vs, v)
-	hi := lo
-	for hi < len(vs) && vs[hi] == v {
-		hi++
-	}
-	return hi - lo
-}
-
-// CountWithin returns how many elements fall in the closed interval iv.
-func (m Multiset) CountWithin(iv Interval) int {
-	vs := m.flat()
-	lo := sort.SearchFloat64s(vs, iv.Lo)
-	hi := sort.Search(len(vs), func(i int) bool { return vs[i] > iv.Hi })
-	if hi < lo {
-		return 0
-	}
-	return hi - lo
 }
 
 // Equal reports whether the two multisets contain exactly the same values

@@ -1,13 +1,13 @@
 // Package proptest cross-checks the base+patch round kernel against the
 // naive per-receiver-sort reference over a randomized configuration space.
 //
-// The reference is the engine's own snapshot path: setting Config.OnRound
-// forces planSendPhase onto the n×n observation matrix, and every receiver
-// then gathers and sorts its full row (computeVote) — exactly the
-// pre-kernel computation. A plain run of the same Config takes the kernel
-// path (shared sorted base + per-receiver patch, voted as two runs). Both
-// must produce bit-identical Results, which this suite asserts via the
-// golden digest (every float folded by bit pattern) across models,
+// The reference is golden.CheckMatrixVotes, run from an OnRound callback:
+// every round, the engine materializes the n×n observation matrix from its
+// kernel plan, and the reference gathers and sorts each non-faulty
+// receiver's full row and votes on it with msr.ApplyCapped — exactly the
+// pre-kernel computation — and requires the kernel's vote bit for bit. A
+// plain run of the same Config (no callback, no matrix) must also give the
+// same golden digest (every float folded by bit pattern), across models,
 // algorithms, adversaries (splitter, greedy, random, crash, mixed-mode),
 // seeds, omission-heavy rounds (crash omits everything; random omits 10%)
 // and sub-bound systems (n ≤ bound — the regime ClusterSpec.AllowSubBound
@@ -128,7 +128,8 @@ func buildTrials(t *testing.T) []trial {
 }
 
 // TestKernelMatchesNaiveReference is the randomized bit-exactness
-// cross-check: kernel path == matrix reference, digest-identical, for every
+// cross-check: every round's kernel votes equal the matrix reference's, and
+// a run without OnRound is digest-identical to one with it, for every
 // trial.
 func TestKernelMatchesNaiveReference(t *testing.T) {
 	runner := core.NewRunner()
@@ -140,13 +141,7 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 			t.Fatalf("%s: kernel run: %v", tr.key, err)
 		}
 
-		naiveCfg := tr.cfg
-		naiveCfg.Adversary = tr.fresh()
-		naiveCfg.OnRound = func(core.RoundInfo) {} // forces the matrix reference path
-		naiveRes, err := runner.Run(naiveCfg)
-		if err != nil {
-			t.Fatalf("%s: naive run: %v", tr.key, err)
-		}
+		naiveRes := runReference(t, runner, tr.key, tr.cfg, tr.fresh())
 		if kd, nd := golden.Digest(kernelRes), golden.Digest(naiveRes); kd != nd {
 			t.Errorf("%s: kernel digest %x != naive reference %x\nkernel votes: %v\nnaive votes:  %v",
 				tr.key, kd, nd, kernelRes.Votes, naiveRes.Votes)
@@ -154,41 +149,29 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-// TestParallelVoteMatchesSequential sweeps the randomized space through the
-// parallel vote loop at two explicit worker counts and asserts digest
-// equality with the sequential loop — the worker-count invariance of the
-// per-receiver partition over the randomized configurations, complementing
-// the golden suite's pinned matrix.
-func TestParallelVoteMatchesSequential(t *testing.T) {
-	runner := core.NewRunner()
-	for _, tr := range buildTrials(t) {
-		seqCfg := tr.cfg
-		seqCfg.Adversary = tr.fresh()
-		seqCfg.VoteWorkers = 1
-		seqRes, err := runner.Run(seqCfg)
-		if err != nil {
-			t.Fatalf("%s: sequential run: %v", tr.key, err)
-		}
-		want := golden.Digest(seqRes)
-		for _, workers := range []int{2, 5} {
-			parCfg := tr.cfg
-			parCfg.Adversary = tr.fresh()
-			parCfg.VoteWorkers = workers
-			parRes, err := runner.Run(parCfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tr.key, workers, err)
-			}
-			if d := golden.Digest(parRes); d != want {
-				t.Errorf("%s: workers=%d digest %x != sequential %x", tr.key, workers, d, want)
-			}
-		}
+// runReference runs cfg with adv and an OnRound callback that holds every
+// round's votes to the matrix reference, failing the test on the first
+// mismatch or if any round went unchecked.
+func runReference(t *testing.T, runner *core.Runner, key string, cfg core.Config, adv mobile.Adversary) *core.Result {
+	t.Helper()
+	cfg.Adversary = adv
+	var report func() (int, error)
+	cfg.OnRound, report = golden.ReferenceHook(cfg)
+	res, err := runner.Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: naive run: %v", key, err)
 	}
+	if rounds, err := report(); err != nil || rounds != res.Rounds {
+		t.Fatalf("%s: %d of %d rounds checked against the matrix reference: %v", key, rounds, res.Rounds, err)
+	}
+	return res
 }
 
 // TestKernelMatchesNaiveWithCheckers repeats a slice of the space with the
-// invariant checkers enabled: the checkers read U, which the kernel path
-// accumulates separately from the base, so the verdicts — violation lists
-// and Theorem 1 certificates — must agree with the matrix reference too.
+// invariant checkers enabled: the checkers read U, which a run without
+// OnRound builds over scratch and a run with it allocates fresh, so the
+// verdicts — violation lists and Theorem 1 certificates — must agree, and
+// every round must still match the matrix reference.
 func TestKernelMatchesNaiveWithCheckers(t *testing.T) {
 	runner := core.NewRunner()
 	for _, tr := range buildTrials(t) {
@@ -202,13 +185,7 @@ func TestKernelMatchesNaiveWithCheckers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: kernel run: %v", tr.key, err)
 		}
-		naiveCfg := kernelCfg
-		naiveCfg.Adversary = tr.fresh()
-		naiveCfg.OnRound = func(core.RoundInfo) {}
-		naiveRes, err := runner.Run(naiveCfg)
-		if err != nil {
-			t.Fatalf("%s: naive run: %v", tr.key, err)
-		}
+		naiveRes := runReference(t, runner, tr.key, kernelCfg, tr.fresh())
 		if kd, nd := golden.Digest(kernelRes), golden.Digest(naiveRes); kd != nd {
 			t.Errorf("%s: checker-enabled kernel digest %x != naive %x", tr.key, kd, nd)
 			continue

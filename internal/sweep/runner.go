@@ -159,17 +159,7 @@ func RunJobs(jobs []Job, opt Options) ([]*core.Result, error) {
 		case jobs[i].Adversary == nil:
 			errs[i] = fmt.Errorf("nil adversary constructor")
 		default:
-			cfg := jobs[i].config(i, opt)
-			if workers > 1 {
-				// The pool already saturates the cores with job-level
-				// parallelism; the engine's per-round vote loop nesting its
-				// own goroutines underneath would only add scheduling churn.
-				// VoteWorkers is result-invariant, so this is purely a
-				// scheduling decision — single-worker pools keep the
-				// engine's auto setting and parallelize inside the round.
-				cfg.VoteWorkers = 1
-			}
-			results[i], errs[i] = r.Run(cfg)
+			results[i], errs[i] = r.Run(jobs[i].config(i, opt))
 		}
 		if opt.OnJobDone != nil {
 			opt.OnJobDone(i, results[i], errs[i])
