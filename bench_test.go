@@ -1,5 +1,5 @@
-// Benchmarks regenerating every artifact of the reproduction. One bench per
-// experiment row of DESIGN.md §2; custom metrics carry the scientific
+// Benchmarks regenerating every artifact of the reproduction (README,
+// "Benchmarks"). One bench per artifact; custom metrics carry the scientific
 // output (rounds, contraction factors, convergence verdicts) alongside the
 // usual ns/op. Run:
 //

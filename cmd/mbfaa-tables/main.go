@@ -3,8 +3,9 @@
 // the paper's Table 1 (mobile→mixed-mode fault mapping) and Table 2
 // (replica bounds), and the derived figures F1 (convergence trajectories),
 // F2 (rounds-to-ε vs n), F3 (algorithm ablation), F4 (mobile vs static),
-// F7 (rounds vs tolerance) and F8 (seed robustness). The output is the
-// text form recorded in EXPERIMENTS.md.
+// F7 (rounds vs tolerance) and F8 (seed robustness), and exits non-zero if
+// any artifact deviates from the paper's prediction (README, "Command-line
+// tools").
 package main
 
 import (

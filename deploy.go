@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"mbfaa/internal/cluster"
@@ -170,16 +171,7 @@ func (s ClusterSpec) withDefaults() ClusterSpec {
 		s.RoundTimeout = 200 * time.Millisecond
 	}
 	if s.InputRange == 0 && len(s.Inputs) > 0 {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range s.Inputs {
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-		if hi > lo {
-			s.InputRange = hi - lo
-		} else {
-			s.InputRange = 1 // degenerate: identical inputs
-		}
+		s.InputRange = inputSpread(s.Inputs)
 	}
 	if s.Degree == 0 {
 		switch s.Topology {
@@ -449,108 +441,130 @@ func (e *Engine) Deploy(spec ClusterSpec) (*Deployment, error) {
 	if err != nil {
 		return nil, configErrorf("FixedRounds", "%v", err)
 	}
-	if spec.Chaos.Active() && spec.FixedRounds == 0 {
-		// Injected loss slows contraction and heal-bounded windows stall
-		// whole rounds: stretch the contraction-derived horizon to absorb
-		// both, and pin it into every node's config so the cluster still
-		// halts in lockstep.
-		rounds = int(math.Ceil(float64(rounds)*(1+2*(spec.Chaos.DropRate+spec.Chaos.CorruptRate)))) +
-			spec.Chaos.HealSpan()
-		for i := range cfgs {
-			cfgs[i].FixedRounds = rounds
-		}
+	// Pin the (possibly chaos-stretched) horizon into every node's config
+	// so the cluster halts in lockstep.
+	rounds = chaosRounds(rounds, spec.FixedRounds, spec.Chaos)
+	for i := range cfgs {
+		cfgs[i].FixedRounds = rounds
 	}
-	d := &Deployment{spec: spec, cfgs: cfgs, topo: topo, rounds: rounds}
-	switch spec.Transport {
-	case "", "memory":
-		// Inboxes buffer several rounds of skew — plus two frames per peer
-		// per pipelined round, since a node may legitimately run
-		// PipelineDepth rounds ahead of a slow receiver; nodes drain their
-		// inbox continuously while waiting for the deadline, so this never
-		// backs up in practice.
-		hub, err := transport.NewChannel(spec.N, 8+2*spec.PipelineDepth)
+	// Inboxes buffer several rounds of skew — plus two frames per peer per
+	// pipelined round, since a node may legitimately run PipelineDepth
+	// rounds ahead of a slow receiver; nodes drain their inbox continuously
+	// while waiting for the deadline, so this never backs up in practice.
+	links, tcp, closeMesh, err := openMesh(spec, 8+2*spec.PipelineDepth)
+	if err != nil {
+		return nil, err
+	}
+	d := &Deployment{spec: spec, cfgs: cfgs, links: links, topo: topo, rounds: rounds, closer: closeMesh}
+	if spec.Chaos != nil {
+		// One shared injector in front of every node's link: faults are
+		// decided before frames reach the hub or the sockets, so the same
+		// spec drives both transports identically.
+		chaos, err := transport.NewChaos(spec.N, *spec.Chaos)
 		if err != nil {
+			_ = closeMesh()
 			return nil, err
 		}
-		if spec.Chaos != nil {
-			chaos, err := transport.NewChaos(hub, spec.N, *spec.Chaos)
-			if err != nil {
-				_ = hub.Close()
-				return nil, err
+		for i := range links {
+			if tcp != nil {
+				// The chaos layer doubles as each TCP node's dial-fault
+				// oracle, so connection faults replay from the same master
+				// seed as frame faults.
+				tcp[i].SetDialFaults(chaos)
 			}
-			d.chaos = chaos
-			d.links = make([]transport.Link, spec.N)
-			for i := range d.links {
-				d.links[i] = chaos.Link(i)
+			links[i] = chaos.WrapLink(links[i], i)
+		}
+		d.chaos = chaos
+		d.closer = func() error {
+			err := chaos.Close() // flush hold-backs into the live mesh first
+			if merr := closeMesh(); err == nil {
+				err = merr
 			}
-			d.closer = chaos.Close // flushes hold-backs, then closes the hub
-			break
+			return err
 		}
-		d.links = make([]transport.Link, spec.N)
-		for i := range d.links {
-			d.links[i] = hub.Link(i)
-		}
-		d.closer = hub.Close
-	case "tcp":
-		nodes, err := transport.NewTCPMesh(spec.N, spec.Key)
-		if err != nil {
-			return nil, err
-		}
-		if spec.PipelineDepth > 0 {
-			// Pipelined senders legitimately put PipelineDepth rounds in
-			// flight per flow; widen each node's replay filter so ahead-of-
-			// round frames are not mistaken for replays.
-			for _, nd := range nodes {
-				nd.SetReplayWindow(spec.PipelineDepth + 4)
-			}
-		}
-		if spec.Retry != nil {
-			for _, nd := range nodes {
-				nd.SetRetryPolicy(*spec.Retry)
-			}
-		}
-		closeMesh := func() error {
-			var first error
-			for _, nd := range nodes {
-				if err := nd.Close(); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		}
-		d.links = make([]transport.Link, spec.N)
-		if spec.Chaos != nil {
-			// One shared injector in front of all per-node links: faults
-			// are decided before frames hit the sockets, so the same spec
-			// drives both transports identically.
-			chaos, err := transport.NewChaos(nil, spec.N, *spec.Chaos)
-			if err != nil {
-				_ = closeMesh()
-				return nil, err
-			}
-			d.chaos = chaos
-			for i := range d.links {
-				// The chaos layer doubles as each node's dial-fault oracle,
-				// so connection faults replay from the same master seed as
-				// frame faults.
-				nodes[i].SetDialFaults(chaos)
-				d.links[i] = chaos.WrapLink(nodes[i], i)
-			}
-			d.closer = func() error {
-				err := chaos.Close() // flush hold-backs into the mesh first
-				if merr := closeMesh(); err == nil {
-					err = merr
-				}
-				return err
-			}
-			break
-		}
-		for i := range d.links {
-			d.links[i] = nodes[i]
-		}
-		d.closer = closeMesh
 	}
 	return d, nil
+}
+
+// openMesh opens the link layer spec runs over, as Deploy and Serve both
+// do: an in-memory hub whose inboxes buffer memRounds frames per node, or a
+// loopback TCP mesh of HMAC-authenticated nodes with replay windows widened
+// for pipelining and spec.Retry installed. It returns one link per node,
+// the TCP nodes beneath them (nil on the memory transport) and one closer
+// releasing all of it.
+func openMesh(spec ClusterSpec, memRounds int) ([]transport.Link, []*transport.TCPNode, func() error, error) {
+	links := make([]transport.Link, spec.N)
+	if spec.Transport != "tcp" {
+		hub, err := transport.NewChannel(spec.N, memRounds)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for i := range links {
+			links[i] = hub.Link(i)
+		}
+		return links, nil, hub.Close, nil
+	}
+	nodes, err := transport.NewTCPMesh(spec.N, spec.Key)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for i, nd := range nodes {
+		if spec.PipelineDepth > 0 {
+			// Pipelined senders legitimately put PipelineDepth rounds in
+			// flight per flow; widen each node's replay filter so
+			// ahead-of-round frames are not mistaken for replays.
+			nd.SetReplayWindow(spec.PipelineDepth + 4)
+		}
+		if spec.Retry != nil {
+			nd.SetRetryPolicy(*spec.Retry)
+		}
+		links[i] = nd
+	}
+	closeMesh := func() error {
+		var first error
+		for _, nd := range nodes {
+			if err := nd.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	return links, nodes, closeMesh, nil
+}
+
+// chaosRounds stretches a contraction-derived round count for an active
+// chaos campaign, as Deploy and every Service instance do: injected loss
+// slows contraction, and heal-bounded windows stall whole rounds. A
+// FixedRounds override, or no active chaos, keeps rounds as computed.
+func chaosRounds(rounds, fixedRounds int, chaos *ChaosSpec) int {
+	if !chaos.Active() || fixedRounds != 0 {
+		return rounds
+	}
+	return int(math.Ceil(float64(rounds)*(1+2*(chaos.DropRate+chaos.CorruptRate)))) + chaos.HealSpan()
+}
+
+// watchdogHorizon is the deadline guarding a run of rounds: override when
+// set, otherwise one deadline per round plus two rounds of slack for
+// startup skew (TCP dials) and the final drain, plus two seconds.
+func watchdogHorizon(override time.Duration, rounds int, roundTimeout time.Duration) time.Duration {
+	if override > 0 {
+		return override
+	}
+	return time.Duration(rounds+2)*roundTimeout + 2*time.Second
+}
+
+// inputSpread is the a-priori input range derived from the inputs
+// themselves when none is pinned; identical inputs give 1.
+func inputSpread(inputs []float64) float64 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range inputs {
+		lo = math.Min(lo, v)
+		hi = math.Max(hi, v)
+	}
+	if hi > lo {
+		return hi - lo
+	}
+	return 1 // degenerate: identical inputs
 }
 
 // Deployment is a wired-up cluster: n nodes over links, ready to execute
@@ -594,27 +608,15 @@ func (d *Deployment) FaultTrace() []FaultEvent {
 	return d.chaos.Trace()
 }
 
-// Coalescing totals the BatchSender coalescing counters across the
-// deployment's links: how many protocol frames left in how many socket
-// writes. Zero/zero on transports that do not batch (the in-memory hub);
-// chaos wrappers are unwrapped to reach the TCP layer beneath.
+// Coalescing totals the socket coalescing counters across the deployment's
+// links: how many protocol frames left in how many socket writes. Zero/zero
+// on the in-memory hub, which has no sockets; a chaos wrapper reports the
+// TCP counts beneath it.
 func (d *Deployment) Coalescing() (frames, writes int64) {
 	for _, link := range d.links {
-		for link != nil {
-			if bc, ok := link.(interface {
-				FramesSent() int64
-				BatchWrites() int64
-			}); ok {
-				frames += bc.FramesSent()
-				writes += bc.BatchWrites()
-				break
-			}
-			u, ok := link.(interface{ Unwrap() transport.Link })
-			if !ok {
-				break
-			}
-			link = u.Unwrap()
-		}
+		c := link.Counters()
+		frames += c.FramesSent
+		writes += c.BatchWrites
 	}
 	return frames, writes
 }
@@ -623,12 +625,7 @@ func (d *Deployment) Coalescing() (frames, writes int64) {
 // otherwise derived from the round count, the round timeout and the chaos
 // latency budget.
 func (d *Deployment) Horizon() time.Duration {
-	if d.spec.RunHorizon > 0 {
-		return d.spec.RunHorizon
-	}
-	// Every round costs at most one deadline; +2 rounds of slack covers
-	// startup skew (TCP dials) and the final drain.
-	return time.Duration(d.rounds+2)*d.spec.RoundTimeout + 2*time.Second
+	return watchdogHorizon(d.spec.RunHorizon, d.rounds, d.spec.RoundTimeout)
 }
 
 // Close releases the deployment's links. Safe to call more than once.
@@ -728,7 +725,7 @@ func buildClusterResult(inputs []float64, epsilon float64, sched ClusterSchedule
 	initial := multiset.Interval{Lo: math.Inf(1), Hi: math.Inf(-1)}
 	occupied0 := sched.Occupied(0)
 	for i, v := range inputs {
-		if intsContain(occupied0, i) {
+		if slices.Contains(occupied0, i) {
 			continue
 		}
 		initial.Lo = math.Min(initial.Lo, v)
@@ -797,14 +794,4 @@ func (r *ClusterResult) MessagesPerSecond() float64 {
 		return 0
 	}
 	return float64(r.Messages) / r.Elapsed.Seconds()
-}
-
-// intsContain reports whether xs includes x.
-func intsContain(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -2,6 +2,8 @@ package mbfaa_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -88,6 +90,27 @@ func replayDiffs(a, b *mbfaa.ClusterResult) []string {
 	return diffs
 }
 
+// TestDeployChaosTracePinned pins the injected-fault trace of the replay
+// base spec: every event's (From, To, Index, Round, Kind, Delay) is hashed
+// in trace order, so any change to how chaos attaches to the links — which
+// frames it sees, in which per-link order, with which stream draws — moves
+// the digest or the event count.
+func TestDeployChaosTracePinned(t *testing.T) {
+	const (
+		wantEvents = 791
+		wantDigest = "a4c2377482382027424565a2158cbc1c93090dd0f9c5b43a96292f9a173bf889"
+	)
+	_, trace := runChaosDeploy(t, chaosDeploySpec(42))
+	h := sha256.New()
+	for _, ev := range trace {
+		fmt.Fprintf(h, "%d %d %d %d %d %d\n", ev.From, ev.To, ev.Index, ev.Round, ev.Kind, ev.Delay)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); len(trace) != wantEvents || got != wantDigest {
+		t.Errorf("chaosDeploySpec(42) trace: %d events, sha256 %s; want %d events, sha256 %s",
+			len(trace), got, wantEvents, wantDigest)
+	}
+}
+
 // TestDeployChaosReplayDeterminism is the PR's acceptance criterion: two
 // runs of the same ClusterSpec + ChaosSpec seed produce identical verdicts,
 // identical per-node NodeStats, and an identical injected-fault trace — and
@@ -161,6 +184,45 @@ func TestDeployChaosReplayDeterminism(t *testing.T) {
 	}
 	if res1.Chaos.Corrupted > 0 && corrupt == 0 {
 		t.Error("injected corruption never surfaced in NodeStats.Corrupt")
+	}
+}
+
+// TestDeployChaosCountersFoldExactly checks that each chaos loss the
+// injector counts reaches exactly one node's NodeStats through the links'
+// Counters, not merely that some did: the corrupted frames on the replay
+// base spec, and the partition and crash drops of a spec with both windows.
+// Under SyncRounds each node sends its last frames a full RoundTimeout
+// before any node can return, so no loss is counted after a node's stats
+// are read.
+func TestDeployChaosCountersFoldExactly(t *testing.T) {
+	res, _ := runChaosDeploy(t, chaosDeploySpec(42))
+	var corrupt int64
+	for _, st := range res.Stats {
+		corrupt += st.Corrupt
+	}
+	if res.Chaos.Corrupted == 0 {
+		t.Fatal("chaos run corrupted no frame; the fold check is vacuous")
+	}
+	if corrupt != res.Chaos.Corrupted {
+		t.Errorf("Σ NodeStats.Corrupt = %d, want ChaosStats.Corrupted = %d", corrupt, res.Chaos.Corrupted)
+	}
+
+	spec := chaosDeploySpec(42)
+	spec.Chaos = &mbfaa.ChaosSpec{
+		Seed:       5,
+		Partitions: []mbfaa.PartitionWindow{{Start: 1, End: 3, A: []int{0}}},
+		Crashes:    []mbfaa.CrashWindow{{Node: 5, Start: 4, End: 6}},
+	}
+	res, _ = runChaosDeploy(t, spec)
+	var partitioned int64
+	for _, st := range res.Stats {
+		partitioned += st.Partitioned
+	}
+	if res.Chaos.PartitionDrops == 0 || res.Chaos.CrashDrops == 0 {
+		t.Fatalf("windows dropped nothing (chaos: %+v); the fold check is vacuous", res.Chaos)
+	}
+	if want := res.Chaos.PartitionDrops + res.Chaos.CrashDrops; partitioned != want {
+		t.Errorf("Σ NodeStats.Partitioned = %d, want PartitionDrops + CrashDrops = %d", partitioned, want)
 	}
 }
 

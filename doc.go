@@ -65,8 +65,10 @@
 //     is engineered to replay.
 //
 //   - Engine.Serve(ctx, ServiceSpec) is the long-lived form of Deploy: one
-//     transport mesh hosting many concurrent agreement instances, each a
-//     complete n-node protocol run submitted with its own inputs
+//     transport mesh, opened by the same mesh builder Deploy uses and
+//     differing only in its memory inbox depth, hosting many concurrent
+//     agreement instances, each a complete n-node protocol run submitted
+//     with its own inputs
 //     (Service.Submit → Handle, Service.Await, or the streamed
 //     Service.Results). Frames carry an instance id and registration epoch
 //     on the wire (frame format v2); a per-node demux routes them to
@@ -144,7 +146,9 @@
 // # The chaos layer and its determinism contract
 //
 // ClusterSpec.Chaos wraps every deployment link in a deterministic fault
-// injector (internal/transport.Chaos): per-link latency jitter, drops,
+// injector (internal/transport.Chaos, which attaches one way: WrapLink in
+// front of each node's link, whether that is a memory hub's view, a TCP
+// node or a service instance's route): per-link latency jitter, drops,
 // duplication, bounded reordering, frame corruption (mangled bytes pushed
 // through the real codec so the HMAC rejection fires — counted in
 // NodeStats.Corrupt, never delivered wrong), round-indexed partitions
@@ -160,7 +164,11 @@
 // decisions, but counted outside the ordered trace because the attempt
 // index advances with real reconnect timing. Connection faults are not
 // charged against the Table 2 budget: the transport heals them, so
-// they cost latency, not omissions.
+// they cost latency, not omissions. Every link reports one
+// transport.Counters value, a wrapper adding its own counts to its inner
+// link's; the node folds it into NodeStats (Corrupt, Partitioned,
+// Overflow, Rejected, the reconnect and peer-health counts), and
+// Deployment.Coalescing and ServiceStats read the socket totals from it.
 //
 // The stronger contract — identical verdicts, votes and per-node
 // NodeStats across same-seed runs — additionally requires the shared
@@ -198,7 +206,8 @@
 // adversaries that retain views across calls must declare
 // mobile.ViewRetainer, which is seen through the adapter.
 //
-// See DESIGN.md for the system inventory, EXPERIMENTS.md for the
-// paper-versus-measured record, and the examples/ directory for runnable
+// See the README's "Command-line tools" section for regenerating the
+// paper's tables and figures, its "Performance" and "Benchmarks" sections
+// for the measured record, and the examples/ directory for runnable
 // scenarios (sensor fusion, clock synchronization, robot gathering).
 package mbfaa

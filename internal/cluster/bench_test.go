@@ -67,10 +67,10 @@ func BenchmarkClusterRound(b *testing.B) {
 		}
 	})
 
-	// The chaos arm wraps the same in-memory hub in a zero-rate Chaos layer:
-	// every frame pays the injector's bookkeeping (per-link PRNG derivation,
-	// the fault draws, the window checks) but no fault ever fires, so the
-	// delta against the bare "memory" arm is the chaos overhead itself.
+	// The chaos arm wraps each node's view of the same in-memory hub in a
+	// zero-rate Chaos layer: every frame pays the injector's bookkeeping
+	// (per-link PRNG derivation, the fault draws, the window checks) but no
+	// fault ever fires, so the delta against the bare "memory" arm is the chaos overhead itself.
 	// SyncRounds stays off — it is a Config policy, not a transport cost,
 	// and turning it on would measure deadline waits instead of the wrapper.
 	b.Run("memory-chaos-zero", func(b *testing.B) {
@@ -78,14 +78,17 @@ func BenchmarkClusterRound(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		chaos, err := transport.NewChaos(hub, n, transport.ChaosSpec{Seed: 9})
+		chaos, err := transport.NewChaos(n, transport.ChaosSpec{Seed: 9})
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer func() { _ = chaos.Close() }()
+		defer func() {
+			_ = chaos.Close()
+			_ = hub.Close()
+		}()
 		links := make([]transport.Link, n)
 		for i := range links {
-			links[i] = chaos.Link(i)
+			links[i] = chaos.WrapLink(hub.Link(i), i)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -122,8 +125,8 @@ func BenchmarkClusterRound(b *testing.B) {
 			b.StopTimer()
 			var writes, frames int64
 			for _, nd := range nodes {
-				writes += nd.BatchWrites()
-				frames += nd.FramesSent()
+				writes += nd.Counters().BatchWrites
+				frames += nd.Counters().FramesSent
 			}
 			if writes > 0 {
 				b.ReportMetric(float64(frames)/float64(writes), "frames/write")
@@ -149,7 +152,7 @@ func BenchmarkClusterPipelined(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			chaos, err := transport.NewChaos(hub, n, transport.ChaosSpec{
+			chaos, err := transport.NewChaos(n, transport.ChaosSpec{
 				Seed:       11,
 				DropRate:   0.02,
 				LatencyMax: 2 * time.Millisecond,
@@ -157,10 +160,13 @@ func BenchmarkClusterPipelined(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer func() { _ = chaos.Close() }()
+			defer func() {
+				_ = chaos.Close()
+				_ = hub.Close()
+			}()
 			links := make([]transport.Link, n)
 			for i := range links {
-				links[i] = chaos.Link(i)
+				links[i] = chaos.WrapLink(hub.Link(i), i)
 			}
 			cfgs := benchConfigs(n, b.N)
 			for i := range cfgs {

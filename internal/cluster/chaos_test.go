@@ -32,21 +32,25 @@ func chaosConfigs(n, rounds int, timeout time.Duration) []Config {
 	return cfgs
 }
 
-// chaosLinks wraps a fresh memory hub for n nodes in a Chaos layer.
+// chaosLinks wraps each node's view of a fresh memory hub for n nodes in
+// one Chaos layer.
 func chaosLinks(t *testing.T, n int, spec transport.ChaosSpec) ([]transport.Link, *transport.Chaos) {
 	t.Helper()
 	hub, err := transport.NewChannel(n, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos, err := transport.NewChaos(hub, n, spec)
+	chaos, err := transport.NewChaos(n, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = chaos.Close() })
+	t.Cleanup(func() {
+		_ = chaos.Close()
+		_ = hub.Close()
+	})
 	links := make([]transport.Link, n)
 	for i := range links {
-		links[i] = chaos.Link(i)
+		links[i] = chaos.WrapLink(hub.Link(i), i)
 	}
 	return links, chaos
 }
@@ -158,6 +162,7 @@ type wedgedLink struct {
 func (w *wedgedLink) Send(transport.Message) error   { <-w.block; return transport.ErrClosed }
 func (w *wedgedLink) Recv() <-chan transport.Message { return w.recv }
 func (w *wedgedLink) Close() error                   { return nil }
+func (w *wedgedLink) Counters() transport.Counters   { return transport.Counters{} }
 
 // TestRunClusterDeadlineWedgedNode pins the NodeDown path: a node wedged in
 // a non-cancellable Send is reported down after horizon + grace while the
@@ -203,7 +208,7 @@ func TestRunClusterDeadlineCancelledClassifiedDown(t *testing.T) {
 	defer func() { _ = hub.Close() }()
 	// Node 0's sends vanish, so every round costs the full timeout on all
 	// nodes and the 50-round run cannot finish inside the horizon.
-	chaos, err := transport.NewChaos(hub, n, transport.ChaosSpec{
+	chaos, err := transport.NewChaos(n, transport.ChaosSpec{
 		Seed:    1,
 		Crashes: []transport.CrashWindow{{Node: 0, Start: 0}},
 	})
@@ -213,7 +218,7 @@ func TestRunClusterDeadlineCancelledClassifiedDown(t *testing.T) {
 	defer func() { _ = chaos.Close() }()
 	links := make([]transport.Link, n)
 	for i := range links {
-		links[i] = chaos.Link(i)
+		links[i] = chaos.WrapLink(hub.Link(i), i)
 	}
 	_, down, err := RunClusterDeadline(context.Background(), chaosConfigs(n, 50, 60*time.Millisecond), links, 300*time.Millisecond)
 	if err != nil {

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"mbfaa/internal/mobile"
@@ -410,43 +411,6 @@ type NodeStats struct {
 	PeerDownDrops int64
 }
 
-// linkCounters is implemented by transports that count their own drops
-// (TCPNode); the node folds them into its Rejected stat.
-type linkCounters interface {
-	AuthFailures() int64
-	ReplayDrops() int64
-	MisdirectDrops() int64
-}
-
-// chaosCounters is implemented by chaos-wrapped links; the node folds the
-// chaos losses addressed to it into its Corrupt and Partitioned stats.
-type chaosCounters interface {
-	IncomingCorrupt() int64
-	IncomingPartitioned() int64
-}
-
-// overflowCounter is implemented by links whose inbound path can drop
-// frames on a full buffer (the in-memory hub, the service demux routes);
-// the node folds the count into its Overflow stat.
-type overflowCounter interface {
-	InboundOverflow() int64
-}
-
-// healthCounters is implemented by self-healing transports (TCPNode); the
-// node folds the reconnect and peer-health counters into its NodeStats.
-type healthCounters interface {
-	Reconnects() int64
-	DialRetries() int64
-	PeerDownEvents() int64
-	PeerDownDrops() int64
-}
-
-// linkUnwrapper is implemented by wrapping links (the chaos layer) so
-// stats folding can reach the inner transport's counters too.
-type linkUnwrapper interface {
-	Unwrap() transport.Link
-}
-
 // Node is one cluster member.
 type Node struct {
 	cfg    Config
@@ -616,38 +580,24 @@ func (nd *Node) Reset(input, inputRange float64, fixedRounds int, link transport
 }
 
 // Stats returns the node's transport counters so far (valid after Run; not
-// synchronized with a concurrently executing Run). Link-layer counters are
-// folded in through every wrapping layer: a chaos wrapper contributes the
-// corrupt/partition losses addressed to this node, the transport below it
-// its authentication, replay and misdirection drops.
+// synchronized with a concurrently executing Run), with the link's Counters
+// folded in: a chaos wrapper's corrupt/partition losses addressed to this
+// node, and the transport's authentication, replay and misdirection drops,
+// inbox overflows, and reconnect and peer-health counts.
 func (nd *Node) Stats() NodeStats {
 	s := nd.stats
 	if nd.misses != nil {
 		s.PeerMisses = append([]int64(nil), nd.misses...)
 	}
-	for link := nd.link; link != nil; {
-		if lc, ok := link.(linkCounters); ok {
-			s.Rejected += lc.AuthFailures() + lc.ReplayDrops() + lc.MisdirectDrops()
-		}
-		if cc, ok := link.(chaosCounters); ok {
-			s.Corrupt += cc.IncomingCorrupt()
-			s.Partitioned += cc.IncomingPartitioned()
-		}
-		if oc, ok := link.(overflowCounter); ok {
-			s.Overflow += oc.InboundOverflow()
-		}
-		if hc, ok := link.(healthCounters); ok {
-			s.Reconnects += hc.Reconnects()
-			s.DialRetries += hc.DialRetries()
-			s.PeerDownEvents += hc.PeerDownEvents()
-			s.PeerDownDrops += hc.PeerDownDrops()
-		}
-		u, ok := link.(linkUnwrapper)
-		if !ok {
-			break
-		}
-		link = u.Unwrap()
-	}
+	c := nd.link.Counters()
+	s.Rejected += c.AuthFailures + c.ReplayDrops + c.MisdirectDrops
+	s.Corrupt += c.Corrupt
+	s.Partitioned += c.Partitioned
+	s.Overflow += c.Overflow
+	s.Reconnects += c.Reconnects
+	s.DialRetries += c.DialRetries
+	s.PeerDownEvents += c.PeerDownEvents
+	s.PeerDownDrops += c.PeerDownDrops
 	return s
 }
 
@@ -675,8 +625,8 @@ func (nd *Node) RunContext(ctx context.Context) (float64, error) {
 			return 0, err
 		}
 		occ := nd.cfg.Schedule.Occupied(r)
-		occupied := contains(occ, nd.cfg.ID)
-		cured := contains(prevOcc, nd.cfg.ID) && !occupied
+		occupied := slices.Contains(occ, nd.cfg.ID)
+		cured := slices.Contains(prevOcc, nd.cfg.ID) && !occupied
 		nd.classifySenders(occ, prevOcc)
 
 		if err := nd.send(r, occupied, cured); err != nil {
@@ -731,7 +681,7 @@ func (nd *Node) classifySenders(occ, prevOcc []int) {
 	}
 	if nd.cfg.Model == mobile.M3Sasaki {
 		for _, id := range prevOcc {
-			if id >= 0 && id < nd.cfg.N && !contains(occ, id) {
+			if id >= 0 && id < nd.cfg.N && !slices.Contains(occ, id) {
 				nd.isAsym[id] = true
 			}
 		}
@@ -1135,16 +1085,6 @@ func (nd *Node) missingAllStalled(st *roundState) bool {
 		}
 	}
 	return true
-}
-
-// contains reports whether xs includes x.
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // HonestAtEnd returns which nodes are NOT occupied by an agent in the final

@@ -161,8 +161,8 @@ func TestClusterOverTCP(t *testing.T) {
 		t.Errorf("TCP cluster spread %g > ε", got)
 	}
 	for i, nd := range nodes {
-		if nd.AuthFailures() != 0 {
-			t.Errorf("node %d saw %d auth failures in an honest-transport run", i, nd.AuthFailures())
+		if nd.Counters().AuthFailures != 0 {
+			t.Errorf("node %d saw %d auth failures in an honest-transport run", i, nd.Counters().AuthFailures)
 		}
 	}
 }

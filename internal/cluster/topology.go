@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mbfaa/internal/prng"
@@ -142,7 +143,7 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 			for k := 0; k < len(stubs); k++ {
 				j := (offset + k) % len(stubs)
 				b := stubs[j]
-				if b != a && !contains(adj[a], b) {
+				if b != a && !slices.Contains(adj[a], b) {
 					pick = j
 					break
 				}

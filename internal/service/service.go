@@ -244,9 +244,13 @@ func (l *InstanceLink) Close() error {
 	return nil
 }
 
-// InboundOverflow reports how many inbound frames were dropped on this
-// instance's full inbox; the cluster layer folds it into NodeStats.Overflow.
-func (l *InstanceLink) InboundOverflow() int64 { return l.rt.overflow.Load() }
+// Counters implements transport.Link with the inbound frames dropped on
+// this instance's full inbox (Overflow) and nothing else: the shared mesh
+// link's counts belong to every hosted instance, so none is attributed to
+// one of them.
+func (l *InstanceLink) Counters() transport.Counters {
+	return transport.Counters{Overflow: l.rt.overflow.Load()}
+}
 
 var (
 	_ transport.Link        = (*InstanceLink)(nil)

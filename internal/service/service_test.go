@@ -129,7 +129,7 @@ func TestMuxDropsUnroutedAndStale(t *testing.T) {
 }
 
 // TestMuxInboxOverflow: a full instance inbox drops (never blocks the
-// demux), counts per route, and surfaces through InboundOverflow.
+// demux), counts per route, and surfaces through Counters().Overflow.
 func TestMuxInboxOverflow(t *testing.T) {
 	g, _ := newTestGroup(t, 2, 64)
 	links, err := g.Register(1, 2) // inbox depth 2
@@ -143,11 +143,11 @@ func TestMuxInboxOverflow(t *testing.T) {
 	}
 	il := links[1].(*InstanceLink)
 	deadline := time.Now().Add(2 * time.Second)
-	for il.InboundOverflow() < 3 && time.Now().Before(deadline) {
+	for il.Counters().Overflow < 3 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := il.InboundOverflow(); got != 3 {
-		t.Errorf("InboundOverflow = %d, want 3", got)
+	if got := il.Counters().Overflow; got != 3 {
+		t.Errorf("Counters().Overflow = %d, want 3", got)
 	}
 	if st := g.Mux(1).Stats(); st.Overflows != 3 {
 		t.Errorf("mux Overflows = %d, want 3", st.Overflows)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestAllRenderers exercises every Render method once with real data; the
-// outputs are what cmd/mbfaa-tables prints and EXPERIMENTS.md records.
+// outputs are what cmd/mbfaa-tables prints.
 func TestAllRenderers(t *testing.T) {
 	opt := DefaultOptions()
 	opt.FreezeRounds = 20

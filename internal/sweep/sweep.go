@@ -75,7 +75,8 @@ type Options struct {
 	OnJobDone func(index int, res *core.Result, err error)
 }
 
-// DefaultOptions returns the parameters used throughout EXPERIMENTS.md.
+// DefaultOptions returns the parameters cmd/mbfaa-tables regenerates every
+// artifact with.
 func DefaultOptions() Options {
 	return Options{Epsilon: 1e-3, MaxRounds: 400, FreezeRounds: 200, Seed: 1}
 }

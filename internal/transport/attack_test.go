@@ -27,17 +27,17 @@ func expectNoDelivery(t *testing.T, nd *TCPNode) {
 	}
 }
 
-// waitCounter polls an atomic counter getter until it reaches want.
-func waitCounter(t *testing.T, get func() int64, want int64, what string) {
+// waitCounter polls one field of a link's Counters until it reaches want.
+func waitCounter(t *testing.T, l Link, field func(Counters) int64, want int64, what string) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if get() >= want {
+		if field(l.Counters()) >= want {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("%s = %d, want ≥ %d", what, get(), want)
+	t.Fatalf("%s = %d, want ≥ %d", what, field(l.Counters()), want)
 }
 
 func TestTCPRejectsTamperedFrame(t *testing.T) {
@@ -59,7 +59,7 @@ func TestTCPRejectsTamperedFrame(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, nodes[1].AuthFailures, 1, "AuthFailures")
+	waitCounter(t, nodes[1], func(c Counters) int64 { return c.AuthFailures }, 1, "AuthFailures")
 	expectNoDelivery(t, nodes[1])
 }
 
@@ -80,7 +80,7 @@ func TestTCPRejectsWrongKeyAttacker(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, nodes[1].AuthFailures, 1, "AuthFailures")
+	waitCounter(t, nodes[1], func(c Counters) int64 { return c.AuthFailures }, 1, "AuthFailures")
 	expectNoDelivery(t, nodes[1])
 }
 
@@ -109,7 +109,7 @@ func TestTCPRejectsReplay(t *testing.T) {
 	if got.Value != 42 {
 		t.Errorf("delivered %+v", got)
 	}
-	waitCounter(t, nodes[1].ReplayDrops, 2, "ReplayDrops")
+	waitCounter(t, nodes[1], func(c Counters) int64 { return c.ReplayDrops }, 2, "ReplayDrops")
 	expectNoDelivery(t, nodes[1])
 }
 
@@ -132,7 +132,7 @@ func TestTCPDropsMisdirectedFrame(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, nodes[1].MisdirectDrops, 1, "MisdirectDrops")
+	waitCounter(t, nodes[1], func(c Counters) int64 { return c.MisdirectDrops }, 1, "MisdirectDrops")
 	expectNoDelivery(t, nodes[1])
 }
 
@@ -182,7 +182,7 @@ func TestTCPRejectsCrossRoundReplay(t *testing.T) {
 	if _, err := conn.Write(stale); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, nodes[1].ReplayDrops, 1, "ReplayDrops")
+	waitCounter(t, nodes[1], func(c Counters) int64 { return c.ReplayDrops }, 1, "ReplayDrops")
 	expectNoDelivery(t, nodes[1])
 }
 
@@ -224,7 +224,7 @@ func TestTCPDeliversReorderedRounds(t *testing.T) {
 			t.Fatalf("reordered delivery = %v, want %v", got, want)
 		}
 	}
-	if drops := nodes[1].ReplayDrops(); drops != 0 {
+	if drops := nodes[1].Counters().ReplayDrops; drops != 0 {
 		t.Errorf("reordered (non-duplicate) frames counted as %d replays", drops)
 	}
 }

@@ -44,8 +44,8 @@ func BenchmarkTCPFirehose(b *testing.B) {
 			}
 			<-done
 			b.StopTimer()
-			if w := nodes[0].BatchWrites(); w > 0 {
-				b.ReportMetric(float64(nodes[0].FramesSent())/float64(w), "frames/write")
+			if w := nodes[0].Counters().BatchWrites; w > 0 {
+				b.ReportMetric(float64(nodes[0].Counters().FramesSent)/float64(w), "frames/write")
 			}
 		})
 	}

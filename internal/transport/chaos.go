@@ -336,13 +336,10 @@ var chaosKey = []byte("mbfaa-chaos-corruption-probe")
 // goroutine interleaving across links, so the injected-fault trace is
 // bit-for-bit reproducible from the seed (see Trace).
 //
-// Chaos wraps either a whole Transport hub (NewChaos with a non-nil inner;
-// Send/SendBatch/Inbox/Close implement Transport + BatchSender, Link(id)
-// yields per-node views — the in-memory deployment path) or individual
-// Links (WrapLink — the TCP deployment path, one shared Chaos across all
-// nodes of a process-local mesh).
+// Chaos attaches one way: WrapLink puts it in front of each node's Link (a
+// memory hub's view, a TCPNode, a service route), one shared Chaos across
+// all nodes of a mesh.
 type Chaos struct {
-	inner  Transport // nil when used purely via WrapLink
 	n      int
 	spec   ChaosSpec
 	master *prng.Source
@@ -360,8 +357,8 @@ type Chaos struct {
 	partDrops, crashDrops                   atomic.Int64
 	resets, dialFails                       atomic.Int64
 
-	// Per-destination counters let the receiving node attribute chaos
-	// losses in its own stats (corrupt-rejected, partition/crash drops).
+	// Per-destination counters let each wrapped link report the chaos
+	// losses addressed to its node (Counters.Corrupt and Partitioned).
 	corruptTo []atomic.Int64
 	partTo    []atomic.Int64
 }
@@ -377,16 +374,16 @@ type chaosLinkState struct {
 	dialBurst int // remaining injected dial failures of an open window
 }
 
-// heldFrame is a reordered frame waiting for its successor on the link.
+// heldFrame is a reordered frame waiting for its successor on the link,
+// with the wrapped link that delivers it.
 type heldFrame struct {
-	m       Message
-	deliver func(Message) error
+	m    Message
+	link *chaosLink
 }
 
-// NewChaos builds a chaos layer for an n-node cluster. inner is the
-// transport hub faults are injected in front of (its Inbox/Close are
-// forwarded); pass nil when wrapping per-node links with WrapLink instead.
-func NewChaos(inner Transport, n int, spec ChaosSpec) (*Chaos, error) {
+// NewChaos builds a chaos layer for an n-node cluster; WrapLink attaches it
+// to each node's link.
+func NewChaos(n int, spec ChaosSpec) (*Chaos, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("transport: chaos n=%d must be positive", n)
 	}
@@ -398,7 +395,6 @@ func NewChaos(inner Transport, n int, spec ChaosSpec) (*Chaos, error) {
 		return nil, err
 	}
 	return &Chaos{
-		inner:     inner,
 		n:         n,
 		spec:      spec,
 		master:    prng.New(spec.Seed),
@@ -413,35 +409,9 @@ func NewChaos(inner Transport, n int, spec ChaosSpec) (*Chaos, error) {
 // Spec returns the spec the chaos layer was built from.
 func (c *Chaos) Spec() ChaosSpec { return c.spec }
 
-// Send implements Transport: the caller must have set m.From (Link views
-// stamp it). The message runs the fault pipeline before reaching the inner
-// transport.
-func (c *Chaos) Send(m Message) error {
-	if c.inner == nil {
-		return fmt.Errorf("transport: chaos has no inner transport (use WrapLink)")
-	}
-	return c.process(m, c.inner.Send, nil)
-}
-
-// SendBatch implements BatchSender: each message runs the pipeline
-// independently (fault decisions are per-frame).
-func (c *Chaos) SendBatch(ms []Message) error {
-	if c.inner == nil {
-		return fmt.Errorf("transport: chaos has no inner transport (use WrapLink)")
-	}
-	for _, m := range ms {
-		if err := c.process(m, c.inner.Send, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Inbox implements Transport.
-func (c *Chaos) Inbox(id int) <-chan Message { return c.inner.Inbox(id) }
-
-// Close flushes reorder hold-backs, waits for delayed deliveries to settle,
-// and closes the inner transport (when it owns one). Safe to call more than
+// Close flushes reorder hold-backs and waits for delayed deliveries to
+// settle. It closes none of the wrapped links: close the Chaos first, so
+// hold-backs flush into live links, then the links. Safe to call more than
 // once.
 func (c *Chaos) Close() error {
 	c.mu.Lock()
@@ -461,13 +431,10 @@ func (c *Chaos) Close() error {
 		ls.held = nil
 		ls.mu.Unlock()
 		if held != nil {
-			_ = held.deliver(held.m)
+			_ = held.link.deliver(held.m)
 		}
 	}
 	c.wg.Wait()
-	if c.inner != nil {
-		return c.inner.Close()
-	}
 	return nil
 }
 
@@ -537,22 +504,13 @@ func (c *Chaos) Trace() []FaultEvent {
 	return out
 }
 
-// CorruptDropsTo returns how many frames destined to node id the corruption
-// path rejected; PartitionDropsTo counts the frames to id dropped by
-// partition cuts and crash windows. The cluster node folds both into its
-// NodeStats.
-func (c *Chaos) CorruptDropsTo(id int) int64   { return c.corruptTo[id].Load() }
-func (c *Chaos) PartitionDropsTo(id int) int64 { return c.partTo[id].Load() }
-
-// process runs one frame through the fault pipeline, forwarding survivors
-// via deliver. The draw order per frame is fixed (drop, corrupt, dup,
-// reorder, delay, reset) so the stream consumption — and with it the whole
-// fault trace — is reproducible from the seed alone; the reset draw sits
-// last so zero-reset specs keep their historical per-frame streams.
-// disrupt, when non-nil, enacts an injected connection reset on the
-// sender's link to m.To (the TCP wrap path); elsewhere a reset is recorded
-// but has nothing to sever.
-func (c *Chaos) process(m Message, deliver func(Message) error, disrupt func(int)) error {
+// process runs one frame sent on l through the fault pipeline, forwarding
+// survivors via l.deliver and enacting an injected connection reset through
+// l.disrupt. The draw order per frame is fixed (drop, corrupt, dup, reorder,
+// delay, reset) so the stream consumption — and with it the whole fault
+// trace — is reproducible from the seed alone; the reset draw sits last so
+// zero-reset specs keep their historical per-frame streams.
+func (c *Chaos) process(l *chaosLink, m Message) error {
 	if m.From < 0 || m.From >= c.n || m.To < 0 || m.To >= c.n {
 		return fmt.Errorf("transport: chaos send %d->%d out of range [0,%d)", m.From, m.To, c.n)
 	}
@@ -590,9 +548,7 @@ func (c *Chaos) process(m Message, deliver func(Message) error, disrupt func(int
 		// connection churn, not an omission.
 		record(FaultReset, 0)
 		c.resets.Add(1)
-		if disrupt != nil {
-			disrupt(m.To)
-		}
+		l.disrupt(m.To)
 	}
 
 	var err error
@@ -618,25 +574,25 @@ func (c *Chaos) process(m Message, deliver func(Message) error, disrupt func(int
 			// Hold the frame for the next send on this link (or Close).
 			record(FaultReorder, 0)
 			c.reorders.Add(1)
-			ls.held = &heldFrame{m: m, deliver: deliver}
+			ls.held = &heldFrame{m: m, link: l}
 		} else if delay > 0 {
 			record(FaultDelay, delay)
 			c.delays.Add(1)
-			c.deliverLater(m, delay, deliver)
+			c.deliverLater(l, m, delay)
 		} else {
-			err = deliver(m)
+			err = l.deliver(m)
 		}
 		if dup && err == nil {
 			// The duplicate travels unharmed and immediately: the
 			// receiver's replay window is what must drop it.
 			record(FaultDup, 0)
 			c.dups.Add(1)
-			err = deliver(m)
+			err = l.deliver(m)
 		}
 	}
 	ls.mu.Unlock()
 	if held != nil {
-		if derr := held.deliver(held.m); derr != nil && err == nil {
+		if derr := held.link.deliver(held.m); derr != nil && err == nil {
 			err = derr
 		}
 	}
@@ -662,41 +618,42 @@ func (c *Chaos) mangle(m Message, src *prng.Source) {
 
 // deliverLater schedules a delayed delivery. Deliveries racing Close are
 // abandoned (the run is over; the frame is as good as dropped).
-func (c *Chaos) deliverLater(m Message, d time.Duration, deliver func(Message) error) {
+func (c *Chaos) deliverLater(l *chaosLink, m Message, d time.Duration) {
 	c.wg.Add(1)
 	timer := time.NewTimer(d)
 	go func() {
 		defer c.wg.Done()
 		select {
 		case <-timer.C:
-			_ = deliver(m)
+			_ = l.deliver(m)
 		case <-c.closed:
 			timer.Stop()
 		}
 	}()
 }
 
-// Link returns node id's view of the chaos-wrapped hub transport, the
-// counterpart of Channel.Link. It implements Link and BatchSender.
-func (c *Chaos) Link(id int) Link { return &chaosLink{c: c, id: id} }
-
-// WrapLink wraps one node's existing Link (e.g. a TCPNode) with this chaos
-// layer: outbound frames run the fault pipeline before reaching the inner
-// link. All nodes of a deployment must share one Chaos so partitions and
-// crash windows are consistent. Closing the returned Link closes the inner
-// one; the Chaos itself must be Closed separately (before the inner links,
-// so hold-backs flush into live sockets).
+// WrapLink wraps one node's Link (a memory hub's view, a TCPNode, a service
+// route) with this chaos layer: outbound frames run the fault pipeline
+// before reaching the inner link. All nodes of a deployment must share one
+// Chaos so partitions and crash windows are consistent. Closing the
+// returned Link closes the inner one; the Chaos itself must be Closed
+// separately (before the inner links, so hold-backs flush into live ones).
 func (c *Chaos) WrapLink(inner Link, id int) Link {
-	return &chaosLink{c: c, id: id, inner: inner}
+	l := &chaosLink{c: c, id: id, inner: inner}
+	l.batch, _ = inner.(BatchSender)
+	return l
 }
 
-// chaosLink is a per-node Link view over a shared Chaos: hub mode
-// (inner == nil, forwarding to c.inner) or wrap mode (forwarding to the
-// wrapped Link).
+// chaosLink is one node's Link view over a shared Chaos, forwarding
+// surviving frames to the wrapped link.
 type chaosLink struct {
 	c     *Chaos
 	id    int
-	inner Link // nil in hub mode
+	inner Link
+	batch BatchSender // inner's batched path; nil when it has none
+
+	mu  sync.Mutex // serializes deliveries through one
+	one [1]Message // deliver's one-frame batch, reused so forwarding allocates nothing
 }
 
 // ConnDisruptor is implemented by links whose transport holds real per-peer
@@ -705,18 +662,20 @@ type ConnDisruptor interface {
 	DisruptOutbound(to int)
 }
 
-// deliver forwards a surviving frame to the wrapped link (or the hub). It
-// prefers the inner link's batched path: on TCP that is the self-healing
-// per-peer writer, so an injected reset degrades into a retained-and-resent
-// frame instead of a synchronous write error aborting the run.
+// deliver forwards a surviving frame to the wrapped link. It prefers the
+// inner link's batched path: on TCP that is the self-healing per-peer
+// writer, so an injected reset degrades into a retained-and-resent frame
+// instead of a synchronous write error aborting the run. Deliveries come
+// from the node's send path, delay timers and hold-back releases at once;
+// the mutex lets them share the one-frame batch.
 func (l *chaosLink) deliver(m Message) error {
-	if l.inner != nil {
-		if bs, ok := l.inner.(BatchSender); ok {
-			return bs.SendBatch([]Message{m})
-		}
+	if l.batch == nil {
 		return l.inner.Send(m)
 	}
-	return l.c.inner.Send(m)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.one[0] = m
+	return l.batch.SendBatch(l.one[:])
 }
 
 // disrupt enacts an injected connection reset on transports with real
@@ -730,14 +689,14 @@ func (l *chaosLink) disrupt(to int) {
 // Send implements Link, stamping the local identity like every Link does.
 func (l *chaosLink) Send(m Message) error {
 	m.From = l.id
-	return l.c.process(m, l.deliver, l.disrupt)
+	return l.c.process(l, m)
 }
 
 // SendBatch implements BatchSender.
 func (l *chaosLink) SendBatch(ms []Message) error {
 	for i := range ms {
 		ms[i].From = l.id
-		if err := l.c.process(ms[i], l.deliver, l.disrupt); err != nil {
+		if err := l.c.process(l, ms[i]); err != nil {
 			return err
 		}
 	}
@@ -745,48 +704,21 @@ func (l *chaosLink) SendBatch(ms []Message) error {
 }
 
 // Recv implements Link.
-func (l *chaosLink) Recv() <-chan Message {
-	if l.inner != nil {
-		return l.inner.Recv()
-	}
-	return l.c.inner.Inbox(l.id)
-}
+func (l *chaosLink) Recv() <-chan Message { return l.inner.Recv() }
 
-// Close implements Link: hub mode is a no-op (the Chaos owns the hub), wrap
-// mode closes the wrapped link.
-func (l *chaosLink) Close() error {
-	if l.inner != nil {
-		return l.inner.Close()
-	}
-	return nil
-}
+// Close implements Link by closing the wrapped link.
+func (l *chaosLink) Close() error { return l.inner.Close() }
 
-// Unwrap exposes the wrapped link so stats folding can reach the inner
-// transport's counters (TCP auth/replay/misdirect drops).
-func (l *chaosLink) Unwrap() Link { return l.inner }
-
-// IncomingCorrupt and IncomingPartitioned expose the chaos losses addressed
-// to this node; the cluster node folds them into its NodeStats.
-func (l *chaosLink) IncomingCorrupt() int64     { return l.c.CorruptDropsTo(l.id) }
-func (l *chaosLink) IncomingPartitioned() int64 { return l.c.PartitionDropsTo(l.id) }
-
-// InboundOverflow surfaces the hub's dropped-on-full counter in hub mode,
-// where Unwrap returns nil and stats folding cannot reach the inner
-// transport itself. In wrap mode it reports 0: the wrapped link's own
-// counter is folded through the Unwrap chain instead.
-func (l *chaosLink) InboundOverflow() int64 {
-	if l.inner != nil {
-		return 0
-	}
-	if hub, ok := l.c.inner.(interface{ OverflowDrops(int) int64 }); ok {
-		return hub.OverflowDrops(l.id)
-	}
-	return 0
+// Counters implements Link: the wrapped link's counts plus the chaos
+// losses addressed to this node.
+func (l *chaosLink) Counters() Counters {
+	c := l.inner.Counters()
+	c.Corrupt += l.c.corruptTo[l.id].Load()
+	c.Partitioned += l.c.partTo[l.id].Load()
+	return c
 }
 
 var (
-	_ Transport   = (*Chaos)(nil)
-	_ BatchSender = (*Chaos)(nil)
 	_ Link        = (*chaosLink)(nil)
 	_ BatchSender = (*chaosLink)(nil)
 )

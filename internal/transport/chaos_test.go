@@ -6,29 +6,42 @@ import (
 	"time"
 )
 
-// chaosHub builds a chaos layer over a fresh in-memory hub with deep
-// inboxes (tests drain after the fact; overflow must not interfere).
-func chaosHub(t *testing.T, n int, spec ChaosSpec) *Chaos {
+// chaosMesh is one Chaos layer wrapped around every node's view of an
+// in-memory hub.
+type chaosMesh struct {
+	*Chaos
+	hub   *Channel
+	links []Link
+}
+
+// chaosHub builds a chaos mesh over a fresh in-memory hub with deep inboxes
+// (tests drain after the fact; overflow must not interfere).
+func chaosHub(t *testing.T, n int, spec ChaosSpec) *chaosMesh {
 	t.Helper()
 	hub, err := NewChannel(n, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewChaos(hub, n, spec)
+	c, err := NewChaos(n, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	cm := &chaosMesh{Chaos: c, hub: hub, links: make([]Link, n)}
+	for i := range cm.links {
+		cm.links[i] = c.WrapLink(hub.Link(i), i)
+	}
+	return cm
 }
 
-// drain closes the chaos layer and collects everything node id received.
-func drain(c *Chaos, id int) []Message {
-	_ = c.Close()
-	var out []Message
-	for m := range c.Inbox(id) {
-		out = append(out, m)
-	}
-	return out
+// Send sends m on its sender's wrapped link.
+func (cm *chaosMesh) Send(m Message) error { return cm.links[m.From].Send(m) }
+
+// drain closes the chaos layer, then the hub, and collects everything node
+// id received.
+func drain(cm *chaosMesh, id int) []Message {
+	_ = cm.Close()
+	_ = cm.hub.Close()
+	return drainLink(cm.links[id])
 }
 
 func TestChaosPassThrough(t *testing.T) {
@@ -99,11 +112,10 @@ func TestChaosCorruptsThroughCodec(t *testing.T) {
 	if st := c.Stats(); st.Corrupted != 6 {
 		t.Errorf("Corrupted = %d, want 6", st.Corrupted)
 	}
-	if got := c.CorruptDropsTo(1); got != 3 {
-		t.Errorf("CorruptDropsTo(1) = %d, want 3", got)
-	}
-	if got := c.CorruptDropsTo(2); got != 3 {
-		t.Errorf("CorruptDropsTo(2) = %d, want 3", got)
+	for _, id := range []int{1, 2} {
+		if got := c.links[id].Counters(); got != (Counters{Corrupt: 3}) {
+			t.Errorf("node %d Counters = %+v, want Corrupt 3 only", id, got)
+		}
 	}
 }
 
@@ -197,8 +209,8 @@ func TestChaosPartitionWindowHeals(t *testing.T) {
 	if st := c.Stats(); st.PartitionDrops != 2 {
 		t.Errorf("PartitionDrops = %d, want 2", st.PartitionDrops)
 	}
-	if got := c.PartitionDropsTo(1); got != 2 {
-		t.Errorf("PartitionDropsTo(1) = %d, want 2", got)
+	if got := c.links[1].Counters().Partitioned; got != 2 {
+		t.Errorf("node 1 Counters.Partitioned = %d, want 2", got)
 	}
 }
 
@@ -230,7 +242,7 @@ func TestChaosCrashWindow(t *testing.T) {
 		t.Errorf("node 0 received %d frames, want 3 (rounds 0, 3, 4)", got0)
 	}
 	got2 := 0
-	for m := range c.Inbox(2) {
+	for _, m := range drain(c, 2) {
 		got2++
 		if m.Round >= 2 {
 			t.Errorf("frame of round %d delivered to permanently crashed node", m.Round)
@@ -283,11 +295,8 @@ func TestChaosTraceDeterminism(t *testing.T) {
 		}
 		trace, stats := c.Trace(), c.Stats()
 		received := make(map[int]int)
-		_ = c.Close()
 		for id := 0; id < 4; id++ {
-			for range c.Inbox(id) {
-				received[id]++
-			}
+			received[id] = len(drain(c, id))
 		}
 		return trace, stats, received
 	}
@@ -313,15 +322,25 @@ func TestChaosTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosWrapLink exercises the per-link wrapping path (the TCP
-// deployment shape) over in-memory links, including the counter-folding
-// surface the cluster node uses.
+// countedLink is a Link whose Counters are fixed, to check that a wrapper
+// adds its own counts to its inner link's.
+type countedLink struct {
+	Link
+	c Counters
+}
+
+func (l countedLink) Counters() Counters { return l.c }
+
+// TestChaosWrapLink exercises the wrapping path over in-memory links,
+// including the Counters surface the cluster node folds into its stats: a
+// wrapped link reports its inner link's counts plus the chaos losses
+// addressed to its node.
 func TestChaosWrapLink(t *testing.T) {
 	hub, err := NewChannel(2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewChaos(nil, 2, ChaosSpec{Seed: 9, CorruptRate: 1})
+	c, err := NewChaos(2, ChaosSpec{Seed: 9, CorruptRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,16 +360,14 @@ func TestChaosWrapLink(t *testing.T) {
 	if n := len(drainLink(hub.Link(1))); n != 0 {
 		t.Fatalf("corrupt-rate 1 delivered %d frames through a wrapped link", n)
 	}
-	type incoming interface {
-		IncomingCorrupt() int64
-		IncomingPartitioned() int64
+	if got := c.WrapLink(hub.Link(1), 1).Counters(); got != (Counters{Corrupt: 2}) {
+		t.Errorf("wrapped link Counters = %+v, want Corrupt 2 only", got)
 	}
-	link1 := c.WrapLink(hub.Link(1), 1).(incoming)
-	if got := link1.IncomingCorrupt(); got != 2 {
-		t.Errorf("IncomingCorrupt = %d, want 2", got)
-	}
-	if u, ok := link0.(interface{ Unwrap() Link }); !ok || u.Unwrap() == nil {
-		t.Error("wrapped link does not expose its inner link")
+	inner := Counters{AuthFailures: 3, FramesSent: 5, Overflow: 4, Corrupt: 1}
+	want := inner
+	want.Corrupt += 2
+	if got := c.WrapLink(countedLink{Link: hub.Link(1), c: inner}, 1).Counters(); got != want {
+		t.Errorf("wrapped link Counters = %+v, want the inner %+v plus Corrupt 2", got, inner)
 	}
 }
 
@@ -403,7 +420,7 @@ func TestChaosSpecValidate(t *testing.T) {
 func TestChaosDialFaultDeterminism(t *testing.T) {
 	const attempts = 200
 	script := func(seed uint64, burst int) []bool {
-		c, err := NewChaos(nil, 2, ChaosSpec{Seed: seed, DialFailRate: 0.15, DialFailBurst: burst})
+		c, err := NewChaos(2, ChaosSpec{Seed: seed, DialFailRate: 0.15, DialFailBurst: burst})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +472,7 @@ func TestChaosDialFaultDeterminism(t *testing.T) {
 	}
 
 	// The rate-0 spec never fails a dial, whatever the attempt index.
-	c, err := NewChaos(nil, 2, ChaosSpec{Seed: 11})
+	c, err := NewChaos(2, ChaosSpec{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,8 +529,8 @@ func TestChannelOverflowDoesNotWedge(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("sender wedged on a full inbox")
 	}
-	if got := hub.OverflowDrops(1); got != 10 {
-		t.Errorf("OverflowDrops(1) = %d, want 10 (12 sends, capacity 2)", got)
+	if got := hub.Link(1).Counters().Overflow; got != 10 {
+		t.Errorf("node 1 Counters.Overflow = %d, want 10 (12 sends, capacity 2)", got)
 	}
 	if err := hub.Close(); err != nil {
 		t.Fatal(err)

@@ -73,13 +73,13 @@ func TestTCPReconnectHealsDisruptedConnection(t *testing.T) {
 			t.Errorf("round %d lost across the reconnect", r)
 		}
 	}
-	if got := nodes[0].Reconnects(); got == 0 {
+	if got := nodes[0].Counters().Reconnects; got == 0 {
 		t.Error("Reconnects = 0 after a mid-stream disruption; the heal was never counted")
 	}
 	if got := nodes[0].PeerState(1); got != PeerLive {
 		t.Errorf("PeerState(1) = %v after healing, want live", got)
 	}
-	if got := nodes[0].PeerDownEvents(); got != 0 {
+	if got := nodes[0].Counters().PeerDownEvents; got != 0 {
 		t.Errorf("PeerDownEvents = %d, want 0 — a healed outage must not count as down", got)
 	}
 }
@@ -95,7 +95,7 @@ func TestTCPChaosResetHealsWithoutLoss(t *testing.T) {
 	}
 	defer closeAll(t, nodes)
 
-	c, err := NewChaos(nil, 2, ChaosSpec{Seed: 7, ResetRate: 0.25})
+	c, err := NewChaos(2, ChaosSpec{Seed: 7, ResetRate: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestTCPChaosResetHealsWithoutLoss(t *testing.T) {
 	if got := c.Stats().Resets; got == 0 {
 		t.Fatal("ResetRate 0.25 over 40 frames injected no resets; the heal assertion is vacuous")
 	}
-	if got := nodes[0].Reconnects(); got == 0 {
+	if got := nodes[0].Counters().Reconnects; got == 0 {
 		t.Error("Reconnects = 0 under injected resets")
 	}
 	if err := c.Close(); err != nil {
@@ -145,7 +145,7 @@ func downPeer(t *testing.T, nd *TCPNode, to int, inj *scriptedDialFaults) {
 	nd.SetDialFaults(inj)
 	nd.SetRetryPolicy(RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond, Budget: 40 * time.Millisecond})
 	deadline := time.Now().Add(10 * time.Second)
-	for r := 0; nd.PeerDownDrops() == 0; r++ {
+	for r := 0; nd.Counters().PeerDownDrops == 0; r++ {
 		if err := nd.SendBatch([]Message{{Round: r, To: to}}); err != nil {
 			t.Fatalf("SendBatch during outage errored (%v); want graceful degradation", err)
 		}

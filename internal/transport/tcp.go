@@ -23,6 +23,9 @@ type Link interface {
 	Recv() <-chan Message
 	// Close releases the link's resources.
 	Close() error
+	// Counters returns the link's transport counters so far; a wrapping
+	// link adds its own to its inner link's.
+	Counters() Counters
 }
 
 // Link returns node id's Link view of the in-memory transport.
@@ -49,10 +52,11 @@ func (l *channelLink) SendBatch(ms []Message) error {
 
 func (l *channelLink) Recv() <-chan Message { return l.hub.Inbox(l.id) }
 
-// InboundOverflow reports how many frames destined to this node the hub
-// dropped on a full inbox (Channel.OverflowDrops); the cluster layer folds
-// it into NodeStats.Overflow.
-func (l *channelLink) InboundOverflow() int64 { return l.hub.OverflowDrops(l.id) }
+// Counters reports the frames destined to this node that the hub dropped on
+// a full inbox; the hub counts nothing else.
+func (l *channelLink) Counters() Counters {
+	return Counters{Overflow: l.hub.overflow[l.id].Load()}
+}
 
 // Close on a channelLink is a no-op: the hub owns the resources.
 func (l *channelLink) Close() error { return nil }
@@ -344,45 +348,23 @@ func (nd *TCPNode) Close() error {
 // by attackers).
 func (nd *TCPNode) Addr() string { return nd.ln.Addr().String() }
 
-// AuthFailures returns how many inbound frames failed HMAC verification.
-func (nd *TCPNode) AuthFailures() int64 { return nd.authFailures.Load() }
-
-// ReplayDrops returns how many authenticated frames were dropped as
-// replays.
-func (nd *TCPNode) ReplayDrops() int64 { return nd.replayDrops.Load() }
-
-// MisdirectDrops returns how many authenticated frames named a different
-// destination.
-func (nd *TCPNode) MisdirectDrops() int64 { return nd.misdirectDrops.Load() }
-
-// FramesSent returns how many frames this node handed to the network
-// (synchronous Sends plus batched sends).
-func (nd *TCPNode) FramesSent() int64 { return nd.framesSent.Load() }
-
-// FramesReceived returns how many inbound frames passed authentication,
-// destination and replay checks and reached the inbox.
-func (nd *TCPNode) FramesReceived() int64 { return nd.framesRecv.Load() }
-
-// BatchWrites returns how many socket writes the batched path performed.
-// Compare with FramesSent: the ratio is the coalescing factor the pipeline
-// achieved (frames per write).
-func (nd *TCPNode) BatchWrites() int64 { return nd.batchWrites.Load() }
-
-// Reconnects returns how many times a batch writer re-established its
-// connection after a write or dial failure.
-func (nd *TCPNode) Reconnects() int64 { return nd.reconnects.Load() }
-
-// DialRetries returns how many outbound dial attempts failed (each retried
-// or given up under the retry policy).
-func (nd *TCPNode) DialRetries() int64 { return nd.dialRetries.Load() }
-
-// PeerDownEvents returns how many times a peer exhausted the retry budget
-// and transitioned into the down state.
-func (nd *TCPNode) PeerDownEvents() int64 { return nd.peerDownEvents.Load() }
-
-// PeerDownDrops returns how many outbound frames were absorbed as counted
-// drops — never errors — because their peer was down.
-func (nd *TCPNode) PeerDownDrops() int64 { return nd.peerDownDrops.Load() }
+// Counters returns the node's transport counters so far: the inbound
+// authentication, replay and misdirection drops, the frame and socket-write
+// totals, and the self-healing writers' reconnect and peer-health counts.
+func (nd *TCPNode) Counters() Counters {
+	return Counters{
+		AuthFailures:   nd.authFailures.Load(),
+		ReplayDrops:    nd.replayDrops.Load(),
+		MisdirectDrops: nd.misdirectDrops.Load(),
+		FramesSent:     nd.framesSent.Load(),
+		FramesReceived: nd.framesRecv.Load(),
+		BatchWrites:    nd.batchWrites.Load(),
+		Reconnects:     nd.reconnects.Load(),
+		DialRetries:    nd.dialRetries.Load(),
+		PeerDownEvents: nd.peerDownEvents.Load(),
+		PeerDownDrops:  nd.peerDownDrops.Load(),
+	}
+}
 
 // SetRetryPolicy replaces the node's reconnect policy (the default is
 // DefaultRetryPolicy; zero fields inherit its values). Call it before

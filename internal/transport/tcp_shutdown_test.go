@@ -86,7 +86,7 @@ func TestTCPBatchDialFailure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SendBatch to dead peer errored (%v); want graceful degradation", err)
 		}
-		if nd.PeerDownDrops() > 0 {
+		if nd.Counters().PeerDownDrops > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -97,10 +97,10 @@ func TestTCPBatchDialFailure(t *testing.T) {
 	if got := nd.PeerState(1); got != PeerDown {
 		t.Fatalf("PeerState(1) = %v, want down", got)
 	}
-	if got := nd.PeerDownEvents(); got != 1 {
+	if got := nd.Counters().PeerDownEvents; got != 1 {
 		t.Fatalf("PeerDownEvents = %d, want 1", got)
 	}
-	if got := nd.DialRetries(); got == 0 {
+	if got := nd.Counters().DialRetries; got == 0 {
 		t.Fatal("DialRetries = 0; the outage never counted its failed dials")
 	}
 

@@ -7,21 +7,34 @@ import (
 	"sync/atomic"
 )
 
-// Transport delivers Messages among n nodes. Implementations must be safe
-// for concurrent Sends and guarantee that a message sent before Close is
-// either delivered to the destination inbox or reported as an error —
-// messages are never silently created, duplicated or reordered per link
-// (the paper's reliable-channel assumption). The Chaos wrapper deliberately
-// relaxes these guarantees, seeded and counted, for fault injection.
-type Transport interface {
-	// Send delivers m to node m.To. It returns an error if the transport
-	// is closed or the destination is invalid.
-	Send(m Message) error
-	// Inbox returns the receive channel of node id. The channel is closed
-	// after Close once all in-flight messages have been delivered.
-	Inbox(id int) <-chan Message
-	// Close shuts the transport down and releases resources.
-	Close() error
+// Counters is a link's transport-level tally: the one counters surface of
+// the link layer. Every Link reports it through Counters, and a wrapping
+// link returns its inner link's counts plus its own. Fields a layer does not
+// track stay zero (the in-memory hub counts only Overflow).
+type Counters struct {
+	// AuthFailures, ReplayDrops and MisdirectDrops count inbound frames
+	// dropped before the protocol: failed HMAC verification, an
+	// already-seen (from, instance, round, seq) tuple, or another node's
+	// destination (TCP).
+	AuthFailures, ReplayDrops, MisdirectDrops int64
+	// FramesSent counts frames handed to the network (synchronous plus
+	// batched sends), FramesReceived the inbound frames that passed every
+	// check, and BatchWrites the batched path's socket writes, so
+	// FramesSent/BatchWrites is the coalescing factor (TCP).
+	FramesSent, FramesReceived, BatchWrites int64
+	// Reconnects, DialRetries, PeerDownEvents and PeerDownDrops are the
+	// self-healing writers' counts (TCP): connections re-established after
+	// a failure, failed dial attempts, peers that exhausted the retry
+	// budget, and outbound frames absorbed as drops while their peer was
+	// down.
+	Reconnects, DialRetries, PeerDownEvents, PeerDownDrops int64
+	// Overflow counts inbound frames dropped on a full inbox (the
+	// in-memory hub, a service instance route).
+	Overflow int64
+	// Corrupt and Partitioned count the chaos losses addressed to this
+	// node: corrupted frames the codec rejected, and frames dropped by
+	// partition cuts and crash windows.
+	Corrupt, Partitioned int64
 }
 
 // ErrClosed is returned by Send after Close.
@@ -46,11 +59,15 @@ type BatchSender interface {
 	SendBatch(ms []Message) error
 }
 
-// Channel is the in-memory Transport: per-node inbox channels with
-// capacity n·capFactor, modelling instantaneous reliable links.
+// Channel is the in-memory transport hub: per-node inbox channels with
+// capacity n·rounds, modelling instantaneous reliable links. A message sent
+// before Close is delivered to its destination inbox, counted as an
+// overflow, or reported as an error; it is never silently created,
+// duplicated or reordered per link (the paper's reliable-channel
+// assumption, which the Chaos wrapper relaxes, seeded and counted).
 //
 // A full inbox is an overflow, not a blocking condition: the frame is
-// dropped and counted (OverflowDrops) so one slow or crashed receiver can
+// dropped and counted (Counters.Overflow of the destination's link) so one slow or crashed receiver can
 // never wedge its senders — historically Send held the hub lock across a
 // blocking channel send, and a single full inbox deadlocked every sender
 // and Close with it. To the protocol an overflow is indistinguishable from
@@ -87,7 +104,8 @@ func NewChannel(n, rounds int) (*Channel, error) {
 	return c, nil
 }
 
-// Send implements Transport.
+// Send delivers m (m.From must be set) to node m.To's inbox. It returns an
+// error if the hub is closed or an endpoint is out of range.
 func (c *Channel) Send(m Message) error {
 	if m.To < 0 || m.To >= c.n || m.From < 0 || m.From >= c.n {
 		return fmt.Errorf("transport: send %d->%d out of range [0,%d)", m.From, m.To, c.n)
@@ -113,11 +131,7 @@ func (c *Channel) put(m Message) {
 	}
 }
 
-// OverflowDrops returns how many frames destined to node id were dropped
-// because its inbox was full — the receiver sees them as omissions.
-func (c *Channel) OverflowDrops(id int) int64 { return c.overflow[id].Load() }
-
-// SendBatch implements BatchSender: one lock acquisition for the whole
+// SendBatch delivers every message in ms with one lock acquisition for the whole
 // send phase instead of one per message.
 func (c *Channel) SendBatch(ms []Message) error {
 	for _, m := range ms {
@@ -136,10 +150,11 @@ func (c *Channel) SendBatch(ms []Message) error {
 	return nil
 }
 
-// Inbox implements Transport.
+// Inbox returns node id's receive channel, closed by Close.
 func (c *Channel) Inbox(id int) <-chan Message { return c.inboxes[id] }
 
-// Close implements Transport.
+// Close closes every inbox; later sends fail with ErrClosed. Safe to call
+// more than once.
 func (c *Channel) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -152,5 +167,3 @@ func (c *Channel) Close() error {
 	}
 	return nil
 }
-
-var _ Transport = (*Channel)(nil)

@@ -404,12 +404,12 @@ func TestTCPSendBatch(t *testing.T) {
 			}
 		}
 	}
-	if got := nodes[0].FramesSent(); got != 3*rounds {
+	if got := nodes[0].Counters().FramesSent; got != 3*rounds {
 		t.Errorf("FramesSent = %d, want %d", got, 3*rounds)
 	}
 	// Coalescing: the writer can never need more writes than frames, and
 	// at least one write per peer happened.
-	if w := nodes[0].BatchWrites(); w < 3 || w > 3*rounds {
+	if w := nodes[0].Counters().BatchWrites; w < 3 || w > 3*rounds {
 		t.Errorf("BatchWrites = %d outside [3, %d]", w, 3*rounds)
 	}
 	if err := nodes[0].SendBatch([]Message{{To: 7}}); err == nil {

@@ -193,8 +193,8 @@ type Service struct {
 	cfgs  []cluster.Config // template: Input/InputRange/FixedRounds overwritten per instance
 	sched ClusterSchedule
 
+	mesh   []transport.Link // the mesh nodes' links, owned by group's muxes
 	group  *service.Group
-	tcp    []*transport.TCPNode // nil on the memory transport
 	closer func() error
 
 	ctx    context.Context
@@ -257,63 +257,22 @@ func (e *Engine) Serve(ctx context.Context, spec ServiceSpec) (*Service, error) 
 	spec.Model, spec.Epsilon, spec.RoundTimeout = cs.Model, cs.Epsilon, cs.RoundTimeout
 	spec.Degree, spec.Key = cs.Degree, cs.Key
 
-	n := cs.N
-	links := make([]transport.Link, n)
-	var closer func() error
-	var tcpNodes []*transport.TCPNode
-	switch cs.Transport {
-	case "", "memory":
-		// Every node's inbox is shared by all hosted instances until the
-		// demux fans frames out; lockstep bounds each instance to about two
-		// rounds in flight (plus PipelineDepth more when pipelined), so size
-		// for the concurrency cap.
-		hub, err := transport.NewChannel(n, (2+spec.PipelineDepth)*spec.MaxConcurrent+8)
-		if err != nil {
-			return nil, err
-		}
-		for i := range links {
-			links[i] = hub.Link(i)
-		}
-		closer = hub.Close
-	case "tcp":
-		nodes, err := transport.NewTCPMesh(n, cs.Key)
-		if err != nil {
-			return nil, err
-		}
-		if spec.PipelineDepth > 0 {
-			// Pipelined instances legitimately keep PipelineDepth rounds in
-			// flight per flow; widen the per-flow replay filters to match.
-			for _, nd := range nodes {
-				nd.SetReplayWindow(spec.PipelineDepth + 4)
-			}
-		}
-		if spec.Retry != nil {
-			for _, nd := range nodes {
-				nd.SetRetryPolicy(*spec.Retry)
-			}
-		}
-		tcpNodes = nodes
-		for i := range links {
-			links[i] = nodes[i]
-		}
-		closer = func() error {
-			var first error
-			for _, nd := range nodes {
-				if err := nd.Close(); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		}
+	// Every node's inbox is shared by all hosted instances until the demux
+	// fans frames out; lockstep bounds each instance to about two rounds in
+	// flight (plus PipelineDepth more when pipelined), so the memory hub is
+	// sized for the concurrency cap.
+	links, _, closer, err := openMesh(cs, (2+spec.PipelineDepth)*spec.MaxConcurrent+8)
+	if err != nil {
+		return nil, err
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Service{
 		spec:    spec,
-		n:       n,
+		n:       cs.N,
 		cfgs:    cfgs,
 		sched:   cfgs[0].Schedule,
+		mesh:    links,
 		group:   service.NewGroup(links),
-		tcp:     tcpNodes,
 		closer:  closer,
 		ctx:     sctx,
 		cancel:  cancel,
@@ -419,9 +378,10 @@ func (s *Service) Stats() ServiceStats {
 		Stale:      g.Stale,
 		InboxDrops: g.Overflows,
 	}
-	for _, nd := range s.tcp {
-		st.SocketFrames += nd.FramesSent()
-		st.SocketWrites += nd.BatchWrites()
+	for _, l := range s.mesh {
+		c := l.Counters()
+		st.SocketFrames += c.FramesSent
+		st.SocketWrites += c.BatchWrites
 	}
 	return st
 }
@@ -485,11 +445,7 @@ func (s *Service) roundsFor(inputRange float64) (int, error) {
 	if err != nil {
 		return 0, configErrorf("FixedRounds", "%v", err)
 	}
-	if s.spec.Chaos.Active() && s.spec.FixedRounds == 0 {
-		rounds = int(math.Ceil(float64(rounds)*(1+2*(s.spec.Chaos.DropRate+s.spec.Chaos.CorruptRate)))) +
-			s.spec.Chaos.HealSpan()
-	}
-	return rounds, nil
+	return chaosRounds(rounds, s.spec.FixedRounds, s.spec.Chaos), nil
 }
 
 // nodeSet builds or recycles an n-node protocol state set wired to the
@@ -522,16 +478,7 @@ func (s *Service) nodeSet(links []transport.Link, inputs []float64, inputRange f
 func (s *Service) execute(id uint32, inputs []float64) (*ClusterResult, []FaultEvent, error) {
 	inputRange := s.spec.InputRange
 	if inputRange == 0 {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range inputs {
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-		if hi > lo {
-			inputRange = hi - lo
-		} else {
-			inputRange = 1 // degenerate: identical inputs
-		}
+		inputRange = inputSpread(inputs)
 	}
 	rounds, err := s.roundsFor(inputRange)
 	if err != nil {
@@ -560,7 +507,7 @@ func (s *Service) execute(id uint32, inputs []float64) (*ClusterResult, []FaultE
 		// the shared mesh would leak one instance's chaos into every other.
 		cspec := *s.spec.Chaos
 		cspec.Seed = DeriveSeed(cspec.Seed, int(id))
-		chaos, err = transport.NewChaos(nil, s.n, cspec)
+		chaos, err = transport.NewChaos(s.n, cspec)
 		if err != nil {
 			retire()
 			return nil, nil, err
@@ -575,10 +522,7 @@ func (s *Service) execute(id uint32, inputs []float64) (*ClusterResult, []FaultE
 		retire()
 		return nil, nil, err
 	}
-	horizon := s.spec.RunHorizon
-	if horizon == 0 {
-		horizon = time.Duration(rounds+2)*s.spec.RoundTimeout + 2*time.Second
-	}
+	horizon := watchdogHorizon(s.spec.RunHorizon, rounds, s.spec.RoundTimeout)
 	start := time.Now()
 	outcomes, down, err := cluster.RunNodes(s.ctx, nodes, horizon)
 	elapsed := time.Since(start)
