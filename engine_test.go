@@ -225,7 +225,7 @@ func TestEngineRunPooledAllocs(t *testing.T) {
 		}
 	})
 	perRound := perRun / rounds
-	const ceiling = 8.0 // same budget the core splitter guard pins
+	const ceiling = 1.0 // same budget the core splitter guard pins
 	if perRound > ceiling {
 		t.Errorf("pooled Engine.Run allocates %.2f/round (%.0f/run), ceiling %v — pooling regressed the hot path",
 			perRound, perRun, ceiling)

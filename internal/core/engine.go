@@ -93,6 +93,7 @@ type scratch struct {
 
 	sendStates []mobile.State // send-phase state snapshot for the checkers
 	uValues    []float64      // planSendPhase's U accumulation buffer
+	diamSeries []float64      // the run's diameter series, copied out by result
 
 	// Batched-consultation state: the per-round directives script the
 	// adversary fills in one call, the RoundView wrapper handed to it, and
@@ -101,6 +102,9 @@ type scratch struct {
 	rview mobile.RoundView
 	fList []int
 	cList []int
+	// placement is the validated agent placement of the latest Place
+	// call (mobile.ValidatePlacement writes it in place).
+	placement []int
 
 	// Base+patch kernel state: the per-round plan (base and directives
 	// script) plus the per-receiver patch buffer. Scratch never holds
@@ -127,6 +131,7 @@ func (sc *scratch) ensure(n int) error {
 		sc.pvals = make([]float64, 0, n)
 		sc.fList = make([]int, 0, n)
 		sc.cList = make([]int, 0, n)
+		sc.placement = make([]int, 0, n)
 		sc.n = n
 	}
 	return nil
@@ -217,6 +222,7 @@ type runState struct {
 	// pre-scratch engine did.
 	copyViews bool
 
+	tau          int // cfg.Tau(), fixed for the run
 	initialRange multiset.Interval
 	diamSeries   []float64
 	rounds       int
@@ -240,6 +246,7 @@ func newRunState(cfg Config, sc *scratch) (*runState, error) {
 		states:   sc.states[:cfg.N],
 		faulty:   &sc.faulty,
 		snapshot: cfg.OnRound != nil,
+		tau:      cfg.Tau(),
 	}
 	// RetainsViews looks through Adapters and wrappers, so a wrapped
 	// view-retaining adversary still gets its defensive copies.
@@ -255,7 +262,7 @@ func newRunState(cfg Config, sc *scratch) (*runState, error) {
 		st.report = &CheckReport{}
 	}
 
-	placement, err := mobile.ValidatePlacement(cfg.Adversary.Place(st.borrowView(0, phasePlace)), cfg.N, cfg.F)
+	placement, err := mobile.ValidatePlacement(sc.placement, cfg.Adversary.Place(st.borrowView(0, phasePlace)), cfg.N, cfg.F)
 	if err != nil {
 		return nil, fmt.Errorf("core: round 0 placement: %w", err)
 	}
@@ -288,7 +295,7 @@ func newRunState(cfg Config, sc *scratch) (*runState, error) {
 		return nil, fmt.Errorf("core: no initially correct process")
 	}
 	st.initialRange = iv
-	st.diamSeries = append(st.diamSeries, ms.Diameter())
+	st.diamSeries = append(sc.diamSeries[:0], ms.Diameter())
 	return st, nil
 }
 
@@ -296,7 +303,7 @@ func newRunState(cfg Config, sc *scratch) (*runState, error) {
 // agents leave a corrupted value behind; arriving agents obliterate their
 // host's state.
 func (st *runState) move(round int) error {
-	placement, err := mobile.ValidatePlacement(st.cfg.Adversary.Place(st.borrowView(round, phasePlace)), st.cfg.N, st.cfg.F)
+	placement, err := mobile.ValidatePlacement(st.sc.placement, st.cfg.Adversary.Place(st.borrowView(round, phasePlace)), st.cfg.N, st.cfg.F)
 	if err != nil {
 		return fmt.Errorf("core: round %d placement: %w", round, err)
 	}
@@ -333,7 +340,7 @@ func (st *runState) move(round int) error {
 // they are aware, their state is about to be recomputed from this round's
 // messages, and per Lemma 4 no process is cured during any send phase.
 func (st *runState) moveM4(round int) error {
-	placement, err := mobile.ValidatePlacement(st.cfg.Adversary.Place(st.borrowView(round+1, phasePlace)), st.cfg.N, st.cfg.F)
+	placement, err := mobile.ValidatePlacement(st.sc.placement, st.cfg.Adversary.Place(st.borrowView(round+1, phasePlace)), st.cfg.N, st.cfg.F)
 	if err != nil {
 		return fmt.Errorf("core: round %d mid-round placement: %w", round, err)
 	}
@@ -377,7 +384,7 @@ func (st *runState) sendStatesForChecks() []mobile.State {
 // runRound executes one full round: movement, send, receive, compute,
 // checkers, state refresh.
 func (st *runState) runRound(round int) error {
-	cfg := st.cfg
+	cfg := &st.cfg
 	if round > 0 && !cfg.Model.MovesWithMessages() {
 		if err := st.move(round); err != nil {
 			return err
@@ -399,7 +406,7 @@ func (st *runState) runRound(round int) error {
 	// Receive + compute for every process not faulty during computation:
 	// each receiver votes over the round's shared sorted base plus its row
 	// of the directives script, as two runs.
-	if err := st.voteRange(round, cfg.Tau(), plan.kern); err != nil {
+	if err := st.voteRange(round, st.tau, plan.kern); err != nil {
 		return err
 	}
 	if st.rec.Enabled() {
@@ -417,9 +424,9 @@ func (st *runState) runRound(round int) error {
 // finishRound runs the checkers and the OnRound callback, installs the new
 // votes, refreshes cured states, and extends the diameter series.
 func (st *runState) finishRound(round int, sendStates []mobile.State, plan plannedRound) {
-	cfg := st.cfg
+	cfg := &st.cfg
 	if st.report != nil {
-		st.report.checkRound(round, cfg, sendStates, st.faulty, st.newVotes, plan.u)
+		st.report.checkRound(round, *cfg, sendStates, st.faulty, st.newVotes, plan.u)
 	}
 	if cfg.OnRound != nil {
 		cfg.OnRound(RoundInfo{
@@ -444,7 +451,8 @@ func (st *runState) finishRound(round int, sendStates []mobile.State, plan plann
 	st.rounds = round + 1
 }
 
-// currentDiameter returns the spread of non-faulty stored values.
+// currentDiameter returns the spread of non-faulty stored values. Like
+// View.CorrectRange it uses the builtin min and max, which compile inline.
 func (st *runState) currentDiameter() float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	found := false
@@ -452,8 +460,8 @@ func (st *runState) currentDiameter() float64 {
 		if st.faulty.has(i) || math.IsNaN(v) {
 			continue
 		}
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
+		lo = min(lo, v)
+		hi = max(hi, v)
 		found = true
 	}
 	if !found {
@@ -488,9 +496,10 @@ func (st *runState) result() *Result {
 		Votes:               append([]float64(nil), st.votes...),
 		Decided:             make([]bool, st.cfg.N),
 		InitialCorrectRange: st.initialRange,
-		DiameterSeries:      st.diamSeries,
+		DiameterSeries:      append([]float64(nil), st.diamSeries...),
 		Check:               st.report,
 	}
+	st.sc.diamSeries = st.diamSeries // keep the grown buffer for the next run
 	for i := 0; i < st.cfg.N; i++ {
 		res.Decided[i] = !st.faulty.has(i)
 		if res.Decided[i] {

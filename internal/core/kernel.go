@@ -17,19 +17,25 @@ import (
 // asymmetric senders (faulty processes and M3-cured poisoned queues), at
 // most 2f of them. The kernel plan stores exactly that factored form: one
 // base, NaN-checked and sorted once per round (sealBase), plus the
-// adversary's Directives script, one row per receiver. Each receiver's vote
-// attaches its row to the sealed base and applies the algorithm to the
-// resulting two-run multiset, which selects the surviving ranks by co-rank
-// search instead of merging n values. The camp-steering adversaries script
+// adversary's Directives script, one row per receiver. A vote attaches a
+// row to the sealed base and applies the algorithm to the resulting
+// two-run multiset, which selects the surviving ranks by co-rank search
+// instead of merging n values. The camp-steering adversaries script
 // broadcast rows (one value from every asymmetric sender); such a row is
-// attached as a constant run in O(1), reading its value in place, so a
-// round costs O(n log n) with FTM or Median. An omitted row leaves the bare
-// base. Explicit per-sender rows are copied out and attached as a patch,
-// NaN-checked and sorted there: O(n log n + n·(f log f + log n)) per round.
-// Dolev adds a lookup per selected rank and FTA a walk over each
-// receiver's survivors. planSendPhase emits this form for every round and
-// voteRange is the one vote loop over it; the n×n matrix exists only as a
-// view materialized from the plan for OnRound consumers (snapshotPlan).
+// attached as a constant run in O(1), reading its value in place. An
+// omitted row leaves the bare base. Since equal rows give equal multisets,
+// voteRange votes once per distinct broadcast or omitted row and reuses
+// the vote for every receiver of that row (vote.go): under those
+// adversaries a round is O(n) scans — sender classification, script fill,
+// the vote loop's row reads — plus the O(n log n) base sort and at most
+// three votes, O(log n) each with FTM or Median and O(n) with FTA.
+// Explicit per-sender rows are voted per receiver: copied out and attached
+// as a patch, NaN-checked and sorted there, O(f log f + log n) each with
+// FTM or Median; Dolev adds a lookup per selected rank and FTA a walk over
+// the receiver's survivors. planSendPhase emits this form for every round
+// and voteRange is the one vote loop over it; the n×n matrix exists only
+// as a view materialized from the plan for OnRound consumers
+// (snapshotPlan).
 
 // kernelPlan is one round's send phase in base+patch form. Its buffers live
 // in the Runner's scratch and grow monotonically; a plan is valid until the
@@ -87,14 +93,16 @@ func (kp *kernelPlan) received(dst []float64, receiver int) (multiset.Multiset, 
 // consultRound performs the round's single adversary consultation: it seals
 // the directives script (every row omitted) and hands the RoundView to the
 // run's adversary to fill it. The view is the zero-copy send-phase
-// snapshot, and the fault lists live in scratch like everything else the
-// adversary sees — the no-retention contract covers them.
-func (st *runState) consultRound(round int, faulty, cured []int, d *mobile.Directives) {
+// snapshot, and the fault lists and the plan's sealed base live in scratch
+// like everything else the adversary sees — the no-retention contract
+// covers them.
+func (st *runState) consultRound(round int, faulty, cured []int, kp *kernelPlan, d *mobile.Directives) {
 	d.Seal()
 	st.sc.rview = mobile.RoundView{
 		View:   st.borrowView(round, phaseSend),
 		Faulty: faulty,
 		Cured:  cured,
+		Base:   &kp.baseSet,
 	}
 	st.cfg.Adversary.RoundDirectives(&st.sc.rview, d)
 }

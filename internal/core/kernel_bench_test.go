@@ -12,9 +12,10 @@ import (
 // Runner, without and with an OnRound callback (a no-op). Both arms vote
 // through the kernel; the gap between them is the cost of materializing
 // each round's n×n observation matrix, expected values and U for the
-// callback.
+// callback. At n=1024 only the kernel arm runs: the snapshot arm's matrix
+// is 16 MB per round there.
 func BenchmarkKernelRound(b *testing.B) {
-	for _, n := range []int{64, 256} {
+	for _, n := range []int{64, 256, 1024} {
 		f := mobile.M2Bonnet.MaxFaulty(n)
 		inputs := make([]float64, n)
 		for i := range inputs {
@@ -41,6 +42,9 @@ func BenchmarkKernelRound(b *testing.B) {
 				return c
 			}()},
 		} {
+			if n > 256 && arm.cfg.OnRound != nil {
+				continue
+			}
 			b.Run(fmt.Sprintf("%s/n=%d", arm.name, n), func(b *testing.B) {
 				r := NewRunner()
 				if _, err := r.Run(arm.cfg); err != nil { // warm scratch

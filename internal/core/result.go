@@ -40,8 +40,8 @@ func (r *Result) DecisionDiameter() float64 {
 		if !ok || math.IsNaN(r.Votes[i]) {
 			continue
 		}
-		lo = math.Min(lo, r.Votes[i])
-		hi = math.Max(hi, r.Votes[i])
+		lo = min(lo, r.Votes[i])
+		hi = max(hi, r.Votes[i])
 		count++
 	}
 	if count < 2 {

@@ -60,25 +60,20 @@ type plannedRound struct {
 	u        multiset.Multiset
 }
 
-// fillView populates the scratch view in place. Assigning a fresh composite
-// literal also zeroes the view's internal range cache, so a recycled view
-// never leaks a cached CorrectRange across decision points. The Rng is
-// derived into a scratch Source — the identical stream Derive would
-// return, without the allocation.
+// fillView populates the scratch view in place. Clearing it first also
+// zeroes the view's internal range cache, so a recycled view never leaks a
+// cached CorrectRange across decision points; clearing and then setting
+// the fields costs about half of assigning a composite literal, which is
+// built in a temporary and copied over. The Rng is derived into a scratch
+// Source — the identical stream Derive would return, without the
+// allocation.
 func (st *runState) fillView(round int, phase uint64, votes []float64, states []mobile.State) *mobile.View {
 	st.master.DeriveInto(&st.sc.rng, uint64(round), phase)
-	st.sc.view = mobile.View{
-		Round:  round,
-		Model:  st.cfg.Model,
-		N:      st.cfg.N,
-		F:      st.cfg.F,
-		Tau:    st.cfg.Tau(),
-		Algo:   st.cfg.Algorithm,
-		Votes:  votes,
-		States: states,
-		Rng:    &st.sc.rng,
-	}
-	return &st.sc.view
+	v := &st.sc.view
+	*v = mobile.View{}
+	v.Round, v.Model, v.N, v.F, v.Tau = round, st.cfg.Model, st.cfg.N, st.cfg.F, st.tau
+	v.Algo, v.Votes, v.States, v.Rng = st.cfg.Algorithm, votes, states, &st.sc.rng
+	return v
 }
 
 // borrowView builds the adversary's omniscient snapshot directly over the
@@ -119,7 +114,7 @@ func (st *runState) freshView(round int, phase uint64) *mobile.View {
 		Model:  st.cfg.Model,
 		N:      st.cfg.N,
 		F:      st.cfg.F,
-		Tau:    st.cfg.Tau(),
+		Tau:    st.tau,
 		Algo:   st.cfg.Algorithm,
 		Votes:  append([]float64(nil), st.votes...),
 		States: append([]mobile.State(nil), st.states...),
@@ -128,9 +123,10 @@ func (st *runState) freshView(round int, phase uint64) *mobile.View {
 }
 
 // planSendPhase computes one round's send phase in base+patch kernel form
-// (kernel.go). Every sender is classified in one ascending pass, then the
-// adversary is consulted exactly once, through Adversary.RoundDirectives,
-// over a directives script whose senders are registered ascending.
+// (kernel.go). Every sender is classified in one ascending pass and the
+// base is sealed; then the adversary is consulted exactly once, through
+// Adversary.RoundDirectives, over a directives script whose senders are
+// registered ascending, with the sealed base in its RoundView.
 //
 // Send semantics per state (paper §3 and Lemmas 1–4):
 //
@@ -147,7 +143,7 @@ func (st *runState) freshView(round int, phase uint64) *mobile.View {
 // may retain it. With OnRound set the plan also carries the observation
 // matrix and expected values (snapshotPlan).
 func (st *runState) planSendPhase(round int) (plannedRound, error) {
-	cfg := st.cfg
+	cfg := &st.cfg
 	votes, states := st.votes, st.states
 	kp := &st.sc.kern
 	kp.reset()
@@ -187,11 +183,11 @@ func (st *runState) planSendPhase(round int) (plannedRound, error) {
 			return plannedRound{}, fmt.Errorf("core: process %d in invalid state %v", sender, states[sender])
 		}
 	}
-	st.consultRound(round, faulty, cured, d)
-	kp.dirs = d
 	if err := kp.sealBase(); err != nil {
 		return plannedRound{}, err
 	}
+	st.consultRound(round, faulty, cured, kp, d)
+	kp.dirs = d
 	plan := plannedRound{kern: kp}
 	if needU {
 		u, err := multiset.FromOwned(uValues)

@@ -122,11 +122,7 @@ func (Random) Place(v *View) []int {
 		return nil
 	}
 	perm := v.Rng.Perm(v.N)
-	out := make([]int, 0, v.F)
-	for i := 0; i < v.F && i < len(perm); i++ {
-		out = append(out, perm[i])
-	}
-	return out
+	return perm[:min(v.F, len(perm))]
 }
 
 // LeaveBehind implements Adversary.

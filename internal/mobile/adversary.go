@@ -3,7 +3,7 @@ package mobile
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mbfaa/internal/msr"
 	"mbfaa/internal/prng"
@@ -49,7 +49,9 @@ type View struct {
 
 // CorrectRange returns the min and max vote over processes currently
 // correct. ok is false when no process is correct (cannot happen when the
-// replica bound holds, but the adversary API does not assume it).
+// replica bound holds, but the adversary API does not assume it). The scan
+// runs once per view; it uses the builtin min and max, which treat ±0 and
+// NaN as math.Min and math.Max do but compile inline.
 func (v *View) CorrectRange() (lo, hi float64, ok bool) {
 	if v.rangeDone {
 		return v.rangeLo, v.rangeHi, v.rangeOK
@@ -59,8 +61,8 @@ func (v *View) CorrectRange() (lo, hi float64, ok bool) {
 		if s != StateCorrect || math.IsNaN(v.Votes[i]) {
 			continue
 		}
-		lo = math.Min(lo, v.Votes[i])
-		hi = math.Max(hi, v.Votes[i])
+		lo = min(lo, v.Votes[i])
+		hi = max(hi, v.Votes[i])
 		ok = true
 	}
 	if !ok {
@@ -95,7 +97,10 @@ type Adversary interface {
 	//
 	// For M1–M3 the engine calls Place at the start of each round; for M4
 	// between the send and receive phases (agents travel with messages).
-	// Round 0's call sets the initial corruption for every model.
+	// Round 0's call sets the initial corruption for every model. The
+	// engine copies the indices and never modifies them, so an
+	// implementation may return a slice it keeps, such as a placement it
+	// pinned for the run.
 	Place(v *View) []int
 
 	// LeaveBehind returns the corrupted local value the departing agent
@@ -188,10 +193,12 @@ type ViewRetainer interface {
 }
 
 // ValidatePlacement checks an adversary's placement against the system
-// parameters: at most f distinct, in-range indices. It returns a cleaned
-// (sorted, deduplicated) copy. Duplicates are detected on the sorted copy
-// rather than through a set, keeping the per-round cost to one allocation.
-func ValidatePlacement(placement []int, n, f int) ([]int, error) {
+// parameters: at most f distinct, in-range indices. It returns the cleaned
+// placement (sorted, no duplicates), written over dst[:0] — a caller that
+// validates every round passes the same buffer back, so a check allocates
+// only when the buffer is too small. Duplicates are detected on the sorted
+// copy rather than through a set. placement itself is not modified.
+func ValidatePlacement(dst, placement []int, n, f int) ([]int, error) {
 	if len(placement) > f {
 		return nil, fmt.Errorf("mobile: adversary placed %d agents, only has %d", len(placement), f)
 	}
@@ -200,8 +207,8 @@ func ValidatePlacement(placement []int, n, f int) ([]int, error) {
 			return nil, fmt.Errorf("mobile: agent placement %d out of range [0,%d)", p, n)
 		}
 	}
-	out := append(make([]int, 0, len(placement)), placement...)
-	sort.Ints(out)
+	out := append(dst[:0], placement...)
+	slices.Sort(out)
 	for i := 1; i < len(out); i++ {
 		if out[i] == out[i-1] {
 			return nil, fmt.Errorf("mobile: duplicate agent placement %d", out[i])

@@ -34,7 +34,7 @@ func scriptOf(adv Adversary, v *View, queue bool, senders ...int) *Directives {
 		d.AddSender(s, queue)
 	}
 	d.Seal()
-	rv := &RoundView{View: v}
+	rv := &RoundView{View: v, Base: sealedBase(v)}
 	if queue {
 		rv.Cured = senders
 	} else {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"mbfaa/internal/multiset"
 )
 
 // Directives is one round's complete adversarial send script: for every
@@ -213,14 +215,20 @@ func (d *Directives) outOfRange(k, receiver int) {
 // RoundView is the argument of Adversary.RoundDirectives: the omniscient
 // View of the send phase plus the round's fault plan. Faulty and Cured
 // list the processes faulty respectively cured during the send phase,
-// ascending. Like the View, a RoundView and its slices are backed by
-// engine scratch: implementations must not mutate or retain them past the
-// call (ViewRetainer restores defensive copies of the View; the
-// Faulty/Cured slices are never retained by any contract).
+// ascending. Base is the round's sealed base: the values of the symmetric
+// senders (correct processes and M2-cured rebroadcasters; M1-cured senders
+// are silent), sorted and NaN-checked once, which every receiver hears in
+// full before its row of the script is added; it is nil when the caller
+// sealed none (the engine always seals one). Like the View, a RoundView
+// and everything it points to are backed by engine scratch:
+// implementations must not mutate or retain them past the call
+// (ViewRetainer restores defensive copies of the View; the Faulty/Cured
+// slices and the Base are never retained by any contract).
 type RoundView struct {
 	View   *View
 	Faulty []int
 	Cured  []int
+	Base   *multiset.Multiset
 }
 
 // fillColumns is the shared script of the camp-steering built-ins: faulty

@@ -16,18 +16,19 @@ import (
 // The lookahead shares the engine's base+patch form of a received
 // multiset. Every candidate strategy sends each receiver a value fixed by
 // the receiver's camp, so it scores all of them from two received
-// multisets per round, sorting the shared base once (see lookahead).
+// multisets per round, both over the round's sealed base that the engine
+// hands it in the RoundView (see lookahead).
 //
 // Placement follows the splitter's maximum-pressure schedule (ping-pong
 // pool for M1–M3, lowest-vote rotation for M4); the search is over value
 // strategies only, because the departing agent must fix LeaveBehind one
 // round before the value is broadcast and cannot search retroactively.
 type Greedy struct {
-	// The lookahead's scratch, refilled every round: the shared base's
-	// backing store, and the two camp values whose constant runs the
-	// received multisets read in place.
-	base []float64
+	// The two camp values whose constant runs the lookahead's received
+	// multisets read in place, refilled every round.
 	ends [2]float64
+	// The M4 placement's candidate buffer.
+	m4 lowestCorrect
 }
 
 // NewGreedy returns a fresh greedy adversary. Greedy is stateful and must
@@ -92,9 +93,7 @@ func (g *Greedy) Place(v *View) []int {
 		return nil
 	}
 	if v.Model == M4Buhrman && v.Round > 0 {
-		s := &Splitter{}
-		s.pin(v)
-		return s.placeM4(v)
+		return g.m4.place(v)
 	}
 	if 2*v.F <= v.N {
 		out := make([]int, 0, v.F)
@@ -114,11 +113,12 @@ func (g *Greedy) Place(v *View) []int {
 	return out
 }
 
-// decide runs the lookahead and returns the winning rule: the first rule,
-// in allValueRules order, with the largest diameter.
-func (g *Greedy) decide(v *View) valueRule {
+// decide runs the lookahead over the round's sealed base and returns the
+// winning rule: the first rule, in allValueRules order, with the largest
+// diameter.
+func (g *Greedy) decide(rv *RoundView) valueRule {
 	best, bestDiam := ruleCampSplit, math.Inf(-1)
-	for i, d := range g.lookahead(v) {
+	for i, d := range g.lookahead(rv.View, rv.Base) {
 		if d > bestDiam {
 			best, bestDiam = allValueRules[i], d
 		}
@@ -132,30 +132,26 @@ func (g *Greedy) decide(v *View) valueRule {
 //
 // It shares the engine's base+patch form of a received multiset (see the
 // round kernel, internal/core/kernel.go). Every receiver hears the same
-// base: the correct votes and the M2/M4-cured rebroadcasts, M1-cured
-// senders being silent. On top of it come the m asymmetric senders — the
-// faulty ones, and under M3 the cured ones — and every rule has all m
-// send a receiver the same camp value, lo or hi. So across all rules a
-// receiver hears one of just two multisets, base ∪ {lo×m} and
-// base ∪ {hi×m}, each the base plus a constant run. Each is voted on once
+// base: the correct votes and the M2-cured rebroadcasts, M1-cured senders
+// being silent, sorted once by the engine, which hands it over as
+// RoundView.Base. On top of it come the m asymmetric senders — the faulty
+// ones, and under M3 the cured ones — and every rule has all m send a
+// receiver the same camp value, lo or hi. So across all rules a receiver
+// hears one of just two multisets, base ∪ {lo×m} and base ∪ {hi×m}, each
+// the base plus a constant run. Each is voted on once
 // (msr.Algorithm.Apply is deterministic), and a rule's diameter is the
 // spread of the votes it hands the camps that hold a non-faulty receiver.
-func (g *Greedy) lookahead(v *View) (diam [len(allValueRules)]float64) {
-	if v.Algo == nil {
+// Without a base (nil) no receiver has a value to compute from.
+func (g *Greedy) lookahead(v *View, base *multiset.Multiset) (diam [len(allValueRules)]float64) {
+	if v.Algo == nil || base == nil {
 		return diam
 	}
 	lo, hi, _ := v.CorrectRange()
 	var camps [2]bool // camps[0]: a non-faulty receiver is low; [1]: high
 	m := 0
-	g.base = g.base[:0]
 	for j, s := range v.States {
-		switch {
-		case s == StateFaulty || s == StateCured && v.Model == M3Sasaki:
+		if s == StateFaulty || s == StateCured && v.Model == M3Sasaki {
 			m++
-		case s == StateCured && v.Model == M1Garay:
-			// silent
-		default:
-			g.base = append(g.base, v.Votes[j])
 		}
 		if s != StateFaulty {
 			if lowCamp(v.Votes[j], lo, hi) {
@@ -164,12 +160,6 @@ func (g *Greedy) lookahead(v *View) (diam [len(allValueRules)]float64) {
 				camps[1] = true
 			}
 		}
-	}
-	// The base buffer is the multiset's backing store until the next round
-	// refills it; a NaN in it leaves no receiver a value to compute from.
-	base, err := multiset.FromOwned(g.base)
-	if err != nil {
-		return diam
 	}
 	// votes[0] is the vote on base ∪ {lo×m}, votes[1] on base ∪ {hi×m}.
 	// The runs read their value from g.ends, which outlives the votes.
@@ -196,8 +186,8 @@ func (g *Greedy) lookahead(v *View) (diam [len(allValueRules)]float64) {
 			if !present || !voted[k] {
 				continue
 			}
-			dlo = math.Min(dlo, votes[k])
-			dhi = math.Max(dhi, votes[k])
+			dlo = min(dlo, votes[k])
+			dhi = max(dhi, votes[k])
 			scored = true
 		}
 		if scored {
@@ -226,7 +216,7 @@ func (g *Greedy) RoundDirectives(rv *RoundView, d *Directives) {
 	if d.Len() == 0 {
 		return
 	}
-	rule := g.decide(rv.View)
+	rule := g.decide(rv)
 	fillColumns(d, func(receiver int) float64 { return rule.apply(rv.View, receiver) })
 }
 

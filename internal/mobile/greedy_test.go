@@ -79,19 +79,41 @@ func sameDiameter(a, b float64) bool {
 	return a == b || math.IsNaN(a) && math.IsNaN(b)
 }
 
+// sealedBase builds the RoundView.Base the engine seals for v: the votes
+// of the correct and the M2-cured senders, sorted, M1-cured senders being
+// silent and the faulty and M3-cured ones asymmetric. M4-cured senders,
+// which no engine send phase has, rebroadcast their vote as in
+// referenceSimulate. It returns nil when a base vote is NaN, which the
+// engine rejects before consulting the adversary.
+func sealedBase(v *View) *multiset.Multiset {
+	var values []float64
+	for j, s := range v.States {
+		if s == StateFaulty || s == StateCured && (v.Model == M1Garay || v.Model == M3Sasaki) {
+			continue
+		}
+		values = append(values, v.Votes[j])
+	}
+	base, err := multiset.FromOwned(values)
+	if err != nil {
+		return nil
+	}
+	return &base
+}
+
 // checkLookahead asserts that a fresh Greedy's lookahead gives every rule
 // the reference diameter and that decide picks the reference's rule.
 func checkLookahead(t *testing.T, v *View) {
 	t.Helper()
 	g := NewGreedy()
-	got := g.lookahead(v)
+	base := sealedBase(v)
+	got := g.lookahead(v, base)
 	for i, rule := range allValueRules {
 		if want := referenceSimulate(v, rule); !sameDiameter(got[i], want) {
 			t.Fatalf("%v %s tau=%d votes=%v states=%v: rule %d diameter %v, reference %v",
 				v.Model, v.Algo.Name(), v.Tau, v.Votes, v.States, rule, got[i], want)
 		}
 	}
-	if got, want := g.decide(v), referenceDecide(v); got != want {
+	if got, want := g.decide(&RoundView{View: v, Base: base}), referenceDecide(v); got != want {
 		t.Fatalf("%v %s tau=%d votes=%v states=%v: decide picked rule %d, reference %d",
 			v.Model, v.Algo.Name(), v.Tau, v.Votes, v.States, got, want)
 	}
@@ -186,10 +208,11 @@ func TestGreedyDecideAllocatesNothing(t *testing.T) {
 		for _, algo := range msr.All() {
 			g := NewGreedy()
 			v := lookaheadView(t, model, algo, model.Trim(2), votes, states)
-			g.decide(v) // warm-up: sizes the lookahead's scratch
+			rv := &RoundView{View: v, Base: sealedBase(v)}
+			g.decide(rv) // warm-up
 			allocs := testing.AllocsPerRun(50, func() {
 				v.Round++
-				g.decide(v)
+				g.decide(rv)
 			})
 			if allocs != 0 {
 				t.Errorf("%v %s: decide on a new round allocated %v times", model, algo.Name(), allocs)

@@ -24,6 +24,7 @@ type MixedMode struct {
 	havePin bool
 	lo, hi  float64
 	mid     float64
+	block   []int // the census block Place returns, kept from call to call
 }
 
 // NewMixedMode returns the static census adversary. The engine's F must be
@@ -57,11 +58,13 @@ func (m *MixedMode) Place(v *View) []int {
 	if total > v.F {
 		total = v.F
 	}
-	out := make([]int, 0, total)
-	for i := 0; i < total && i < v.N; i++ {
-		out = append(out, i)
+	if size := min(total, v.N); m.block == nil || len(m.block) != size {
+		m.block = make([]int, size)
+		for i := range m.block {
+			m.block[i] = i
+		}
 	}
-	return out
+	return m.block
 }
 
 // role classifies a pinned faulty index into its census class.

@@ -167,24 +167,42 @@ func TestStateString(t *testing.T) {
 }
 
 func TestValidatePlacement(t *testing.T) {
-	got, err := ValidatePlacement([]int{3, 1}, 5, 2)
+	in := []int{3, 1}
+	got, err := ValidatePlacement(nil, in, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("placement = %v, want sorted [1 3]", got)
 	}
-	if _, err := ValidatePlacement([]int{0, 1, 2}, 5, 2); err == nil {
+	if in[0] != 3 || in[1] != 1 {
+		t.Errorf("ValidatePlacement reordered its input: %v", in)
+	}
+	if _, err := ValidatePlacement(nil, []int{0, 1, 2}, 5, 2); err == nil {
 		t.Error("oversize placement accepted")
 	}
-	if _, err := ValidatePlacement([]int{5}, 5, 2); err == nil {
+	if _, err := ValidatePlacement(nil, []int{5}, 5, 2); err == nil {
 		t.Error("out-of-range placement accepted")
 	}
-	if _, err := ValidatePlacement([]int{1, 1}, 5, 2); err == nil {
+	if _, err := ValidatePlacement(nil, []int{1, 1}, 5, 2); err == nil {
 		t.Error("duplicate placement accepted")
 	}
-	if got, err := ValidatePlacement(nil, 5, 2); err != nil || len(got) != 0 {
+	if got, err := ValidatePlacement(nil, nil, 5, 2); err != nil || len(got) != 0 {
 		t.Errorf("empty placement: %v, %v", got, err)
+	}
+
+	// A destination with room is written in place and reused: the
+	// per-round check allocates nothing.
+	dst := make([]int, 1, 4)
+	got, err = ValidatePlacement(dst, []int{4, 0, 2}, 5, 3)
+	if err != nil || len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 || &got[0] != &dst[:1][0] {
+		t.Errorf("placement into dst = %v, %v; want [0 2 4] over dst", got, err)
+	}
+	placement := []int{2, 0}
+	if allocs := testing.AllocsPerRun(100, func() {
+		got, err = ValidatePlacement(got, placement, 5, 2)
+	}); allocs != 0 || err != nil {
+		t.Errorf("ValidatePlacement into a sized buffer allocated %v times (err %v)", allocs, err)
 	}
 }
 

@@ -105,7 +105,7 @@ func scriptRounds(fresh func() scripter, read func(v *View, d *Directives)) {
 				Rng: prng.New(seed).Derive(uint64(round), 1),
 			}
 			d.Seal()
-			adv.RoundDirectives(&RoundView{View: v, Faulty: faulty, Cured: cured}, &d)
+			adv.RoundDirectives(&RoundView{View: v, Faulty: faulty, Cured: cured, Base: sealedBase(v)}, &d)
 			read(v, &d)
 		}
 	}

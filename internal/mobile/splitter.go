@@ -1,8 +1,10 @@
 package mobile
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Splitter is the omniscient two-camp adversary behind the paper's lower
@@ -38,6 +40,7 @@ type Splitter struct {
 	layout  Layout
 	havePin bool
 	mid     float64
+	m4      lowestCorrect // the M4 placement's reusable buffers
 }
 
 // NewSplitter returns a fresh splitter adversary. A Splitter is stateful
@@ -185,9 +188,9 @@ func (s *Splitter) Place(v *View) []int {
 		return out
 	}
 	if v.Round%2 == 0 {
-		return append([]int(nil), pool[:v.F]...)
+		return pool[:v.F:v.F]
 	}
-	return append([]int(nil), pool[v.F:2*v.F]...)
+	return pool[v.F : 2*v.F : 2*v.F]
 }
 
 // placeM4 selects the next hosts under M4: the f correct processes with the
@@ -196,7 +199,7 @@ func (s *Splitter) placeM4(v *View) []int {
 	if v.Round == 0 {
 		// Initial corruption: the pool.
 		if len(s.layout.Pool) >= v.F {
-			return append([]int(nil), s.layout.Pool[:v.F]...)
+			return s.layout.Pool[:v.F:v.F]
 		}
 		out := make([]int, 0, v.F)
 		for i := 0; i < v.F && i < v.N; i++ {
@@ -204,28 +207,46 @@ func (s *Splitter) placeM4(v *View) []int {
 		}
 		return out
 	}
-	type cand struct {
-		id   int
-		vote float64
-	}
-	var cands []cand
+	return s.m4.place(v)
+}
+
+// lowestCorrect is the M4 placement after round 0 of the splitter and the
+// greedy adversary: the f correct processes with the lowest votes. Its
+// candidate buffer is reused from round to round.
+type lowestCorrect struct {
+	cands []candidate
+}
+
+// candidate is a correct process and its vote.
+type candidate struct {
+	id   int
+	vote float64
+}
+
+// place returns the f correct processes with the lowest votes. The
+// selection is stable — lowest votes first, index as tie-break — so the
+// placement never depends on the candidates' scan order.
+func (l *lowestCorrect) place(v *View) []int {
+	cands := l.cands[:0]
 	for i, st := range v.States {
 		if st == StateCorrect && !math.IsNaN(v.Votes[i]) {
-			cands = append(cands, cand{i, v.Votes[i]})
+			cands = append(cands, candidate{i, v.Votes[i]})
 		}
 	}
-	// Stable selection: lowest votes first, index as tie-break, so the
-	// placement never depends on the candidates' scan order.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && (cands[j].vote < cands[j-1].vote ||
-			(cands[j].vote == cands[j-1].vote && cands[j].id < cands[j-1].id)); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+	slices.SortFunc(cands, func(a, b candidate) int {
+		switch {
+		case a.vote < b.vote:
+			return -1
+		case a.vote > b.vote:
+			return 1
 		}
-	}
-	out := make([]int, 0, v.F)
+		return cmp.Compare(a.id, b.id)
+	})
+	out := make([]int, 0, min(v.F, len(cands)))
 	for i := 0; i < v.F && i < len(cands); i++ {
 		out = append(out, cands[i].id)
 	}
+	l.cands = cands
 	return out
 }
 

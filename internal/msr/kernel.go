@@ -17,11 +17,13 @@ import "mbfaa/internal/multiset"
 // Median cost O(log n) per vote once the patch is attached — O(f log f)
 // to sort a slice patch (one O(f) scan when it arrives sorted), O(1) for a
 // constant run — Dolev looks up only the
-// ranks it selects, and FTA walks only the survivors. The multi-receiver
-// engines seal one base per round and attach each receiver's patch to it,
-// for O(n log n) per round with FTM or Median under the camp-steering
-// adversaries' broadcast rows, and O(n log n + n·(f log f + log n)) with
-// explicit rows.
+// ranks it selects, and FTA walks only the survivors. The engine seals one
+// base per round and attaches each receiver's row to it. Receivers with
+// equal rows receive equal multisets, and for this package's algorithms
+// (Pure) it votes once per distinct broadcast or omitted row: at most three
+// votes per round under the camp-steering adversaries, instead of one per
+// receiver. Explicit rows cost a vote each, O(f log f + log n) with FTM or
+// Median.
 //
 // Bit-exactness contract: the two-run form reads the elements in exactly
 // the order multiset.MergeSortedInto(base, patch) produces (ties

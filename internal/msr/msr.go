@@ -273,6 +273,21 @@ func Convergent() []Algorithm {
 	return []Algorithm{FTA{}, FTM{}, DolevSelect{}}
 }
 
+// Pure reports whether algo is one of this package's algorithms: FTA, FTM,
+// DolevSelect or Median. Each of their Applys is a pure function of
+// (received, tau) with no side effect, so a caller voting many receivers
+// may apply it once per distinct received multiset and reuse the vote. The
+// Algorithm contract promises determinism, not freedom from side effects —
+// a wrapper may count or time its calls — so any other Algorithm reports
+// false and is applied once per receiver.
+func Pure(algo Algorithm) bool {
+	switch algo.(type) {
+	case FTA, FTM, DolevSelect, Median:
+		return true
+	}
+	return false
+}
+
 // ByName returns the algorithm with the given Name. It is the flag-parsing
 // entry point for the cmd tools.
 func ByName(name string) (Algorithm, error) {

@@ -186,6 +186,20 @@ func TestByNameAndNames(t *testing.T) {
 	}
 }
 
+// wrapped is an Algorithm from outside the package's own four.
+type wrapped struct{ FTM }
+
+func TestPure(t *testing.T) {
+	for _, a := range All() {
+		if !Pure(a) {
+			t.Errorf("Pure(%s) = false; the package's own algorithms are pure", a.Name())
+		}
+	}
+	if Pure(wrapped{}) {
+		t.Error("Pure reports an embedding wrapper as pure")
+	}
+}
+
 // buildAdversarialViews constructs the multisets two correct receivers see:
 // a common correct multiset plus per-receiver asymmetric values. It returns
 // the two views and the correct range.

@@ -137,10 +137,12 @@ func (o Options) workerCount(jobs int) int {
 // job and its index alone, and the results slice is indexed, not appended.
 // The first failing job (in job order, not completion order) determines the
 // returned error; on error all jobs still run to completion.
-// Each executor goroutine owns one core.Runner, so consecutive jobs on a
-// worker recycle the engine's scratch buffers instead of reallocating the
-// round state per run. Runner reuse cannot leak state between jobs: every
-// Result is copied out of scratch, which the core golden suite asserts.
+// Each executor goroutine borrows one core.Runner from a pool shared by
+// every RunJobs call, so consecutive jobs — also those of the next table
+// or figure — recycle the engine's scratch buffers instead of reallocating
+// the round state per run. Runner reuse cannot leak state between jobs:
+// every Result is copied out of scratch, which the core golden suite
+// asserts.
 //
 // When Options.Ctx is cancelled, jobs not yet started are skipped and
 // in-flight runs abort at their next round boundary; every affected job
@@ -167,10 +169,11 @@ func RunJobs(jobs []Job, opt Options) ([]*core.Result, error) {
 	}
 
 	if workers <= 1 {
-		r := core.NewRunner()
+		r := runners.Get().(*core.Runner)
 		for i := range jobs {
 			exec(r, i)
 		}
+		runners.Put(r)
 	} else {
 		next := make(chan int)
 		var wg sync.WaitGroup
@@ -178,7 +181,8 @@ func RunJobs(jobs []Job, opt Options) ([]*core.Result, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				r := core.NewRunner()
+				r := runners.Get().(*core.Runner)
+				defer runners.Put(r)
 				for i := range next {
 					exec(r, i)
 				}
@@ -198,6 +202,11 @@ func RunJobs(jobs []Job, opt Options) ([]*core.Result, error) {
 	}
 	return results, nil
 }
+
+// runners holds the Runners RunJobs lends its executors. A generator
+// calls RunJobs once per table or figure, and a new Runner would allocate
+// its buffers again each time.
+var runners = sync.Pool{New: func() any { return core.NewRunner() }}
 
 // runOne executes a single job as a batch of one. Generators with a single
 // run (Trajectory, the arms of MobileVsStatic) use it so every execution,
