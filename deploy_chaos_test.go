@@ -134,8 +134,8 @@ func TestDeployChaosReplayDeterminism(t *testing.T) {
 
 	// Pipelined depths replay the same way — and reproduce the lockstep
 	// baseline's verdict surface exactly, fault trace included. Per-node
-	// Stats are compared within a depth only: pipelined mode attributes
-	// drops to StaleRounds/PeerMisses where lockstep uses Late.
+	// Stats are compared within a depth only: PeerMisses and StallEvents
+	// exist only at depth k > 0.
 	for _, depth := range []int{2, 8} {
 		pspec := chaosDeploySpec(42)
 		pspec.PipelineDepth = depth

@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"mbfaa"
 	"mbfaa/internal/cluster"
+	"mbfaa/internal/mobile"
 	"mbfaa/internal/prng"
 )
 
@@ -448,5 +450,92 @@ func TestDeploymentCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled deployment did not stop")
+	}
+}
+
+// parkedAdversary keeps every agent off-system: Place returns no index, so
+// an Engine.Run with it is the honest execution a fault-free deployment
+// performs, while F still sets the trim τ.
+type parkedAdversary struct{}
+
+func (parkedAdversary) Name() string                                          { return "parked" }
+func (parkedAdversary) Place(*mobile.View) []int                              { return nil }
+func (parkedAdversary) LeaveBehind(*mobile.View, int) float64                 { return 0 }
+func (parkedAdversary) RoundDirectives(*mobile.RoundView, *mobile.Directives) {}
+
+// TestDeployOracleHonest is the simulator-equals-deployment oracle for the
+// honest case: a lossless lockstep deployment with no fault schedule must
+// reproduce the engine's votes bit for bit for every model and both
+// trimmed algorithms, over the in-memory transport and over TCP. The 1 s
+// round timeout is far above any round's delivery time, so no deadline
+// fires and every node votes on all n values, as the engine's correct
+// processes do.
+func TestDeployOracleHonest(t *testing.T) {
+	const n, f, rounds = 8, 1, 6
+	inputs := deployInputs(31, n, 0, 1)
+	type oracleCase struct {
+		model     mbfaa.Model
+		alg       string
+		transport string
+	}
+	var cases []oracleCase
+	for _, model := range []mbfaa.Model{mbfaa.M1, mbfaa.M2, mbfaa.M3, mbfaa.M4} {
+		for _, alg := range []string{"fta", "ftm"} {
+			cases = append(cases, oracleCase{model, alg, "memory"})
+		}
+	}
+	cases = append(cases, oracleCase{mbfaa.M4, "ftm", "tcp"})
+	eng := mbfaa.NewEngine()
+	for _, tc := range cases {
+		name := fmt.Sprintf("%v/%s/%s", tc.model, tc.alg, tc.transport)
+		dep, err := eng.Deploy(mbfaa.ClusterSpec{
+			Model:         tc.model,
+			N:             n,
+			F:             f,
+			Inputs:        inputs,
+			InputRange:    1,
+			FixedRounds:   rounds,
+			RoundTimeout:  time.Second,
+			AlgorithmName: tc.alg,
+			ScheduleName:  "none",
+			Transport:     tc.transport,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := dep.Run(context.Background())
+		_ = dep.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		alg, err := mbfaa.AlgorithmByName(tc.alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := eng.Run(context.Background(), mbfaa.NewSpec(
+			mbfaa.WithModel(tc.model),
+			mbfaa.WithSystem(n, f),
+			mbfaa.WithInputs(inputs...),
+			mbfaa.WithAlgorithm(alg),
+			mbfaa.WithAdversary(parkedAdversary{}),
+			mbfaa.WithFixedRounds(rounds),
+		))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Rounds != sim.Rounds || len(res.Votes) != len(sim.Votes) {
+			t.Fatalf("%s: deployment ran %d rounds with %d votes, engine %d with %d",
+				name, res.Rounds, len(res.Votes), sim.Rounds, len(sim.Votes))
+		}
+		for i := range res.Votes {
+			if math.Float64bits(res.Votes[i]) != math.Float64bits(sim.Votes[i]) {
+				t.Errorf("%s: node %d decided %v, engine %v", name, i, res.Votes[i], sim.Votes[i])
+			}
+		}
+		for i, st := range res.Stats {
+			if st.Omissions != 0 || st.Late != 0 || st.StaleRounds != 0 {
+				t.Errorf("%s: node %d lost frames in a lossless run: %+v", name, i, st)
+			}
+		}
 	}
 }

@@ -38,13 +38,15 @@
 //     detection and schedule-driven mobile-fault injection, the paper-§3
 //     system over real message passing. Rounds are strict lockstep by
 //     default; ClusterSpec.PipelineDepth = k lets a node run up to k
-//     rounds ahead of the slowest peer, buffering ahead-of-round frames
-//     in a bounded per-sender ring (stale frames are dropped and counted
-//     in NodeStats.StaleRounds), flagging peers persistently more than k
-//     rounds behind (NodeStats.StallEvents) and scoring per-peer missed
-//     closes (NodeStats.PeerMisses). Depth 0 reproduces the lockstep
-//     loop bit-for-bit, and chaos deployments keep SyncRounds semantics
-//     at any depth so seeded replay holds. ClusterSpec is JSON-serializable
+//     rounds ahead of the slowest peer, flagging peers persistently more
+//     than k rounds behind (NodeStats.StallEvents) and scoring per-peer
+//     missed closes (NodeStats.PeerMisses). Every depth runs one receive
+//     loop that keeps ahead-of-round frames in a bounded ring of
+//     per-round receive states (k rounds ahead at depth k, 32 at depth
+//     0); a frame beyond that window is dropped and counted in
+//     NodeStats.StaleRounds, an unrecorded frame for a closed round in
+//     NodeStats.Late. Chaos deployments keep SyncRounds semantics at any
+//     depth so seeded replay holds. ClusterSpec is JSON-serializable
 //     like Spec and validates eagerly (under-provisioned systems fail with
 //     the same *BoundError as CheckSystem before any socket opens);
 //     Deployment.Run(ctx) returns a ClusterResult embedding the core

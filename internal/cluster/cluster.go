@@ -4,7 +4,9 @@
 // synchronous rounds with deadline-based omission detection — strict
 // lockstep by default, or pipelined up to Config.PipelineDepth rounds ahead
 // of the slowest live peer — the synchronous system of paper §3 realised
-// over actual message passing. A Topology
+// over actual message passing. Every depth runs one receive loop over one
+// ring of per-round receive states, so a frame that arrives ahead of its
+// round waits in that round's slot. A Topology
 // restricts communication to a neighbor graph (full mesh by default; rings,
 // random-regular and arbitrary connected graphs for the partially-connected
 // regimes of Li, Hurfin & Wang 2012).
@@ -206,21 +208,22 @@ type Config struct {
 	// deployments set this alongside SyncRounds.
 	LossyLinks bool
 	// PipelineDepth (k), when positive, lets the node run up to k rounds
-	// ahead of its slowest live peer instead of strict lockstep: frames
-	// for rounds [current, current+k] are buffered in a bounded per-round
-	// receive ring, a round closes as soon as its quorum-or-deadline
-	// condition is met (every expected sender reported; or a majority
-	// reported and advancing keeps the node within k rounds of the slowest
-	// non-stalled peer; or the deadline fired), and frames outside the
-	// window are dropped and counted (NodeStats.StaleRounds). Peers
-	// persistently more than k rounds behind are flagged stalled
-	// (NodeStats.StallEvents) and excluded from the pacing brake, so one
-	// wedged peer cannot wedge the cluster; every round a peer misses
-	// raises its NodeStats.PeerMisses score. Depth 0 is strict lockstep,
-	// bit-identical to the engine before pipelining existed. SyncRounds
-	// overrides early close at any depth — chaos rounds keep their full
-	// fixed duration per round index, so seeded replay holds. At most
-	// MaxPipelineDepth.
+	// ahead of its slowest live peer instead of strict lockstep: a round
+	// closes as soon as its quorum-or-deadline condition is met (every
+	// expected sender reported; or a majority reported and advancing keeps
+	// the node within k rounds of the slowest non-stalled peer; or the
+	// deadline fired). Peers persistently more than k rounds behind are
+	// flagged stalled (NodeStats.StallEvents) and excluded from the pacing
+	// brake, so one wedged peer cannot wedge the cluster; every round a
+	// peer misses raises its NodeStats.PeerMisses score. Depth 0 is strict
+	// lockstep: a round closes when every expected sender reported or the
+	// deadline fired. At every depth frames are kept in a ring of
+	// MaxPipelineDepth+1 per-round receive states; the window ahead of the
+	// open round is k rounds at depth k and the whole ring (MaxPipelineDepth
+	// rounds) at depth 0, and frames beyond it are dropped and counted
+	// (NodeStats.StaleRounds). SyncRounds overrides early close at any
+	// depth — chaos rounds keep their full fixed duration per round index,
+	// so seeded replay holds. At most MaxPipelineDepth.
 	PipelineDepth int
 }
 
@@ -366,14 +369,14 @@ type NodeStats struct {
 	// older than the window — the chaos layer's duplication shows up here.
 	Duplicates int64
 	// Late counts frames that arrived for a round the node had already
-	// closed by deadline without recording that sender: genuinely late
-	// originals (latency, a lagging peer catching up after a crash).
-	// Lockstep mode only; pipelined mode counts StaleRounds instead.
+	// closed without recording that sender: genuinely late originals
+	// (latency, a lagging peer catching up after a crash, a frame an early
+	// close ruled an omission).
 	Late int64
-	// StaleRounds counts pipelined-mode frames dropped outside the round
-	// window [current, current+PipelineDepth]: unrecorded frames for
-	// rounds already closed, and frames from a peer running further ahead
-	// than the window tracks. Always zero at depth 0.
+	// StaleRounds counts frames dropped beyond the window ahead of the open
+	// round: from a peer running further ahead than the receive ring
+	// tracks (more than PipelineDepth rounds, or MaxPipelineDepth rounds at
+	// depth 0).
 	StaleRounds int64
 	// StallEvents counts transitions of a peer into the stalled state —
 	// its newest observed frame persistently more than PipelineDepth
@@ -417,27 +420,34 @@ type Node struct {
 	link   transport.Link
 	tau    int
 	vote   float64
-	dests  []int                       // send targets in ascending order (neighbors + self)
-	inNbr  []bool                      // expected senders (neighbors + self)
-	expect int                         // len(dests)
-	buffer map[int][]transport.Message // round → early messages (lockstep mode)
+	dests  []int  // send targets in ascending order (neighbors + self)
+	inNbr  []bool // expected senders (neighbors + self)
+	expect int    // len(dests)
 
 	// win is the node's replay window: per sender, a sliding bitmap
 	// (transport.RoundWindow) of rounds whose frame was recorded — the
 	// same primitive the TCP replay filter runs per flow. A second frame
 	// for a recorded (sender, round) — or one below the window — is a
-	// duplicate; an unrecorded frame for a closed round is late (lockstep)
-	// or stale (pipelined). All are dropped, counted, and keep a
-	// recovering peer's catch-up traffic from ever corrupting a closed
-	// round.
+	// duplicate; an unrecorded frame for a closed round is late. Both are
+	// dropped, counted, and keep a recovering peer's catch-up traffic from
+	// ever corrupting a closed round.
 	win []transport.RoundWindow
 
-	// Pipelined-mode state, allocated only at PipelineDepth > 0: ring
-	// holds the k+1 in-flight rounds' receive states, lastSeen the newest
-	// round observed from each sender (stale frames included — they are
-	// liveness evidence the stall detector and pacing brake feed on),
-	// stalled the current stall classification, misses the per-peer score.
-	ring     []roundState
+	// ring holds the receive states of the open round and the rounds ahead
+	// of it, MaxPipelineDepth+1 slots at every depth; a slot is nil until a
+	// frame of its round arrives, and a closed round's state goes to spare
+	// for the next slot to take, so only the rounds in flight hold arrays.
+	// ahead is how many rounds past the open one admit records
+	// (PipelineDepth, or the whole ring at depth 0).
+	ring  []*roundState
+	spare []*roundState
+	ahead int
+
+	// Pipelined-mode state, allocated only at PipelineDepth > 0: lastSeen
+	// is the newest round observed from each sender (stale frames included
+	// — they are liveness evidence the stall detector and pacing brake feed
+	// on), stalled the current stall classification, misses the per-peer
+	// score.
 	lastSeen []int
 	stalled  []bool
 	misses   []int64
@@ -445,8 +455,7 @@ type Node struct {
 	stats NodeStats
 
 	// Per-round scratch, recycled across rounds so the protocol loop does
-	// not allocate per round: out is the send phase's message batch,
-	// slots[s] holds the message of sender s (seen[s] marks arrival).
+	// not allocate per round: out is the send phase's message batch.
 	// The computation phase runs through the base+patch kernel: the
 	// deterministic schedule tells every node which senders are
 	// asymmetric this round (occupied nodes, and M3-cured poisoned
@@ -457,8 +466,6 @@ type Node struct {
 	// buffers are reordered) and votes over the two runs without merging
 	// them.
 	out    []transport.Message
-	slots  []transport.Message
-	seen   []bool
 	isAsym []bool
 	base   []float64
 	patch  []float64
@@ -485,22 +492,15 @@ func NewNode(cfg Config, link transport.Link) (*Node, error) {
 		link:   link,
 		tau:    cfg.Model.Trim(cfg.F),
 		vote:   cfg.Input,
-		buffer: make(map[int][]transport.Message),
 		inNbr:  make([]bool, cfg.N),
-		slots:  make([]transport.Message, cfg.N),
-		seen:   make([]bool, cfg.N),
 		isAsym: make([]bool, cfg.N),
 		win:    make([]transport.RoundWindow, cfg.N),
+		ring:   make([]*roundState, MaxPipelineDepth+1),
+		ahead:  cfg.PipelineDepth,
 	}
-	if cfg.PipelineDepth > 0 {
-		nd.ring = make([]roundState, cfg.PipelineDepth+1)
-		for i := range nd.ring {
-			nd.ring[i] = roundState{
-				round: -1,
-				seen:  make([]bool, cfg.N),
-				slots: make([]transport.Message, cfg.N),
-			}
-		}
+	if cfg.PipelineDepth == 0 {
+		nd.ahead = MaxPipelineDepth
+	} else {
 		nd.lastSeen = make([]int, cfg.N)
 		for i := range nd.lastSeen {
 			nd.lastSeen[i] = -1
@@ -555,18 +555,11 @@ func (nd *Node) Reset(input, inputRange float64, fixedRounds int, link transport
 	nd.link = link
 	nd.vote = input
 	nd.stats = NodeStats{}
-	for r := range nd.buffer {
-		delete(nd.buffer, r)
-	}
 	for i := range nd.win {
 		nd.win[i].Reset()
 	}
 	for i := range nd.ring {
-		nd.ring[i].round = -1
-		nd.ring[i].count = 0
-		for j := range nd.ring[i].seen {
-			nd.ring[i].seen[j] = false
-		}
+		nd.release(i)
 	}
 	for i := range nd.lastSeen {
 		nd.lastSeen[i] = -1
@@ -609,11 +602,9 @@ func (nd *Node) Run() (float64, error) { return nd.RunContext(context.Background
 // blocks until the locally computed round count has elapsed or ctx is
 // cancelled; the caller runs one goroutine per node and joins them.
 //
-// The round loop is a scheduler over receive states: at depth 0 one state
-// exists (the current round's — strict lockstep, collect), at depth k > 0
-// the ring holds up to k+1 in-flight rounds and the node advances as soon
-// as the current round's quorum-or-deadline condition is met
-// (collectPipelined).
+// The round loop is a scheduler over the ring's receive states: collect
+// closes the open round by the depth's close rule while frames for the
+// rounds ahead fill their own slots.
 func (nd *Node) RunContext(ctx context.Context) (float64, error) {
 	rounds, err := nd.cfg.Rounds()
 	if err != nil {
@@ -632,12 +623,7 @@ func (nd *Node) RunContext(ctx context.Context) (float64, error) {
 		if err := nd.send(r, occupied, cured); err != nil {
 			return 0, err
 		}
-		var base, patch []float64
-		if nd.cfg.PipelineDepth > 0 {
-			base, patch, err = nd.collectPipelined(ctx, r)
-		} else {
-			base, patch, err = nd.collect(ctx, r)
-		}
+		base, patch, err := nd.collect(ctx, r)
 		if err != nil {
 			return 0, err
 		}
@@ -774,130 +760,61 @@ func (nd *Node) send(round int, occupied, cured bool) error {
 	return nil
 }
 
-// collect gathers this round's values until all expected senders reported
-// or the deadline passed, splitting them into the kernel's symmetric base
-// and asymmetric patch per the round's sender classification. Early
-// messages for future rounds are buffered; stale messages are dropped;
-// messages from senders outside the node's neighborhood are rejected.
-func (nd *Node) collect(ctx context.Context, round int) (base, patch []float64, err error) {
-	count := 0
-	for i := range nd.seen {
-		nd.seen[i] = false
-	}
-	record := func(m transport.Message) {
-		// The transport layer validates sender ids at send time; drop
-		// anything out of range — or outside the neighbor graph —
-		// defensively rather than trusting it.
-		if m.From < 0 || m.From >= nd.cfg.N || !nd.inNbr[m.From] {
-			nd.stats.Rejected++
-			return
-		}
-		if nd.seen[m.From] {
-			// Second frame for a (sender, round) we already hold: a chaos
-			// duplicate. First frame wins.
-			nd.stats.Duplicates++
-			return
-		}
-		count++
-		nd.stats.Received++
-		nd.seen[m.From] = true
-		nd.slots[m.From] = m
-		nd.win[m.From].Record(m.Round)
-	}
-	for _, m := range nd.buffer[round] {
-		record(m)
-	}
-	delete(nd.buffer, round)
-
-	deadline := time.NewTimer(nd.cfg.RoundTimeout)
-	defer deadline.Stop()
-	// SyncRounds keeps collecting until the deadline even when every sender
-	// already reported, so all nodes stay on one shared round clock.
-	for nd.cfg.SyncRounds || count < nd.expect {
-		select {
-		case m, ok := <-nd.link.Recv():
-			if !ok {
-				return nil, nil, errors.New("cluster: link closed mid-round")
-			}
-			switch {
-			case m.Round == round:
-				record(m)
-			case m.Round > round:
-				nd.buffer[m.Round] = append(nd.buffer[m.Round], m)
-			default:
-				// Stale: that round already ended by deadline. The replay
-				// window tells a chaos duplicate of a recorded frame apart
-				// from a genuinely late original.
-				if m.From >= 0 && m.From < nd.cfg.N && nd.win[m.From].Recorded(m.Round) {
-					nd.stats.Duplicates++
-				} else {
-					nd.stats.Late++
-				}
-			}
-		case <-deadline.C:
-			// Missing senders become detected omissions (benign).
-			nd.stats.Omissions += int64(nd.expect - count)
-			goto done
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-	}
-done:
-	base, patch = nd.base[:0], nd.patch[:0]
-	for s := range nd.slots {
-		if !nd.seen[s] {
-			continue
-		}
-		if m := nd.slots[s]; !m.Omitted && !math.IsNaN(m.Value) {
-			if nd.isAsym[s] {
-				patch = append(patch, m.Value)
-			} else {
-				base = append(base, m.Value)
-			}
-		} else {
-			nd.stats.Omissions++
-		}
-	}
-	return base, patch, nil
-}
-
-// roundState is one in-flight round's receive state in the pipeline ring:
-// which round owns the slot (-1: free), how many expected senders reported,
-// and their messages. Slots recycle in place — the window [current,
-// current+k] spans at most k+1 rounds, and a slot's previous owner round
-// closed before its successor (k+1 rounds later) could enter the window.
+// roundState is one round's receive state in the ring: which round owns
+// it (-1: none), how many expected senders reported, which did, and their
+// values, with an omission stored as NaN — all the base/patch split reads.
+// admit records at most ahead ≤ MaxPipelineDepth rounds past the open one,
+// so the rounds in flight map to distinct ring slots.
 type roundState struct {
 	round int
 	count int
 	seen  []bool
-	slots []transport.Message
+	vals  []float64
 }
 
-// slot returns round's receive state, activating (and recycling) its ring
-// entry on first touch.
+// slot returns round's receive state, taking a spare state (or a new one)
+// for an empty ring slot and clearing a state that belonged to another
+// round.
 func (nd *Node) slot(round int) *roundState {
-	st := &nd.ring[round%len(nd.ring)]
+	p := &nd.ring[round%len(nd.ring)]
+	if *p == nil {
+		if k := len(nd.spare) - 1; k >= 0 {
+			*p, nd.spare = nd.spare[k], nd.spare[:k]
+		} else {
+			*p = &roundState{round: -1, seen: make([]bool, nd.cfg.N), vals: make([]float64, nd.cfg.N)}
+		}
+	}
+	st := *p
 	if st.round != round {
 		st.round = round
 		st.count = 0
-		for i := range st.seen {
-			st.seen[i] = false
-		}
+		clear(st.seen)
 	}
 	return st
 }
 
-// collectPipelined is collect's pipelined-mode counterpart: the
-// round-scheduler closes round r against the ring's per-round receive
-// states. Frames for rounds (r, r+k] are recorded into their own slot
-// instead of a map, so later rounds fill while r is still open; frames
-// outside the window are dropped and counted. Round r closes on the first
-// of: every expected sender reported; the early-close quorum held (a
-// majority reported, and advancing keeps this node within k rounds of the
-// slowest non-stalled peer); all still-missing senders are stall-flagged;
-// or the deadline fired. Missing senders become omissions on every close
-// path — exactly the deadline's ruling, reached sooner.
-func (nd *Node) collectPipelined(ctx context.Context, round int) (base, patch []float64, err error) {
+// release moves ring slot i's receive state, if any, to the spare list.
+func (nd *Node) release(i int) {
+	if st := nd.ring[i]; st != nil {
+		st.round = -1
+		nd.spare = append(nd.spare, st)
+		nd.ring[i] = nil
+	}
+}
+
+// collect closes round against the ring's receive states, splitting the
+// values received into the kernel's symmetric base and asymmetric patch
+// per the round's sender classification. Frames for the rounds ahead are
+// recorded into their own slot, so later rounds fill while this one is
+// open; frames outside the window are dropped and counted. At depth 0 the
+// round closes when every expected sender reported or the deadline fired.
+// At depth k > 0 it closes on the first of: every expected sender
+// reported; the early-close quorum held (a majority reported, and
+// advancing keeps this node within k rounds of the slowest non-stalled
+// peer); all still-missing senders are stall-flagged; or the deadline
+// fired. Missing senders become omissions on every close path — exactly
+// the deadline's ruling, reached sooner.
+func (nd *Node) collect(ctx context.Context, round int) (base, patch []float64, err error) {
 	st := nd.slot(round)
 	deadline := time.NewTimer(nd.cfg.RoundTimeout)
 	defer deadline.Stop()
@@ -932,83 +849,84 @@ func (nd *Node) collectPipelined(ctx context.Context, round int) (base, patch []
 		}
 	}
 closed:
-	if st.count < nd.expect {
-		// Missing senders become detected omissions (benign), and raise
-		// the per-peer miss score the stall classification feeds on.
-		nd.stats.Omissions += int64(nd.expect - st.count)
-		for _, s := range nd.dests {
-			if !st.seen[s] && s != nd.cfg.ID {
-				nd.misses[s]++
-			}
+	// Missing senders become detected omissions (benign).
+	nd.stats.Omissions += int64(nd.expect - st.count)
+	if nd.cfg.PipelineDepth > 0 {
+		nd.scorePeers(st, round)
+	}
+	base, patch = nd.base[:0], nd.patch[:0]
+	for s, ok := range st.seen {
+		if !ok {
+			continue
+		}
+		switch v := st.vals[s]; {
+		case math.IsNaN(v):
+			nd.stats.Omissions++
+		case nd.isAsym[s]:
+			patch = append(patch, v)
+		default:
+			base = append(base, v)
 		}
 	}
-	// Refresh the stall classification for the next round: a peer whose
-	// newest observed frame trails the round this node is advancing to by
-	// more than k is stalled; it recovers as soon as its frames catch back
-	// up within the window. A round-r frame that arrived while an earlier
-	// round was open counts now (admit defers it under SyncRounds; without
-	// SyncRounds lastSeen already covers it).
-	k := nd.cfg.PipelineDepth
+	nd.release(round % len(nd.ring))
+	return base, patch, nil
+}
+
+// scorePeers raises the per-peer miss score of every sender missing from
+// the closed round and refreshes the stall classification for the next
+// round: a peer whose newest observed frame trails the round this node is
+// advancing to by more than k is stalled; it recovers as soon as its frames
+// catch back up within the window. A round-r frame that arrived while an
+// earlier round was open counts now (admit defers it under SyncRounds;
+// without SyncRounds lastSeen already covers it).
+func (nd *Node) scorePeers(st *roundState, round int) {
 	for _, s := range nd.dests {
 		if s == nd.cfg.ID {
 			continue
 		}
-		if st.seen[s] && nd.lastSeen[s] < round {
+		if !st.seen[s] {
+			nd.misses[s]++
+		} else if nd.lastSeen[s] < round {
 			nd.lastSeen[s] = round
 		}
-		stalled := round+1-nd.lastSeen[s] > k
+		stalled := round+1-nd.lastSeen[s] > nd.cfg.PipelineDepth
 		if stalled && !nd.stalled[s] {
 			nd.stats.StallEvents++
 		}
 		nd.stalled[s] = stalled
 	}
-	base, patch = nd.base[:0], nd.patch[:0]
-	for s := range st.slots {
-		if !st.seen[s] {
-			continue
-		}
-		if m := st.slots[s]; !m.Omitted && !math.IsNaN(m.Value) {
-			if nd.isAsym[s] {
-				patch = append(patch, m.Value)
-			} else {
-				base = append(base, m.Value)
-			}
-		} else {
-			nd.stats.Omissions++
-		}
-	}
-	return base, patch, nil
 }
 
-// admit routes one inbound frame against the pipeline window [round,
-// round+k]. Any frame from an expected sender — stale ones included —
-// refreshes lastSeen: even a too-old frame proves the peer alive, which the
-// stall detector and pacing brake feed on. Under SyncRounds only frames of
-// rounds up to the open one refresh it here: whether a peer's next-round
-// frame beats this node's deadline is a scheduling race, and the stall
-// classification (hence StallEvents) must replay bit for bit. A frame
-// recorded for a later round counts when that round closes.
+// admit routes one inbound frame against the window [round, round+ahead].
+// At depth k > 0 any frame from an expected sender — stale ones included —
+// refreshes lastSeen: even a too-old frame proves the peer alive, which
+// the stall detector and pacing brake feed on. Under SyncRounds only
+// frames of rounds up to the open one refresh it here: whether a peer's
+// next-round frame beats this node's deadline is a scheduling race, and
+// the stall classification (hence StallEvents) must replay bit for bit. A
+// frame recorded for a later round counts when that round closes.
 func (nd *Node) admit(m transport.Message, round int) {
 	if m.From < 0 || m.From >= nd.cfg.N || !nd.inNbr[m.From] {
 		nd.stats.Rejected++
 		return
 	}
-	if m.Round > nd.lastSeen[m.From] && (m.Round <= round || !nd.cfg.SyncRounds) {
+	if nd.lastSeen != nil && m.Round > nd.lastSeen[m.From] && (m.Round <= round || !nd.cfg.SyncRounds) {
 		nd.lastSeen[m.From] = m.Round
 	}
 	switch {
 	case m.Round < round:
 		// That round closed. A recorded (sender, round) is a chaos
-		// duplicate; an unrecorded one fell out of the window: stale.
+		// duplicate; an unrecorded one is a late original.
 		if nd.win[m.From].Recorded(m.Round) {
 			nd.stats.Duplicates++
 		} else {
-			nd.stats.StaleRounds++
+			nd.stats.Late++
 		}
-	case m.Round > round+nd.cfg.PipelineDepth:
+	case m.Round > round+nd.ahead:
 		// Beyond the window: the sender ran further ahead than the ring
-		// tracks (it has stall-flagged this node). Dropped and counted;
-		// its absence surfaces as an omission when this round is reached.
+		// tracks (at depth k > 0 it has stall-flagged this node). Dropped
+		// and counted; its absence surfaces as an omission when this round
+		// is reached.
 		nd.stats.StaleRounds++
 	default:
 		st := nd.slot(m.Round)
@@ -1016,8 +934,12 @@ func (nd *Node) admit(m transport.Message, round int) {
 			nd.stats.Duplicates++
 			return
 		}
+		v := m.Value
+		if m.Omitted {
+			v = math.NaN()
+		}
 		st.seen[m.From] = true
-		st.slots[m.From] = m
+		st.vals[m.From] = v
 		st.count++
 		nd.stats.Received++
 		nd.win[m.From].Record(m.Round)
@@ -1035,6 +957,11 @@ func (nd *Node) closeable(st *roundState, round int) bool {
 	}
 	if st.count == nd.expect {
 		return true
+	}
+	if nd.cfg.PipelineDepth == 0 {
+		// Lockstep waits for the deadline: a peer that has not sent the
+		// next round yet would read as stalled to the rules below.
+		return false
 	}
 	// Quorum: a majority reported, and advancing keeps this node within k
 	// rounds of the slowest peer still considered live. The missing
@@ -1118,7 +1045,7 @@ type Outcome struct {
 // slice must come from one mesh (transport.Channel.Link or NewTCPMesh).
 // Cancelling ctx aborts every node at its next receive or round boundary.
 func RunCluster(ctx context.Context, cfgs []Config, links []transport.Link) ([]float64, error) {
-	outcomes, err := RunClusterOutcomes(ctx, cfgs, links)
+	outcomes, _, err := RunClusterDeadline(ctx, cfgs, links, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -1129,28 +1056,15 @@ func RunCluster(ctx context.Context, cfgs []Config, links []transport.Link) ([]f
 	return decisions, nil
 }
 
-// RunClusterOutcomes is RunCluster with per-node transport stats included.
-func RunClusterOutcomes(ctx context.Context, cfgs []Config, links []transport.Link) ([]Outcome, error) {
-	outcomes, down, err := RunClusterDeadline(ctx, cfgs, links, 0)
-	if err != nil {
-		return nil, err
-	}
-	if len(down) > 0 {
-		// Unreachable with horizon 0, but keep the invariant explicit.
-		return nil, fmt.Errorf("cluster: nodes %v down", down)
-	}
-	return outcomes, nil
-}
-
 // downGrace is how long the watchdog waits, after cancelling the run, for
 // the surviving nodes to notice and report their partial state. A variable
 // so tests can shorten the wedged-node path.
 var downGrace = 2 * time.Second
 
-// RunClusterDeadline is RunClusterOutcomes with a watchdog: if the whole
-// run has not completed within horizon (> 0), the remaining nodes are
-// cancelled, given a short grace period to surface their partial outcomes,
-// and reported in the down list — the deployment-facing answer to "a node
+// RunClusterDeadline is RunCluster with per-node outcomes and a watchdog:
+// if the whole run has not completed within horizon (> 0), the remaining
+// nodes are cancelled, given a short grace period to surface their partial
+// outcomes, and reported in the down list — the deployment-facing answer to "a node
 // stayed dead past its timeout horizon" that previously hung the caller.
 // Nodes cancelled by the watchdog (or wedged past the grace period) appear
 // in down with a zero/partial Outcome; nodes that failed for any other

@@ -38,76 +38,102 @@ func TestPipelineDepthValidate(t *testing.T) {
 	}
 }
 
-// TestPipelineAdmitWindow unit-tests the pipelined admission path against
-// the round window [current, current+k]: in-window frames land in their
-// ring slot, duplicates and replays are told apart from stale drops, ring
-// slots recycle clean, and Reset clears all pipelined state.
+// TestPipelineAdmitWindow unit-tests admission against the round window
+// [current, current+ahead] at depth 0 (the whole ring ahead) and depth 2:
+// in-window frames land in their ring slot and count when their round
+// opens, duplicates and replays are told apart from late originals and
+// beyond-window drops, ring slots recycle clean, and Reset clears all
+// receive and pipelined state.
 func TestPipelineAdmitWindow(t *testing.T) {
-	const n, k = 4, 2
-	hub, err := transport.NewChannel(n, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = hub.Close() }()
-	cfg := pipelineConfigs(n, 6, k, time.Second)[0]
-	nd, err := NewNode(cfg, hub.Link(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// In-window frames record into their own slot; a second copy is a
-	// duplicate.
-	nd.admit(transport.Message{From: 1, Round: 0, Value: 1}, 0)
-	nd.admit(transport.Message{From: 1, Round: 0, Value: 1}, 0)
-	nd.admit(transport.Message{From: 1, Round: k, Value: 1}, 0) // window edge
-	if nd.stats.Received != 2 || nd.stats.Duplicates != 1 {
-		t.Fatalf("received=%d duplicates=%d, want 2/1", nd.stats.Received, nd.stats.Duplicates)
-	}
-	if st := nd.slot(0); st.count != 1 || !st.seen[1] {
-		t.Fatalf("slot 0 count=%d seen[1]=%v, want 1/true", st.count, st.seen[1])
-	}
-
-	// Beyond the window: dropped and counted stale, but still liveness
-	// evidence (lastSeen advances).
-	nd.admit(transport.Message{From: 1, Round: k + 1, Value: 1}, 0)
-	if nd.stats.StaleRounds != 1 || nd.lastSeen[1] != k+1 {
-		t.Fatalf("staleRounds=%d lastSeen[1]=%d, want 1/%d", nd.stats.StaleRounds, nd.lastSeen[1], k+1)
-	}
-
-	// Below the window: a recorded (sender, round) replays as a duplicate,
-	// an unrecorded one fell out of the window — stale.
-	nd.admit(transport.Message{From: 1, Round: 0, Value: 1}, 1) // recorded above
-	nd.admit(transport.Message{From: 2, Round: 0, Value: 1}, 1) // never recorded
-	if nd.stats.Duplicates != 2 || nd.stats.StaleRounds != 2 {
-		t.Fatalf("duplicates=%d staleRounds=%d, want 2/2", nd.stats.Duplicates, nd.stats.StaleRounds)
-	}
-
-	// Out-of-range and non-neighbor senders are rejected outright.
-	nd.admit(transport.Message{From: -1, Round: 0}, 0)
-	nd.admit(transport.Message{From: n, Round: 0}, 0)
-	if nd.stats.Rejected != 2 {
-		t.Fatalf("rejected=%d, want 2", nd.stats.Rejected)
-	}
-
-	// Ring slots recycle in place: round k+1 maps onto round 0's slot and
-	// must come up empty.
-	if st := nd.slot(k + 1); st.round != k+1 || st.count != 0 || st.seen[1] {
-		t.Fatalf("recycled slot: round=%d count=%d seen[1]=%v, want %d/0/false", st.round, st.count, st.seen[1], k+1)
-	}
-
-	// Reset clears every piece of pipelined state for pool reuse.
-	nd.misses[1] = 7
-	nd.stalled[1] = true
-	nd.Reset(1, 1, 6, hub.Link(0))
-	for s := 0; s < n; s++ {
-		if nd.lastSeen[s] != -1 || nd.stalled[s] || nd.misses[s] != 0 {
-			t.Fatalf("Reset left sender %d dirty: lastSeen=%d stalled=%v misses=%d", s, nd.lastSeen[s], nd.stalled[s], nd.misses[s])
+	const n = 4
+	for _, tc := range []struct {
+		depth, ahead int
+	}{{0, MaxPipelineDepth}, {2, 2}} {
+		hub, err := transport.NewChannel(n, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i := range nd.ring {
-		if nd.ring[i].round != -1 || nd.ring[i].count != 0 {
-			t.Fatalf("Reset left ring slot %d dirty: %+v", i, nd.ring[i])
+		cfg := pipelineConfigs(n, 6, tc.depth, time.Second)[0]
+		nd, err := NewNode(cfg, hub.Link(0))
+		if err != nil {
+			t.Fatal(err)
 		}
+		k := tc.ahead
+
+		// In-window frames record into their own slot — at depth 0 the
+		// frames for rounds 1 and 2 arrive while round 0 is open — and a
+		// second copy is a duplicate.
+		nd.admit(transport.Message{From: 1, Round: 0, Value: 1}, 0)
+		nd.admit(transport.Message{From: 1, Round: 0, Value: 1}, 0)
+		nd.admit(transport.Message{From: 1, Round: 1, Value: 2}, 0)
+		nd.admit(transport.Message{From: 1, Round: 2, Value: 3}, 0)
+		nd.admit(transport.Message{From: 3, Round: k, Value: 1}, 0) // window edge
+		if nd.stats.Received != 4 || nd.stats.Duplicates != 1 {
+			t.Fatalf("depth %d: received=%d duplicates=%d, want 4/1", tc.depth, nd.stats.Received, nd.stats.Duplicates)
+		}
+		for r := 0; r <= 2; r++ {
+			if st := nd.slot(r); !st.seen[1] || st.vals[1] != float64(r+1) {
+				t.Fatalf("depth %d: slot %d seen[1]=%v val=%g, want true/%d", tc.depth, r, st.seen[1], st.vals[1], r+1)
+			}
+		}
+		if c0, c1 := nd.slot(0).count, nd.slot(1).count; c0 != 1 || c1 != 1 {
+			t.Fatalf("depth %d: slot counts %d/%d for rounds 0/1, want 1/1", tc.depth, c0, c1)
+		}
+
+		// Beyond the window: dropped and counted stale; at depth k > 0
+		// still liveness evidence (lastSeen advances).
+		nd.admit(transport.Message{From: 1, Round: k + 1, Value: 1}, 0)
+		if nd.stats.StaleRounds != 1 {
+			t.Fatalf("depth %d: staleRounds=%d, want 1", tc.depth, nd.stats.StaleRounds)
+		}
+		if tc.depth > 0 && nd.lastSeen[1] != k+1 {
+			t.Fatalf("depth %d: lastSeen[1]=%d, want %d", tc.depth, nd.lastSeen[1], k+1)
+		}
+
+		// Below the window: a recorded (sender, round) replays as a
+		// duplicate, an unrecorded one is a late original.
+		nd.admit(transport.Message{From: 1, Round: 0, Value: 1}, 1) // recorded above
+		nd.admit(transport.Message{From: 2, Round: 0, Value: 1}, 1) // never recorded
+		if nd.stats.Duplicates != 2 || nd.stats.Late != 1 || nd.stats.StaleRounds != 1 {
+			t.Fatalf("depth %d: duplicates=%d late=%d staleRounds=%d, want 2/1/1",
+				tc.depth, nd.stats.Duplicates, nd.stats.Late, nd.stats.StaleRounds)
+		}
+
+		// Out-of-range and non-neighbor senders are rejected outright.
+		nd.admit(transport.Message{From: -1, Round: 0}, 0)
+		nd.admit(transport.Message{From: n, Round: 0}, 0)
+		if nd.stats.Rejected != 2 {
+			t.Fatalf("depth %d: rejected=%d, want 2", tc.depth, nd.stats.Rejected)
+		}
+
+		// Ring slots recycle in place: the round one ring length past 0
+		// maps onto round 0's slot and must come up empty.
+		r := len(nd.ring)
+		if st := nd.slot(r); st.round != r || st.count != 0 || st.seen[1] {
+			t.Fatalf("depth %d: recycled slot: round=%d count=%d seen[1]=%v, want %d/0/false", tc.depth, st.round, st.count, st.seen[1], r)
+		}
+
+		// Reset clears every piece of receive and pipelined state for
+		// pool reuse.
+		if tc.depth > 0 {
+			nd.misses[1] = 7
+			nd.stalled[1] = true
+		}
+		nd.Reset(1, 1, 6, hub.Link(0))
+		for s := 0; s < n; s++ {
+			if tc.depth > 0 && (nd.lastSeen[s] != -1 || nd.stalled[s] || nd.misses[s] != 0) {
+				t.Fatalf("depth %d: Reset left sender %d dirty: lastSeen=%d stalled=%v misses=%d", tc.depth, s, nd.lastSeen[s], nd.stalled[s], nd.misses[s])
+			}
+		}
+		for i := range nd.ring {
+			if nd.ring[i] != nil {
+				t.Fatalf("depth %d: Reset left ring slot %d holding round %d", tc.depth, i, nd.ring[i].round)
+			}
+		}
+		if st := nd.slot(1); st.count != 0 || st.seen[1] {
+			t.Fatalf("depth %d: slot 1 after Reset: count=%d seen[1]=%v, want 0/false", tc.depth, st.count, st.seen[1])
+		}
+		_ = hub.Close()
 	}
 }
 

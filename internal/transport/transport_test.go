@@ -408,8 +408,14 @@ func TestTCPSendBatch(t *testing.T) {
 		t.Errorf("FramesSent = %d, want %d", got, 3*rounds)
 	}
 	// Coalescing: the writer can never need more writes than frames, and
-	// at least one write per peer happened.
-	if w := nodes[0].Counters().BatchWrites; w < 3 || w > 3*rounds {
+	// at least one write per peer happened. Each peer writer counts a write
+	// only after conn.Write returns, which can trail the frame's arrival,
+	// so wait (bounded) for every writer's count to land.
+	w := nodes[0].Counters().BatchWrites
+	for wait := time.Now().Add(2 * time.Second); w < 3 && time.Now().Before(wait); w = nodes[0].Counters().BatchWrites {
+		time.Sleep(time.Millisecond)
+	}
+	if w < 3 || w > 3*rounds {
 		t.Errorf("BatchWrites = %d outside [3, %d]", w, 3*rounds)
 	}
 	if err := nodes[0].SendBatch([]Message{{To: 7}}); err == nil {
