@@ -611,7 +611,8 @@ func (d *Deployment) FaultTrace() []FaultEvent {
 // Coalescing totals the socket coalescing counters across the deployment's
 // links: how many protocol frames left in how many socket writes. Zero/zero
 // on the in-memory hub, which has no sockets; a chaos wrapper reports the
-// TCP counts beneath it.
+// TCP counts beneath it. A node's frames to itself never reach a socket and
+// count in neither total.
 func (d *Deployment) Coalescing() (frames, writes int64) {
 	for _, link := range d.links {
 		c := link.Counters()

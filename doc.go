@@ -60,6 +60,12 @@
 //     until an inbound frame or successful dial resurrects it. The
 //     protocol layer is insulated by construction: link failures reach
 //     it only as the omissions the paper's fault model already covers.
+//     The TCP wire path is lean per frame: the codec signs and verifies
+//     with keyed HMAC states borrowed from a pool (no key re-hashing, no
+//     allocation), each frame is signed straight into its peer writer's
+//     batch buffer, readers take frames through a 64-frame buffered
+//     reader, and a node's frames to itself go through an in-process
+//     queue to its own inbox, never through a socket.
 //     Unlike the simulator a deployment is not
 //     bit-deterministic — real sockets race — so the comparable surface
 //     is the verdict (Converged, DecisionDiameter, Valid), not the

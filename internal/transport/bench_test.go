@@ -51,35 +51,74 @@ func BenchmarkTCPFirehose(b *testing.B) {
 	}
 }
 
-// BenchmarkEncode measures frame construction + HMAC signing.
+// BenchmarkEncode measures frame construction + HMAC signing: Encode into
+// a fresh frame, and AppendFrame into a reused batch buffer (the peer
+// writer's path, which allocates nothing).
 func BenchmarkEncode(b *testing.B) {
 	codec, err := NewCodec([]byte("bench-key"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := Message{Round: 12, From: 3, To: 7, Value: 3.14159}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.Encode(m); err != nil {
-			b.Fatal(err)
+	b.Run("Encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := codec.Encode(m); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("AppendFrame", func(b *testing.B) {
+		buf := make([]byte, 0, readBufFrames*FrameSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if len(buf) == cap(buf) {
+				buf = buf[:0]
+			}
+			if buf, err = codec.AppendFrame(buf, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
-// BenchmarkDecode measures parsing + HMAC verification.
+// BenchmarkDecode measures parsing + HMAC verification: of one frame from
+// Encode, and of each frame in turn of a reader-buffer-sized AppendFrame
+// batch (the view the buffered TCP reader gives).
 func BenchmarkDecode(b *testing.B) {
 	codec, err := NewCodec([]byte("bench-key"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	frame, err := codec.Encode(Message{Round: 12, From: 3, To: 7, Value: 3.14159})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.Decode(frame); err != nil {
+	m := Message{Round: 12, From: 3, To: 7, Value: 3.14159}
+	b.Run("Encode", func(b *testing.B) {
+		frame, err := codec.Encode(m)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := codec.Decode(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("AppendFrame", func(b *testing.B) {
+		var batch []byte
+		for r := 0; r < readBufFrames; r++ {
+			m.Round = r
+			if batch, err = codec.AppendFrame(batch, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := (i % readBufFrames) * FrameSize
+			if _, err := codec.Decode(batch[off : off+FrameSize]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -4,6 +4,13 @@
 // HMAC-SHA256 authentication for real multi-socket deployments. Messages
 // are fixed-size binary frames; tampered or replayed frames are rejected at
 // the link layer, never reaching the protocol.
+//
+// The TCP wire path does little work per frame. Codec pools its keyed MAC
+// states, so signing and verifying neither re-hash the key nor allocate.
+// AppendFrame signs a frame straight into the peer writer's batch buffer.
+// Readers take frames through a buffered reader that holds 64 of them. A
+// node's frames to itself go through an in-process queue to its own
+// inbox: no codec, no dial, no socket.
 package transport
 
 import (
@@ -12,7 +19,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Message is one protocol message: a round-stamped vote (or an explicit
@@ -77,9 +87,21 @@ func (e *VersionError) Error() string {
 func (e *VersionError) Unwrap() error { return ErrBadVersion }
 
 // Codec encodes and authenticates messages with a shared symmetric key.
-// The zero value is unusable; construct with NewCodec.
+// The zero value is unusable; construct with NewCodec. A Codec is safe for
+// concurrent use: each Encode, AppendFrame or Decode borrows a keyed MAC
+// state from the Codec's pool, so no call re-hashes the key or allocates
+// one.
 type Codec struct {
-	key []byte
+	key  []byte
+	macs sync.Pool // *macState keyed with key
+}
+
+// macState is one pooled keyed HMAC-SHA256 state and the array its sum is
+// written into. Reset restores the keyed (ipad) state without touching the
+// key again.
+type macState struct {
+	h   hash.Hash
+	sum [macSize]byte
 }
 
 // NewCodec returns a Codec using the given shared key. The key is copied.
@@ -89,15 +111,44 @@ func NewCodec(key []byte) (*Codec, error) {
 	if len(key) == 0 {
 		return nil, errors.New("transport: empty authentication key")
 	}
-	return &Codec{key: append([]byte(nil), key...)}, nil
+	c := &Codec{key: append([]byte(nil), key...)}
+	c.macs.New = func() any { return &macState{h: hmac.New(sha256.New, c.key)} }
+	return c, nil
 }
 
-// Encode serializes and signs a message into a FrameSize-byte frame.
-func (c *Codec) Encode(m Message) ([]byte, error) {
+// mac computes the MAC of header into a pooled state's sum. The caller
+// returns the state with c.macs.Put once it has read the sum.
+func (c *Codec) mac(header []byte) *macState {
+	s := c.macs.Get().(*macState)
+	s.h.Reset()
+	s.h.Write(header)
+	s.h.Sum(s.sum[:0])
+	return s
+}
+
+// checkValue is the one value rule of the wire: a NaN vote cannot be sent,
+// while an omission's value is ignored (and encoded as 0).
+func checkValue(m Message) error {
 	if math.IsNaN(m.Value) && !m.Omitted {
-		return nil, ErrBadValue
+		return ErrBadValue
 	}
-	buf := make([]byte, FrameSize)
+	return nil
+}
+
+// Encode serializes and signs a message into a fresh FrameSize-byte frame.
+func (c *Codec) Encode(m Message) ([]byte, error) {
+	return c.AppendFrame(make([]byte, 0, FrameSize), m)
+}
+
+// AppendFrame serializes and signs m, appending the FrameSize-byte frame to
+// dst. With FrameSize bytes of spare capacity in dst it allocates nothing.
+// On error dst is returned unchanged.
+func (c *Codec) AppendFrame(dst []byte, m Message) ([]byte, error) {
+	if err := checkValue(m); err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, FrameSize)
+	buf := dst[len(dst) : len(dst)+FrameSize]
 	binary.BigEndian.PutUint16(buf[0:2], frameMagic)
 	buf[2] = frameVersion
 	var flags byte
@@ -115,10 +166,10 @@ func (c *Codec) Encode(m Message) ([]byte, error) {
 		value = 0 // canonical encoding: omissions carry no value
 	}
 	binary.BigEndian.PutUint64(buf[28:36], math.Float64bits(value))
-	mac := hmac.New(sha256.New, c.key)
-	mac.Write(buf[:headerLen])
-	copy(buf[headerLen:], mac.Sum(nil))
-	return buf, nil
+	s := c.mac(buf[:headerLen])
+	copy(buf[headerLen:], s.sum[:])
+	c.macs.Put(s)
+	return dst[:len(dst)+FrameSize], nil
 }
 
 // Decode verifies and parses a frame.
@@ -132,9 +183,10 @@ func (c *Codec) Decode(frame []byte) (Message, error) {
 	if frame[2] != frameVersion {
 		return Message{}, &VersionError{Got: frame[2], Want: frameVersion}
 	}
-	mac := hmac.New(sha256.New, c.key)
-	mac.Write(frame[:headerLen])
-	if !hmac.Equal(mac.Sum(nil), frame[headerLen:FrameSize]) {
+	s := c.mac(frame[:headerLen])
+	ok := hmac.Equal(s.sum[:], frame[headerLen:FrameSize])
+	c.macs.Put(s)
+	if !ok {
 		return Message{}, ErrBadMAC
 	}
 	m := Message{

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -64,7 +65,9 @@ func (l *channelLink) Close() error { return nil }
 // TCPNode is one protocol node communicating over real TCP connections with
 // HMAC-authenticated frames. Inbound frames that fail authentication, carry
 // the wrong destination, or replay an already-seen (from, instance, round,
-// seq) tuple are counted and dropped before reaching the protocol.
+// seq) tuple are counted and dropped before reaching the protocol. A frame
+// the node addresses to itself never touches a socket: it goes through an
+// in-process queue (selfQueue) to the node's own inbox.
 type TCPNode struct {
 	id    int
 	n     int
@@ -73,6 +76,7 @@ type TCPNode struct {
 	ln    net.Listener
 
 	inbox  chan Message
+	self   selfQueue // frames to this node itself, drained by selfLoop
 	closed chan struct{}
 	wg     sync.WaitGroup
 
@@ -130,8 +134,10 @@ func NewTCPNode(id, n int, ln net.Listener, addrs []string, key []byte) (*TCPNod
 		dialSeq:  make([]atomic.Uint64, n),
 		filter:   newReplayFilter(),
 	}
-	nd.wg.Add(1)
+	nd.self.cond.L = &nd.self.mu
+	nd.wg.Add(2)
 	go nd.acceptLoop()
+	go nd.selfLoop()
 	return nd, nil
 }
 
@@ -180,12 +186,16 @@ var errDialFault = errors.New("transport: injected dial failure")
 
 // Send implements Link. Connections are dialed lazily — outside nd.mu and
 // under a bounded timeout, so an unreachable peer blocks neither Close nor
-// concurrent Sends to healthy peers — and reused.
+// concurrent Sends to healthy peers — and reused. A frame to the node
+// itself goes to the self queue instead.
 func (nd *TCPNode) Send(m Message) error {
 	if m.To < 0 || m.To >= nd.n {
 		return fmt.Errorf("transport: destination %d out of range [0,%d)", m.To, nd.n)
 	}
 	m.From = nd.id
+	if m.To == nd.id {
+		return nd.self.enqueue(m)
+	}
 	frame, err := nd.codec.Encode(m)
 	if err != nil {
 		return err
@@ -256,18 +266,19 @@ func (nd *TCPNode) dialPeer(to int) (net.Conn, error) {
 }
 
 // SendBatch implements BatchSender: the whole send phase is handed over in
-// one call. Frames are encoded up front, grouped by destination, and
-// appended to per-peer outbound buffers drained by one writer goroutine per
-// peer — so the caller never blocks on a socket, and when the protocol
-// pipelines into the next round before a writer drains, consecutive rounds'
-// frames to the same peer coalesce into a single write (one write per
-// (round, peer) batch instead of one per message, fewer under load).
+// one call. Each frame is signed straight into its peer's outbound buffer,
+// drained by one writer goroutine per peer — so the caller never blocks on
+// a socket, and when the protocol pipelines into the next round before a
+// writer drains, consecutive rounds' frames to the same peer coalesce into
+// a single write (one write per (round, peer) batch instead of one per
+// message, fewer under load).
 //
-// Messages are stamped with the local identity in place. A lost connection
-// does not surface here: the peer's writer retains the frames and heals
-// under the node's RetryPolicy, and a peer that exhausted its retry budget
-// absorbs frames as counted drops (PeerDownDrops) — omission faults the
-// cluster layer already tolerates — rather than erroring the batch.
+// Messages are stamped with the local identity in place. Frames to the node
+// itself go to the self queue, as in Send. A lost connection does not
+// surface here: the peer's writer retains the frames and heals under the
+// node's RetryPolicy, and a peer that exhausted its retry budget absorbs
+// frames as counted drops (PeerDownDrops) — omission faults the cluster
+// layer already tolerates — rather than erroring the batch.
 func (nd *TCPNode) SendBatch(ms []Message) error {
 	for i := range ms {
 		if ms[i].To < 0 || ms[i].To >= nd.n {
@@ -276,15 +287,20 @@ func (nd *TCPNode) SendBatch(ms []Message) error {
 		ms[i].From = nd.id
 	}
 	for i := range ms {
-		frame, err := nd.codec.Encode(ms[i])
-		if err != nil {
+		if ms[i].To == nd.id {
+			if err := nd.self.enqueue(ms[i]); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := checkValue(ms[i]); err != nil {
 			return err
 		}
 		out, err := nd.peer(ms[i].To)
 		if err != nil {
 			return err
 		}
-		if err := out.enqueue(frame); err != nil {
+		if err := out.enqueue(ms[i]); err != nil {
 			return fmt.Errorf("transport: batch write to node %d: %w", ms[i].To, err)
 		}
 		nd.framesSent.Add(1)
@@ -332,6 +348,7 @@ func (nd *TCPNode) Close() error {
 	for _, out := range nd.outs {
 		out.close()
 	}
+	nd.self.close()
 	// Inbound connections must be closed too: their reader goroutines
 	// otherwise block in ReadFull until the remote peer closes, which
 	// deadlocks whichever mesh node closes first.
@@ -351,6 +368,7 @@ func (nd *TCPNode) Addr() string { return nd.ln.Addr().String() }
 // Counters returns the node's transport counters so far: the inbound
 // authentication, replay and misdirection drops, the frame and socket-write
 // totals, and the self-healing writers' reconnect and peer-health counts.
+// Frames the node delivers to itself count in none of them.
 func (nd *TCPNode) Counters() Counters {
 	return Counters{
 		AuthFailures:   nd.authFailures.Load(),
@@ -487,8 +505,13 @@ func (nd *TCPNode) acceptLoop() {
 	}
 }
 
-// readLoop consumes fixed-size frames from one inbound connection. Frames
-// are fixed-width, so a tampered frame does not desynchronize the stream.
+// readBufFrames is how many frames readLoop's buffered reader holds: one
+// read syscall can take in a whole coalesced batch.
+const readBufFrames = 64
+
+// readLoop consumes fixed-size frames from one inbound connection through a
+// buffered reader. Frames are fixed-width, so a tampered frame does not
+// desynchronize the stream.
 func (nd *TCPNode) readLoop(conn net.Conn) {
 	defer nd.wg.Done()
 	defer func() {
@@ -497,9 +520,10 @@ func (nd *TCPNode) readLoop(conn net.Conn) {
 		delete(nd.accepted, conn)
 		nd.mu.Unlock()
 	}()
+	r := bufio.NewReaderSize(conn, readBufFrames*FrameSize)
 	buf := make([]byte, FrameSize)
 	for {
-		if _, err := io.ReadFull(conn, buf); err != nil {
+		if _, err := io.ReadFull(r, buf); err != nil {
 			return
 		}
 		m, err := nd.codec.Decode(buf)
@@ -567,8 +591,8 @@ func (s PeerState) String() string {
 	}
 }
 
-// peerOut is the outbound pipeline to one peer: callers append encoded
-// frames to pending under mu; a dedicated writer goroutine swaps the buffer
+// peerOut is the outbound pipeline to one peer: callers sign frames straight
+// into pending under mu; a dedicated writer goroutine swaps the buffer
 // out and writes it in one call. pending and spare double-buffer so the
 // steady state allocates nothing. The writer self-heals: a write or dial
 // failure degrades the pipeline and triggers backoff-governed redialing
@@ -595,11 +619,11 @@ const (
 	peerCloseGrace  = 2 * time.Second
 )
 
-// enqueue appends one frame for the writer to pick up. Frames to a down
-// peer are counted drops, never errors: the cluster layer already scores a
-// silent peer as per-round omissions, so a dead connection degrades the
-// link instead of erroring the run.
-func (p *peerOut) enqueue(frame []byte) error {
+// enqueue signs m straight into the pending buffer for the writer to pick
+// up. Frames to a down peer are counted drops, never errors: the cluster
+// layer already scores a silent peer as per-round omissions, so a dead
+// connection degrades the link instead of erroring the run.
+func (p *peerOut) enqueue(m Message) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -609,7 +633,10 @@ func (p *peerOut) enqueue(frame []byte) error {
 		p.nd.peerDownDrops.Add(1)
 		return nil
 	}
-	p.pending = append(p.pending, frame...)
+	var err error
+	if p.pending, err = p.nd.codec.AppendFrame(p.pending, m); err != nil {
+		return err
+	}
 	p.cond.Signal()
 	return nil
 }
@@ -817,6 +844,73 @@ func (p *peerOut) markDown(frames int) {
 	p.mu.Unlock()
 	if frames > 0 {
 		p.nd.peerDownDrops.Add(int64(frames))
+	}
+}
+
+// selfQueue carries the frames a node addresses to itself: no codec, dial
+// or replay filter, just the value rule and the omission's canonical form
+// the codec applies. Senders append under mu; selfLoop swaps the buffer out
+// and feeds the node's inbox. Delivery is never inline: the goroutine that
+// sends a round is usually the inbox's only reader, and the inbox is
+// bounded.
+type selfQueue struct {
+	mu      sync.Mutex
+	cond    sync.Cond // waits on mu; signalled on enqueue and close
+	pending []Message
+	closed  bool
+
+	spare []Message // selfLoop-owned: the previously drained buffer, recycled
+}
+
+// enqueue queues m for delivery to the node's own inbox.
+func (q *selfQueue) enqueue(m Message) error {
+	if err := checkValue(m); err != nil {
+		return err
+	}
+	if m.Omitted {
+		m.Value = 0 // the codec's canonical form: omissions carry no value
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return ErrClosed
+	}
+	q.pending = append(q.pending, m)
+	q.cond.Signal()
+	return nil
+}
+
+func (q *selfQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
+// selfLoop drains the self queue into the inbox in send order until Close.
+func (nd *TCPNode) selfLoop() {
+	defer nd.wg.Done()
+	q := &nd.self
+	for {
+		q.mu.Lock()
+		for len(q.pending) == 0 && !q.closed {
+			q.cond.Wait()
+		}
+		if q.closed {
+			q.mu.Unlock()
+			return
+		}
+		batch := q.pending
+		q.pending = q.spare[:0]
+		q.mu.Unlock()
+		for _, m := range batch {
+			select {
+			case nd.inbox <- m:
+			case <-nd.closed:
+				return
+			}
+		}
+		q.spare = batch
 	}
 }
 

@@ -20,7 +20,9 @@ type Counters struct {
 	// FramesSent counts frames handed to the network (synchronous plus
 	// batched sends), FramesReceived the inbound frames that passed every
 	// check, and BatchWrites the batched path's socket writes, so
-	// FramesSent/BatchWrites is the coalescing factor (TCP).
+	// FramesSent/BatchWrites is the coalescing factor (TCP). The three
+	// describe the network only: a frame a node sends itself never leaves
+	// the process and counts in none of them.
 	FramesSent, FramesReceived, BatchWrites int64
 	// Reconnects, DialRetries, PeerDownEvents and PeerDownDrops are the
 	// self-healing writers' counts (TCP): connections re-established after

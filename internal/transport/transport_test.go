@@ -371,7 +371,8 @@ func TestChannelSendBatch(t *testing.T) {
 
 // TestTCPSendBatch: a batched send phase reaches every destination in
 // order, with frames to one peer coalescing into fewer socket writes than
-// messages.
+// messages. The frames node 0 sends itself never reach a socket, so the
+// wire counters cover the two remote peers only.
 func TestTCPSendBatch(t *testing.T) {
 	nodes, err := NewTCPMesh(3, testKey)
 	if err != nil {
@@ -390,8 +391,8 @@ func TestTCPSendBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Drain all three inboxes (self-delivery included) so every peer's
-	// writer provably flushed before the counters are read.
+	// Drain all three inboxes (self-delivery included) so every remote
+	// peer's writer provably flushed before the counters are read.
 	for to := 0; to <= 2; to++ {
 		for r := 0; r < rounds; r++ {
 			select {
@@ -404,19 +405,19 @@ func TestTCPSendBatch(t *testing.T) {
 			}
 		}
 	}
-	if got := nodes[0].Counters().FramesSent; got != 3*rounds {
-		t.Errorf("FramesSent = %d, want %d", got, 3*rounds)
+	if got := nodes[0].Counters().FramesSent; got != 2*rounds {
+		t.Errorf("FramesSent = %d, want %d", got, 2*rounds)
 	}
 	// Coalescing: the writer can never need more writes than frames, and
-	// at least one write per peer happened. Each peer writer counts a write
-	// only after conn.Write returns, which can trail the frame's arrival,
-	// so wait (bounded) for every writer's count to land.
+	// at least one write per remote peer happened. Each peer writer counts
+	// a write only after conn.Write returns, which can trail the frame's
+	// arrival, so wait (bounded) for every writer's count to land.
 	w := nodes[0].Counters().BatchWrites
-	for wait := time.Now().Add(2 * time.Second); w < 3 && time.Now().Before(wait); w = nodes[0].Counters().BatchWrites {
+	for wait := time.Now().Add(2 * time.Second); w < 2 && time.Now().Before(wait); w = nodes[0].Counters().BatchWrites {
 		time.Sleep(time.Millisecond)
 	}
-	if w < 3 || w > 3*rounds {
-		t.Errorf("BatchWrites = %d outside [3, %d]", w, 3*rounds)
+	if w < 2 || w > 2*rounds {
+		t.Errorf("BatchWrites = %d outside [2, %d]", w, 2*rounds)
 	}
 	if err := nodes[0].SendBatch([]Message{{To: 7}}); err == nil {
 		t.Error("out-of-range batch destination accepted")
@@ -424,6 +425,88 @@ func TestTCPSendBatch(t *testing.T) {
 	_ = nodes[0].Close()
 	if err := nodes[0].SendBatch([]Message{{To: 1, Round: 0}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("batch after close err = %v", err)
+	}
+}
+
+// TestTCPSelfDelivery: frames a node addresses to itself arrive in order
+// through Send and SendBatch without touching a socket — every dial fails,
+// yet nothing is dialed, written or counted on the wire — and they arrive
+// exactly as the codec would have decoded them.
+func TestTCPSelfDelivery(t *testing.T) {
+	nodes, err := NewTCPMesh(2, testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(t, nodes[1:])
+	nd := nodes[0]
+	inj := &scriptedDialFaults{}
+	inj.fail.Store(true)
+	nd.SetDialFaults(inj)
+	codec, err := NewCodec(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sent := []Message{
+		{Round: 0, Value: 1.5},
+		{Round: 1, Value: math.Copysign(0, -1), Instance: 7, Seq: 3},
+		{Round: 2, Value: 42, Omitted: true},
+		{Round: 3, Value: math.NaN(), Omitted: true},
+		{Round: math.MaxInt64, Value: math.Inf(-1), Instance: math.MaxUint32, Seq: math.MaxUint32},
+	}
+	for _, m := range sent[:2] {
+		m.From, m.To = 1, 0 // From is restamped; To addresses the node itself
+		if err := nd.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := make([]Message, 0, len(sent)-2)
+	for _, m := range sent[2:] {
+		m.To = 0
+		batch = append(batch, m)
+	}
+	if err := nd.SendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range sent {
+		m.From, m.To = 0, 0
+		frame, err := codec.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := codec.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case got := <-nd.Recv():
+			// An omission arrives with the codec's canonical value 0, and
+			// -0 keeps its sign (== alone cannot tell the zeros apart).
+			if got != want || math.Signbit(got.Value) != math.Signbit(want.Value) {
+				t.Errorf("frame %d: got %+v, want %+v", i, got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("self frame %d never arrived", i)
+		}
+	}
+
+	for _, send := range []func(Message) error{nd.Send, func(m Message) error { return nd.SendBatch([]Message{m}) }} {
+		if err := send(Message{To: 0, Value: math.NaN()}); !errors.Is(err, ErrBadValue) {
+			t.Errorf("NaN to self: err = %v, want ErrBadValue", err)
+		}
+	}
+	c := nd.Counters()
+	if c.FramesSent != 0 || c.FramesReceived != 0 || c.BatchWrites != 0 || c.DialRetries != 0 {
+		t.Errorf("self delivery touched the wire: %+v", c)
+	}
+	if err := nd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := nd.Send(Message{To: 0}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Send to self after Close: err = %v, want ErrClosed", err)
+	}
+	if err := nd.SendBatch([]Message{{To: 0}}); !errors.Is(err, ErrClosed) {
+		t.Errorf("SendBatch to self after Close: err = %v, want ErrClosed", err)
 	}
 }
 

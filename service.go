@@ -160,6 +160,7 @@ type ServiceStats struct {
 	Unrouted, Stale, InboxDrops int64
 	// SocketFrames and SocketWrites are the TCP mesh totals (zero on the
 	// memory transport): frames sent and the socket writes carrying them.
+	// A node's frames to itself never reach a socket and count in neither.
 	SocketFrames, SocketWrites int64
 }
 
