@@ -1,15 +1,14 @@
 // Command mbfaa-cluster launches a local distributed deployment of the
 // approximate-agreement protocol — n nodes over in-memory links or a
-// loopback TCP mesh with HMAC-authenticated frames, on a full-mesh, ring or
-// random-regular topology, under a chosen mobile-fault schedule — and
-// prints the convergence verdict and throughput.
+// loopback TCP mesh with HMAC-authenticated frames, every node exchanging
+// with every node, under a chosen mobile-fault schedule — and prints the
+// convergence verdict and throughput.
 //
 // Examples:
 //
 //	mbfaa-cluster -n 16 -f 3 -model M1 -schedule rotating
 //	mbfaa-cluster -n 64 -transport tcp -schedule crash -f 2
-//	mbfaa-cluster -n 24 -topology ring -degree 6 -rounds 80
-//	mbfaa-cluster -n 20 -topology regular -degree 8 -f 1 -schedule rotating
+//	mbfaa-cluster -n 13 -f 2 -model M3 -schedule pingpong -algo fta
 //
 // Soak mode runs agreement epochs continuously under deterministic chaos,
 // asserting the convergence bounds each epoch and printing the epoch's
@@ -55,15 +54,13 @@ func main() {
 		f         = flag.Int("f", 1, "number of mobile Byzantine agents")
 		algoName  = flag.String("algo", "ftm", "algorithm: fta, ftm, dolev, median")
 		schedule  = flag.String("schedule", "rotating", "fault schedule: none, rotating, pingpong, crash")
-		topology  = flag.String("topology", "mesh", "communication graph: mesh, ring, regular")
-		degree    = flag.Int("degree", 0, "neighbor count for ring/regular topologies (0: default)")
 		transport = flag.String("transport", "memory", "link layer: memory, tcp")
 		eps       = flag.Float64("eps", 1e-3, "agreement tolerance ε")
 		inRange   = flag.Float64("range", 1, "a-priori input spread (fixes the local round horizon)")
 		rounds    = flag.Int("rounds", 0, "fixed round count (0: computed from range/ε/contraction)")
 		timeout   = flag.Duration("timeout", 200*time.Millisecond, "per-round receive deadline")
 		pipeline  = flag.Int("pipeline", 0, "rounds a node may run ahead of the slowest peer (0: strict lockstep)")
-		seed      = flag.Uint64("seed", 1, "seed for inputs and the regular topology")
+		seed      = flag.Uint64("seed", 1, "seed for the nodes' inputs (serve: the master seed of every instance's inputs)")
 		subBound  = flag.Bool("allow-sub-bound", false, "deploy below the model's n > kf resilience bound (lower-bound experiments)")
 		showSpec  = flag.Bool("spec", false, "print the deployment's ClusterSpec as JSON and exit")
 		showStats = flag.Bool("stats", false, "print per-node transport counters")
@@ -115,9 +112,6 @@ func main() {
 		PipelineDepth: *pipeline,
 		AlgorithmName: *algoName,
 		ScheduleName:  *schedule,
-		Topology:      *topology,
-		Degree:        *degree,
-		TopologySeed:  *seed,
 		Transport:     *transport,
 		AllowSubBound: *subBound,
 	}
@@ -172,9 +166,6 @@ func main() {
 			PipelineDepth: *pipeline,
 			AlgorithmName: *algoName,
 			ScheduleName:  *schedule,
-			Topology:      *topology,
-			Degree:        *degree,
-			TopologySeed:  *seed,
 			Transport:     *transport,
 			AllowSubBound: *subBound,
 			MaxConcurrent: *concurrent,
@@ -197,8 +188,8 @@ func main() {
 	}
 	defer func() { _ = dep.Close() }()
 
-	fmt.Printf("deploying n=%d f=%d model=%v algo=%s schedule=%s topology=%s transport=%s pipeline=%d: %d rounds\n",
-		*n, *f, model, *algoName, *schedule, dep.TopologyName(), orDefault(*transport, "memory"), *pipeline, dep.Rounds())
+	fmt.Printf("deploying n=%d f=%d model=%v algo=%s schedule=%s transport=%s pipeline=%d: %d rounds\n",
+		*n, *f, model, *algoName, *schedule, orDefault(*transport, "memory"), *pipeline, dep.Rounds())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

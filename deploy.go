@@ -16,13 +16,11 @@ import (
 
 // Deployment-layer vocabulary, aliased from the internal cluster package so
 // advanced callers can mix the facade with internal constructors (custom
-// fault schedules, hand-built topologies via cluster.NewGraph).
+// fault schedules).
 type (
 	// ClusterSchedule decides which nodes the mobile agents occupy in each
 	// round of a deployment.
 	ClusterSchedule = cluster.FaultSchedule
-	// ClusterTopology is the communication graph of a deployment.
-	ClusterTopology = cluster.Topology
 	// NodeStats counts one node's transport-level activity over a run.
 	NodeStats = cluster.NodeStats
 	// ChaosSpec describes a deterministic fault-injection campaign for a
@@ -52,15 +50,14 @@ var defaultClusterKey = []byte("mbfaa-cluster-development-key")
 
 // ClusterSpec is the serializable description of one distributed deployment
 // — the cluster counterpart of Spec. Every protocol-relevant field marshals
-// to JSON, with the algorithm, fault schedule and topology selected by
-// name; the two instance fields (Algorithm, Schedule) are process-local
-// overrides excluded from serialization. A ClusterSpec round-tripped
-// through JSON reproduces the same deployment as long as it selects by
-// name.
+// to JSON, with the algorithm and fault schedule selected by name; the
+// instance fields (Algorithm, Schedule) are process-local overrides excluded
+// from serialization. A ClusterSpec round-tripped through JSON reproduces
+// the same deployment as long as it selects by name.
 //
 // The zero value is not runnable (no inputs); withDefaults fills model M1,
-// ε = 1e-6, a 200ms round timeout, the in-memory transport and the full
-// mesh.
+// ε = 1e-6, a 200ms round timeout and the in-memory transport. Every node
+// exchanges values with every node: the full mesh of paper §3.
 type ClusterSpec struct {
 	// Model is the Mobile Byzantine Fault model (M1–M4). Zero means M1.
 	Model Model `json:"model,omitempty"`
@@ -100,17 +97,6 @@ type ClusterSpec struct {
 	// omission behaviour). Rotating/pingpong/crash place F agents per
 	// round.
 	ScheduleName string `json:"schedule,omitempty"`
-	// Topology selects the communication graph: "mesh" (or empty) for the
-	// paper's full mesh, "ring" for the circulant ring, "regular" for a
-	// seeded random regular graph.
-	Topology string `json:"topology,omitempty"`
-	// Degree is the per-node neighbor count for partial topologies: rings
-	// need it even (Degree/2 links each side, default 2), random-regular
-	// graphs use it directly (default 4, and N·Degree must be even).
-	Degree int `json:"degree,omitempty"`
-	// TopologySeed seeds the random-regular graph generation, making the
-	// deployment's wiring reproducible.
-	TopologySeed uint64 `json:"topology_seed,omitempty"`
 	// Transport selects the link layer: "memory" (or empty) for in-process
 	// channels, "tcp" for a loopback mesh of HMAC-authenticated sockets.
 	Transport string `json:"transport,omitempty"`
@@ -150,10 +136,6 @@ type ClusterSpec struct {
 	// schedule (implement ClusterSchedule for custom attacks). Not
 	// serialized.
 	Schedule ClusterSchedule `json:"-"`
-	// Graph, when non-nil, overrides Topology/Degree/TopologySeed with a
-	// concrete communication graph (cluster.NewGraph builds one from
-	// adjacency lists). Not serialized.
-	Graph ClusterTopology `json:"-"`
 }
 
 // withDefaults fills the zero-value fields the library defaults cover.
@@ -173,14 +155,6 @@ func (s ClusterSpec) withDefaults() ClusterSpec {
 	if s.InputRange == 0 && len(s.Inputs) > 0 {
 		s.InputRange = inputSpread(s.Inputs)
 	}
-	if s.Degree == 0 {
-		switch s.Topology {
-		case "ring":
-			s.Degree = 2
-		case "regular":
-			s.Degree = 4
-		}
-	}
 	if len(s.Key) == 0 {
 		s.Key = defaultClusterKey
 	}
@@ -197,17 +171,6 @@ func (s ClusterSpec) withDefaults() ClusterSpec {
 // silently diverge.
 func (s ClusterSpec) Validate() error {
 	s = s.withDefaults()
-	topo, err := s.topology()
-	if err != nil {
-		return err
-	}
-	return s.validate(topo)
-}
-
-// validate checks everything but the topology resolution, which the caller
-// already performed (Deploy resolves the graph exactly once — seeded
-// random-regular generation is not free). The spec must be defaulted.
-func (s ClusterSpec) validate(topo ClusterTopology) error {
 	switch {
 	case !s.Model.Valid():
 		return configErrorf("Model", "unknown model %d", int(s.Model))
@@ -290,17 +253,6 @@ func (s ClusterSpec) validate(topo ClusterTopology) error {
 	default:
 		return configErrorf("Transport", "unknown transport %q (have memory, tcp)", s.Transport)
 	}
-	if topo != nil {
-		if tau := s.Model.Trim(s.F); topo.Size() > 0 {
-			for id := 0; id < topo.Size(); id++ {
-				if deg := len(topo.Neighbors(id)); deg+1 <= 2*tau {
-					return configErrorf("Degree",
-						"node %d has degree %d; trimming 2τ=%d values needs degree+1 > 2τ (raise Degree or lower F)",
-						id, deg, 2*tau)
-				}
-			}
-		}
-	}
 	return nil
 }
 
@@ -325,41 +277,8 @@ func (s ClusterSpec) schedule() (ClusterSchedule, bool, error) {
 	}
 }
 
-// topology resolves the communication graph; nil means the full mesh (the
-// node's fast path).
-func (s ClusterSpec) topology() (ClusterTopology, error) {
-	if s.Graph != nil {
-		if s.Graph.Size() != s.N {
-			return nil, configErrorf("Graph", "topology has %d nodes, spec has n=%d", s.Graph.Size(), s.N)
-		}
-		return s.Graph, nil
-	}
-	switch s.Topology {
-	case "", "mesh":
-		return nil, nil
-	case "ring":
-		if s.Degree%2 != 0 {
-			return nil, configErrorf("Degree", "ring degree %d must be even (links per side = degree/2)", s.Degree)
-		}
-		g, err := cluster.Ring(s.N, s.Degree/2)
-		if err != nil {
-			return nil, configErrorf("Degree", "%v", err)
-		}
-		return g, nil
-	case "regular":
-		g, err := cluster.RandomRegular(s.N, s.Degree, s.TopologySeed)
-		if err != nil {
-			return nil, configErrorf("Degree", "%v", err)
-		}
-		return g, nil
-	default:
-		return nil, configErrorf("Topology", "unknown topology %q (have mesh, ring, regular)", s.Topology)
-	}
-}
-
-// configs compiles the spec into one cluster.Config per node over the
-// already-resolved topology.
-func (s ClusterSpec) configs(topo ClusterTopology) ([]cluster.Config, error) {
+// configs compiles the spec into one cluster.Config per node.
+func (s ClusterSpec) configs() ([]cluster.Config, error) {
 	algo := s.Algorithm
 	if algo == nil {
 		name := s.AlgorithmName
@@ -389,26 +308,22 @@ func (s ClusterSpec) configs(topo ClusterTopology) ([]cluster.Config, error) {
 			Epsilon:       s.Epsilon,
 			RoundTimeout:  s.RoundTimeout,
 			Schedule:      sched,
-			Topology:      topo,
 			AllowSubBound: s.AllowSubBound,
 			Crash:         crash,
 			FixedRounds:   s.FixedRounds,
 			PipelineDepth: s.PipelineDepth,
 			// Fixed-duration rounds keep the cluster on one shared round
 			// clock under injected faults, making per-node stat
-			// attribution replayable (see cluster.Config.SyncRounds).
+			// attribution replayable, and floor the horizon's contraction
+			// for the lossy links (see cluster.Config.SyncRounds).
 			SyncRounds: s.Chaos.Active(),
-			// Injected drops/corruption break the lossless premise behind
-			// the exact-agreement (contraction 0) horizon; floor the
-			// contraction like a partial topology does.
-			LossyLinks: s.Chaos.Active(),
 		}
 	}
 	return cfgs, nil
 }
 
-// Deploy validates the spec, resolves its topology and schedule, opens the
-// links (in-memory channels or a loopback TCP mesh with HMAC-authenticated
+// Deploy validates the spec, resolves its schedule, opens the links
+// (in-memory channels or a loopback TCP mesh with HMAC-authenticated
 // frames) and returns a Deployment ready to Run. Spec validation failures
 // surface as *ConfigError values wrapping ErrSpec (or a *BoundError for
 // under-provisioned systems) before any resource is acquired; a failed
@@ -417,17 +332,10 @@ func (s ClusterSpec) configs(topo ClusterTopology) ([]cluster.Config, error) {
 // not).
 func (e *Engine) Deploy(spec ClusterSpec) (*Deployment, error) {
 	spec = spec.withDefaults()
-	// The topology is resolved exactly once (seeded random-regular
-	// generation does real work) and shared by validation, the node
-	// configs and the deployment.
-	topo, err := spec.topology()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if err := spec.validate(topo); err != nil {
-		return nil, err
-	}
-	cfgs, err := spec.configs(topo)
+	cfgs, err := spec.configs()
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +363,7 @@ func (e *Engine) Deploy(spec ClusterSpec) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Deployment{spec: spec, cfgs: cfgs, links: links, topo: topo, rounds: rounds, closer: closeMesh}
+	d := &Deployment{spec: spec, cfgs: cfgs, links: links, rounds: rounds, closer: closeMesh}
 	if spec.Chaos != nil {
 		// One shared injector in front of every node's link: faults are
 		// decided before frames reach the hub or the sockets, so the same
@@ -574,7 +482,6 @@ type Deployment struct {
 	spec   ClusterSpec
 	cfgs   []cluster.Config
 	links  []transport.Link
-	topo   ClusterTopology
 	chaos  *transport.Chaos // nil without a ChaosSpec
 	rounds int
 	ran    bool
@@ -584,15 +491,6 @@ type Deployment struct {
 
 // Rounds returns the round horizon every node computed locally.
 func (d *Deployment) Rounds() int { return d.rounds }
-
-// TopologyName returns the communication graph family ("mesh", "ring",
-// "regular", or the name of a custom graph).
-func (d *Deployment) TopologyName() string {
-	if d.topo == nil {
-		return "mesh"
-	}
-	return d.topo.Name()
-}
 
 // Spec returns the defaulted spec the deployment was built from.
 func (d *Deployment) Spec() ClusterSpec { return d.spec }

@@ -111,6 +111,23 @@ func TestDeployChaosTracePinned(t *testing.T) {
 	}
 }
 
+// TestDeployChaosRoundsPinned pins the computed horizon of chaosDeploySpec(42)
+// with no FixedRounds: with F = 0 the lossless contraction is 0 (one round),
+// chaos floors it at ½, and the loss rates stretch the result.
+func TestDeployChaosRoundsPinned(t *testing.T) {
+	const want = 12
+	spec := chaosDeploySpec(42)
+	spec.FixedRounds = 0
+	dep, err := mbfaa.NewEngine().Deploy(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dep.Close() }()
+	if got := dep.Rounds(); got != want {
+		t.Errorf("chaosDeploySpec(42) without FixedRounds: %d rounds, want %d", got, want)
+	}
+}
+
 // TestDeployChaosReplayDeterminism is the PR's acceptance criterion: two
 // runs of the same ClusterSpec + ChaosSpec seed produce identical verdicts,
 // identical per-node NodeStats, and an identical injected-fault trace — and

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mbfaa"
-	"mbfaa/internal/cluster"
 	"mbfaa/internal/mobile"
 	"mbfaa/internal/prng"
 )
@@ -121,61 +120,6 @@ func TestDeployTCP(t *testing.T) {
 	}
 }
 
-// TestDeployPartialTopologies exercises the ring and random-regular graphs:
-// honest and rotating-fault runs both reach ε-agreement, matching the core
-// engine's verdict for the equivalent full-information system.
-func TestDeployPartialTopologies(t *testing.T) {
-	cases := []struct {
-		name     string
-		topology string
-		degree   int
-		n, f     int
-		schedule string
-		rounds   int
-	}{
-		{"ring-honest", "ring", 4, 16, 0, "none", 0},
-		{"ring-rotating", "ring", 6, 16, 1, "rotating", 60},
-		{"regular-honest", "regular", 4, 16, 0, "none", 0},
-		{"regular-rotating", "regular", 8, 16, 1, "rotating", 60},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			dep, err := mbfaa.NewEngine().Deploy(mbfaa.ClusterSpec{
-				Model:        mbfaa.M1,
-				N:            tc.n,
-				F:            tc.f,
-				Inputs:       deployInputs(7, tc.n, 5, 6),
-				Epsilon:      1e-3,
-				InputRange:   1,
-				ScheduleName: tc.schedule,
-				Topology:     tc.topology,
-				Degree:       tc.degree,
-				TopologySeed: 42,
-				FixedRounds:  tc.rounds,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = dep.Close() }()
-			if dep.TopologyName() != tc.topology {
-				t.Errorf("topology %q, want %q", dep.TopologyName(), tc.topology)
-			}
-			res, err := dep.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Converged {
-				t.Errorf("%s deployment did not converge: diameter %g after %d rounds",
-					tc.topology, res.DecisionDiameter(), res.Rounds)
-			}
-			if !res.Valid() {
-				t.Error("validity violated on partial topology")
-			}
-		})
-	}
-}
-
 // TestClusterSpecValidate checks the eager typed-error surface.
 func TestClusterSpecValidate(t *testing.T) {
 	good := mbfaa.ClusterSpec{
@@ -202,11 +146,9 @@ func TestClusterSpecValidate(t *testing.T) {
 		{"input-range-negative", func(s *mbfaa.ClusterSpec) { s.InputRange = -1 }},
 		{"algorithm", func(s *mbfaa.ClusterSpec) { s.AlgorithmName = "nope" }},
 		{"schedule", func(s *mbfaa.ClusterSpec) { s.ScheduleName = "nope" }},
-		{"topology", func(s *mbfaa.ClusterSpec) { s.Topology = "torus" }},
 		{"transport", func(s *mbfaa.ClusterSpec) { s.Transport = "carrier-pigeon" }},
 		{"pipeline-negative", func(s *mbfaa.ClusterSpec) { s.PipelineDepth = -1 }},
 		{"pipeline-too-deep", func(s *mbfaa.ClusterSpec) { s.PipelineDepth = 33 }},
-		{"ring-odd-degree", func(s *mbfaa.ClusterSpec) { s.Topology = "ring"; s.Degree = 3 }},
 		{"pingpong-camps", func(s *mbfaa.ClusterSpec) { s.ScheduleName = "pingpong"; s.F = 3; s.AllowSubBound = true }},
 	}
 	for _, tc := range bad {
@@ -286,9 +228,6 @@ func TestClusterSpecJSONRoundTrip(t *testing.T) {
 		PipelineDepth: 3,
 		AlgorithmName: "fta",
 		ScheduleName:  "pingpong",
-		Topology:      "regular",
-		Degree:        6,
-		TopologySeed:  9,
 		Transport:     "memory",
 	}
 	blob, err := json.Marshal(spec)
@@ -314,82 +253,18 @@ func TestClusterSpecJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = dep.Close() }()
-	if dep.Rounds() != 12 || dep.TopologyName() != "regular" {
-		t.Errorf("deployment from round-tripped spec: rounds=%d topology=%s", dep.Rounds(), dep.TopologyName())
+	if dep.Rounds() != 12 {
+		t.Errorf("deployment from round-tripped spec: rounds=%d", dep.Rounds())
 	}
-}
 
-// customTopology wraps a built-in graph behind a caller-defined type, so
-// the deployment can only see the ClusterTopology interface.
-type customTopology struct {
-	inner mbfaa.ClusterTopology
-}
-
-func (c customTopology) Name() string           { return "custom" }
-func (c customTopology) Size() int              { return c.inner.Size() }
-func (c customTopology) Neighbors(id int) []int { return c.inner.Neighbors(id) }
-
-// TestDeployCustomTopologyHorizon: a custom ClusterTopology supplied via
-// the Graph field gets the same partial-graph round horizon as the
-// equivalent built-in graph — not the (shorter) full-mesh horizon.
-func TestDeployCustomTopologyHorizon(t *testing.T) {
-	const n = 12
-	ring, err := cluster.Ring(n, 2)
-	if err != nil {
+	// A stored spec with the removed partial-topology keys still decodes:
+	// encoding/json ignores unknown keys, so it describes the full mesh.
+	var legacy mbfaa.ClusterSpec
+	if err := json.Unmarshal([]byte(`{"n":11,"f":1,"model":2,"topology":"ring","degree":4,"topology_seed":9}`), &legacy); err != nil {
 		t.Fatal(err)
 	}
-	base := mbfaa.ClusterSpec{
-		N: n, F: 0, Inputs: deployInputs(4, n, 0, 1),
-		Epsilon: 1e-3, InputRange: 1,
-	}
-	builtin := base
-	builtin.Topology = "ring"
-	builtin.Degree = 4
-	depBuiltin, err := mbfaa.NewEngine().Deploy(builtin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = depBuiltin.Close() }()
-
-	custom := base
-	custom.Graph = customTopology{inner: ring}
-	depCustom, err := mbfaa.NewEngine().Deploy(custom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = depCustom.Close() }()
-
-	if depCustom.Rounds() != depBuiltin.Rounds() {
-		t.Errorf("custom topology horizon %d rounds, built-in ring %d — the interface path must get the partial-graph stretch",
-			depCustom.Rounds(), depBuiltin.Rounds())
-	}
-	if depCustom.TopologyName() != "custom" {
-		t.Errorf("TopologyName = %q", depCustom.TopologyName())
-	}
-	res, err := depCustom.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Errorf("custom-topology run did not converge (diameter %g after %d rounds)",
-			res.DecisionDiameter(), res.Rounds)
-	}
-}
-
-// TestDeployDisconnectedTopologyRejected: a graph that cannot carry global
-// agreement fails at Deploy, not at runtime.
-func TestDeployDisconnectedTopologyRejected(t *testing.T) {
-	pair, err := cluster.NewGraph("pairs", [][]int{{1}, {0}, {3}, {2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = mbfaa.NewEngine().Deploy(mbfaa.ClusterSpec{
-		Model: mbfaa.M4, N: 4, F: 0,
-		Inputs: deployInputs(6, 4, 0, 1), Epsilon: 1e-2, InputRange: 1,
-		Graph: pair,
-	})
-	if err == nil {
-		t.Fatal("disconnected topology accepted")
+	if legacy.N != 11 || legacy.F != 1 || legacy.Model != mbfaa.M2 {
+		t.Errorf("legacy spec decoded as %+v", legacy)
 	}
 }
 

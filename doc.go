@@ -33,7 +33,7 @@
 //
 //   - Engine.Deploy(ClusterSpec) is the distributed backend: it wires an
 //     n-node cluster over in-memory links or HMAC-authenticated loopback
-//     TCP sockets — full mesh, ring, random-regular or custom topology —
+//     TCP sockets — a full mesh, every node exchanging with every node —
 //     running the protocol in deadline-driven rounds with omission
 //     detection and schedule-driven mobile-fault injection, the paper-§3
 //     system over real message passing. Rounds are strict lockstep by

@@ -6,10 +6,9 @@
 // of the slowest live peer — the synchronous system of paper §3 realised
 // over actual message passing. Every depth runs one receive loop over one
 // ring of per-round receive states, so a frame that arrives ahead of its
-// round waits in that round's slot. A Topology
-// restricts communication to a neighbor graph (full mesh by default; rings,
-// random-regular and arbitrary connected graphs for the partially-connected
-// regimes of Li, Hurfin & Wang 2012).
+// round waits in that round's slot. Every node exchanges values with every
+// node, itself included: the full mesh of paper §3, the only communication
+// graph the paper's contraction theorems cover.
 //
 // Fault injection is schedule-driven: a FaultSchedule deterministically
 // marks which nodes the mobile agents occupy in each round, and occupied
@@ -171,11 +170,6 @@ type Config struct {
 	// Schedule injects mobile faults; NoFaults{} for honest runs. The
 	// schedule must be identical on every node of a test deployment.
 	Schedule FaultSchedule
-	// Topology restricts communication to a neighbor graph; nil means the
-	// full mesh of paper §3. All nodes of a deployment must share the same
-	// topology (undirected, connected), and the node exchanges values only
-	// with its neighbors (plus itself).
-	Topology Topology
 	// AllowSubBound skips the n > bound(f) resilience check. The
 	// lower-bound experiments run deliberately under-provisioned systems;
 	// every other deployment should fail fast instead of silently
@@ -193,30 +187,27 @@ type Config struct {
 	// FixedRounds overrides the computed round count when positive.
 	FixedRounds int
 	// SyncRounds makes every round last the full RoundTimeout instead of
-	// closing as soon as all expected senders reported — the paper's
-	// fixed-duration synchronous round. Early exit is an optimization that
+	// closing as soon as all senders reported — the paper's fixed-duration
+	// synchronous round. Early exit is an optimization that
 	// assumes reliable channels: under injected loss it lets fast nodes
 	// run a full deadline ahead of lagging peers, and whether a skewed
 	// frame counts as Received or Late becomes a scheduling race. Chaos
-	// deployments set this so per-node stats replay bit-for-bit.
+	// deployments set this so per-node stats replay bit-for-bit. Because
+	// those links may drop or corrupt frames, SyncRounds also floors the
+	// contraction behind the computed round horizon at 1/2: a contraction
+	// of 0 ("identical multisets agree exactly in one round") assumes every
+	// correct value arrives.
 	SyncRounds bool
-	// LossyLinks declares that the transport may drop or corrupt frames
-	// (the chaos layer). A full-mesh contraction of 0 ("identical
-	// multisets agree exactly in one round") assumes every correct value
-	// arrives; under loss the computed round horizon floors the
-	// contraction at 1/2, exactly as a partial topology does. Chaos
-	// deployments set this alongside SyncRounds.
-	LossyLinks bool
 	// PipelineDepth (k), when positive, lets the node run up to k rounds
 	// ahead of its slowest live peer instead of strict lockstep: a round
 	// closes as soon as its quorum-or-deadline condition is met (every
-	// expected sender reported; or a majority reported and advancing keeps
+	// sender reported; or a majority reported and advancing keeps
 	// the node within k rounds of the slowest non-stalled peer; or the
 	// deadline fired). Peers persistently more than k rounds behind are
 	// flagged stalled (NodeStats.StallEvents) and excluded from the pacing
 	// brake, so one wedged peer cannot wedge the cluster; every round a
 	// peer misses raises its NodeStats.PeerMisses score. Depth 0 is strict
-	// lockstep: a round closes when every expected sender reported or the
+	// lockstep: a round closes when every sender reported or the
 	// deadline fired. At every depth frames are kept in a ring of
 	// MaxPipelineDepth+1 per-round receive states; the window ahead of the
 	// open round is k rounds at depth k and the whole ring (MaxPipelineDepth
@@ -269,53 +260,22 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.Topology != nil {
-		if c.Topology.Size() != c.N {
-			return fmt.Errorf("cluster: topology has %d nodes, deployment has n=%d", c.Topology.Size(), c.N)
-		}
-		tau := c.Model.Trim(c.F)
-		for id := 0; id < c.N; id++ {
-			if deg := len(c.Topology.Neighbors(id)); deg+1 <= 2*tau {
-				return fmt.Errorf("cluster: node %d has degree %d; trimming 2τ=%d values needs degree+1 > 2τ",
-					id, deg, 2*tau)
-			}
-		}
-		if !ConnectedOf(c.Topology) {
-			return fmt.Errorf("cluster: disconnected topology; global agreement needs a connected graph")
-		}
-	}
 	return nil
 }
 
 // Rounds returns the number of rounds the node will run: FixedRounds if
 // set, otherwise ⌈log(ε/range)/log(C)⌉ from the algorithm's guaranteed
-// contraction. On a partial topology the multiset a node votes on has only
-// MinDegree+1 entries and information needs Diameter hops to cross the
-// graph, so the horizon becomes sweeps × Diameter: the per-sweep count is
-// computed at the reduced multiset size with the contraction floored at
-// 1/2, because a full-mesh contraction of 0 ("identical multisets agree
-// exactly in one round") assumes full information and does not hold when
-// neighborhoods differ; LossyLinks applies the same floor, since dropped
-// or corrupted frames break the premise too. This is an engineering
-// horizon — the paper's
-// contraction theorem covers the full mesh only — but it is deterministic
-// from the shared config, so every node halts together, and the harness
-// reports the measured verdict either way. It returns an error when the
-// algorithm offers no guarantee (Median) and no FixedRounds was given.
+// contraction C over the n-value multiset of the full mesh (n−f under M1,
+// whose cured senders are silent). Under SyncRounds C is floored at 1/2,
+// since lossy links break the premise of a contraction of 0. The horizon is
+// deterministic from the shared config, so every node halts together. It
+// returns an error when the algorithm offers no guarantee (Median) and no
+// FixedRounds was given.
 func (c Config) Rounds() (int, error) {
 	if c.FixedRounds > 0 {
 		return c.FixedRounds, nil
 	}
 	m := c.N
-	stretch := 1
-	t, partial := c.partialTopology()
-	if partial {
-		m = MinDegreeOf(t) + 1
-		stretch = DiameterOf(t)
-		if stretch < 1 {
-			return 0, errors.New("cluster: disconnected topology")
-		}
-	}
 	if c.Model == mobile.M1Garay {
 		m -= c.F
 	}
@@ -323,31 +283,14 @@ func (c Config) Rounds() (int, error) {
 	if !ok {
 		return 0, errors.New("cluster: algorithm has no contraction guarantee; set FixedRounds")
 	}
-	if (partial || c.LossyLinks) && contraction < 0.5 {
+	if c.SyncRounds && contraction < 0.5 {
 		contraction = 0.5
 	}
 	r, err := msr.RequiredRounds(c.InputRange, c.Epsilon, contraction)
 	if err != nil {
 		return 0, err
 	}
-	if r < 1 {
-		r = 1
-	}
-	return r * stretch, nil
-}
-
-// partialTopology returns the configured topology when it is a genuine
-// restriction (not nil and not the full mesh). It works on the Topology
-// interface so custom implementations get the same partial-graph horizon
-// as the built-in Graph.
-func (c Config) partialTopology() (Topology, bool) {
-	if c.Topology == nil {
-		return nil, false
-	}
-	if MinDegreeOf(c.Topology) == c.N-1 {
-		return nil, false // full mesh in disguise
-	}
-	return c.Topology, true
+	return max(r, 1), nil
 }
 
 // NodeStats counts one node's transport-level activity over a run: the
@@ -361,8 +304,8 @@ type NodeStats struct {
 	// senders missing at the round deadline.
 	Omissions int64
 	// Rejected counts frames dropped before reaching the protocol:
-	// messages from non-neighbor senders here, plus the link layer's
-	// authentication, replay and misdirection drops on TCP links.
+	// messages whose sender id is outside [0, n) here, plus the link
+	// layer's authentication, replay and misdirection drops on TCP links.
 	Rejected int64
 	// Duplicates counts frames dropped by the node's replay window: a
 	// second frame for an already-recorded (sender, round), or a frame
@@ -416,13 +359,10 @@ type NodeStats struct {
 
 // Node is one cluster member.
 type Node struct {
-	cfg    Config
-	link   transport.Link
-	tau    int
-	vote   float64
-	dests  []int  // send targets in ascending order (neighbors + self)
-	inNbr  []bool // expected senders (neighbors + self)
-	expect int    // len(dests)
+	cfg  Config
+	link transport.Link
+	tau  int
+	vote float64
 
 	// win is the node's replay window: per sender, a sliding bitmap
 	// (transport.RoundWindow) of rounds whose frame was recorded — the
@@ -460,18 +400,16 @@ type Node struct {
 	// deterministic schedule tells every node which senders are
 	// asymmetric this round (occupied nodes, and M3-cured poisoned
 	// queues), so received values split into a symmetric base and an
-	// O(f) patch — on a partial topology the base is naturally restricted
-	// to the node's neighbors+self, since only their values arrive.
-	// msr.KernelVote validates and sorts both sides in place (the
-	// buffers are reordered) and votes over the two runs without merging
-	// them.
+	// O(f) patch. msr.KernelVote validates and sorts both sides in place
+	// (the buffers are reordered) and votes over the two runs without
+	// merging them.
 	out    []transport.Message
 	isAsym []bool
 	base   []float64
 	patch  []float64
 
 	// dirVals/dirOmit are the node's per-round send directives, indexed
-	// like dests: the deployment analogue of the simulator's bulk
+	// by destination id: the deployment analogue of the simulator's bulk
 	// Directives script. planSend derives the whole round's script from the
 	// schedule in one pass; the transport batch below merely materializes
 	// it into messages.
@@ -488,15 +426,19 @@ func NewNode(cfg Config, link transport.Link) (*Node, error) {
 		return nil, errors.New("cluster: nil link")
 	}
 	nd := &Node{
-		cfg:    cfg,
-		link:   link,
-		tau:    cfg.Model.Trim(cfg.F),
-		vote:   cfg.Input,
-		inNbr:  make([]bool, cfg.N),
-		isAsym: make([]bool, cfg.N),
-		win:    make([]transport.RoundWindow, cfg.N),
-		ring:   make([]*roundState, MaxPipelineDepth+1),
-		ahead:  cfg.PipelineDepth,
+		cfg:     cfg,
+		link:    link,
+		tau:     cfg.Model.Trim(cfg.F),
+		vote:    cfg.Input,
+		isAsym:  make([]bool, cfg.N),
+		win:     make([]transport.RoundWindow, cfg.N),
+		ring:    make([]*roundState, MaxPipelineDepth+1),
+		ahead:   cfg.PipelineDepth,
+		out:     make([]transport.Message, 0, cfg.N),
+		base:    make([]float64, 0, cfg.N),
+		patch:   make([]float64, 0, cfg.N),
+		dirVals: make([]float64, cfg.N),
+		dirOmit: make([]bool, cfg.N),
 	}
 	if cfg.PipelineDepth == 0 {
 		nd.ahead = MaxPipelineDepth
@@ -508,41 +450,12 @@ func NewNode(cfg Config, link transport.Link) (*Node, error) {
 		nd.stalled = make([]bool, cfg.N)
 		nd.misses = make([]int64, cfg.N)
 	}
-	if cfg.Topology != nil {
-		nbrs := cfg.Topology.Neighbors(cfg.ID)
-		nd.dests = make([]int, 0, len(nbrs)+1)
-		placed := false
-		for _, j := range nbrs {
-			if !placed && j > cfg.ID {
-				nd.dests = append(nd.dests, cfg.ID)
-				placed = true
-			}
-			nd.dests = append(nd.dests, j)
-		}
-		if !placed {
-			nd.dests = append(nd.dests, cfg.ID)
-		}
-	} else {
-		nd.dests = make([]int, cfg.N)
-		for i := range nd.dests {
-			nd.dests[i] = i
-		}
-	}
-	nd.expect = len(nd.dests)
-	for _, j := range nd.dests {
-		nd.inNbr[j] = true
-	}
-	nd.out = make([]transport.Message, 0, nd.expect)
-	nd.base = make([]float64, 0, nd.expect)
-	nd.patch = make([]float64, 0, nd.expect)
-	nd.dirVals = make([]float64, nd.expect)
-	nd.dirOmit = make([]bool, nd.expect)
 	return nd, nil
 }
 
 // Reset rewires a finished node for a fresh run with a new input, input
 // range, round count and link, keeping everything derived from the validated
-// config — topology arrays, kernel scratch, directive buffers — allocated.
+// config — receive windows, kernel scratch, directive buffers — allocated.
 // This is the service layer's pooling hook: one node set is constructed and
 // validated per pool slot, then recycled across agreement instances.
 // fixedRounds must be positive (the service resolves the horizon up front so
@@ -681,7 +594,7 @@ func (nd *Node) classifySenders(occ, prevOcc []int) {
 // and the destination, mirroring the simulator's once-per-round batched
 // adversary consultation.
 func (nd *Node) planSend(occupied, cured bool) {
-	for i, to := range nd.dests {
+	for to := range nd.cfg.N {
 		v, omit := nd.vote, false
 		switch {
 		case occupied && nd.cfg.Crash:
@@ -723,8 +636,8 @@ func (nd *Node) planSend(occupied, cured bool) {
 				// M4: cured nodes behave correctly.
 			}
 		}
-		nd.dirVals[i] = v
-		nd.dirOmit[i] = omit
+		nd.dirVals[to] = v
+		nd.dirOmit[to] = omit
 	}
 }
 
@@ -735,12 +648,12 @@ func (nd *Node) planSend(occupied, cured bool) {
 func (nd *Node) send(round int, occupied, cured bool) error {
 	nd.planSend(occupied, cured)
 	nd.out = nd.out[:0]
-	for i, to := range nd.dests {
+	for to := range nd.cfg.N {
 		nd.out = append(nd.out, transport.Message{
 			Round:   round,
 			To:      to,
-			Value:   nd.dirVals[i],
-			Omitted: nd.dirOmit[i],
+			Value:   nd.dirVals[to],
+			Omitted: nd.dirOmit[to],
 		})
 	}
 	var err error
@@ -761,7 +674,7 @@ func (nd *Node) send(round int, occupied, cured bool) error {
 }
 
 // roundState is one round's receive state in the ring: which round owns
-// it (-1: none), how many expected senders reported, which did, and their
+// it (-1: none), how many senders reported, which did, and their
 // values, with an omission stored as NaN — all the base/patch split reads.
 // admit records at most ahead ≤ MaxPipelineDepth rounds past the open one,
 // so the rounds in flight map to distinct ring slots.
@@ -807,12 +720,11 @@ func (nd *Node) release(i int) {
 // per the round's sender classification. Frames for the rounds ahead are
 // recorded into their own slot, so later rounds fill while this one is
 // open; frames outside the window are dropped and counted. At depth 0 the
-// round closes when every expected sender reported or the deadline fired.
-// At depth k > 0 it closes on the first of: every expected sender
-// reported; the early-close quorum held (a majority reported, and
-// advancing keeps this node within k rounds of the slowest non-stalled
-// peer); all still-missing senders are stall-flagged; or the deadline
-// fired. Missing senders become omissions on every close path — exactly
+// round closes when every sender reported or the deadline fired. At depth
+// k > 0 it closes on the first of: every sender reported; the early-close
+// quorum held (a majority reported, and advancing keeps this node within k
+// rounds of the slowest non-stalled peer); all still-missing senders are
+// stall-flagged; or the deadline fired. Missing senders become omissions on every close path — exactly
 // the deadline's ruling, reached sooner.
 func (nd *Node) collect(ctx context.Context, round int) (base, patch []float64, err error) {
 	st := nd.slot(round)
@@ -821,7 +733,7 @@ func (nd *Node) collect(ctx context.Context, round int) (base, patch []float64, 
 	for {
 		// Drain everything already delivered before consulting the close
 		// rule: an early close must never discard a frame that has arrived.
-		for st.count < nd.expect {
+		for st.count < nd.cfg.N {
 			select {
 			case m, ok := <-nd.link.Recv():
 				if !ok {
@@ -850,7 +762,7 @@ func (nd *Node) collect(ctx context.Context, round int) (base, patch []float64, 
 	}
 closed:
 	// Missing senders become detected omissions (benign).
-	nd.stats.Omissions += int64(nd.expect - st.count)
+	nd.stats.Omissions += int64(nd.cfg.N - st.count)
 	if nd.cfg.PipelineDepth > 0 {
 		nd.scorePeers(st, round)
 	}
@@ -880,7 +792,7 @@ closed:
 // earlier round was open counts now (admit defers it under SyncRounds;
 // without SyncRounds lastSeen already covers it).
 func (nd *Node) scorePeers(st *roundState, round int) {
-	for _, s := range nd.dests {
+	for s := range nd.cfg.N {
 		if s == nd.cfg.ID {
 			continue
 		}
@@ -898,7 +810,7 @@ func (nd *Node) scorePeers(st *roundState, round int) {
 }
 
 // admit routes one inbound frame against the window [round, round+ahead].
-// At depth k > 0 any frame from an expected sender — stale ones included —
+// At depth k > 0 any frame from a sender in [0, n) — stale ones included —
 // refreshes lastSeen: even a too-old frame proves the peer alive, which
 // the stall detector and pacing brake feed on. Under SyncRounds only
 // frames of rounds up to the open one refresh it here: whether a peer's
@@ -906,7 +818,7 @@ func (nd *Node) scorePeers(st *roundState, round int) {
 // the stall classification (hence StallEvents) must replay bit for bit. A
 // frame recorded for a later round counts when that round closes.
 func (nd *Node) admit(m transport.Message, round int) {
-	if m.From < 0 || m.From >= nd.cfg.N || !nd.inNbr[m.From] {
+	if m.From < 0 || m.From >= nd.cfg.N {
 		nd.stats.Rejected++
 		return
 	}
@@ -955,7 +867,7 @@ func (nd *Node) closeable(st *roundState, round int) bool {
 	if nd.cfg.SyncRounds {
 		return false
 	}
-	if st.count == nd.expect {
+	if st.count == nd.cfg.N {
 		return true
 	}
 	if nd.cfg.PipelineDepth == 0 {
@@ -967,7 +879,7 @@ func (nd *Node) closeable(st *roundState, round int) bool {
 	// rounds of the slowest peer still considered live. The missing
 	// minority becomes omissions — exactly what the deadline would rule,
 	// reached as soon as the ruling cannot change the quorum.
-	if 2*st.count > nd.expect && nd.withinBrake(round) {
+	if 2*st.count > nd.cfg.N && nd.withinBrake(round) {
 		return true
 	}
 	// Every still-missing sender is stall-flagged: waiting out the
@@ -984,7 +896,7 @@ func (nd *Node) closeable(st *roundState, round int) bool {
 // node instead).
 func (nd *Node) withinBrake(round int) bool {
 	min, live := 0, false
-	for _, s := range nd.dests {
+	for s := range nd.cfg.N {
 		if s == nd.cfg.ID || nd.stalled[s] {
 			continue
 		}
@@ -998,7 +910,7 @@ func (nd *Node) withinBrake(round int) bool {
 	return round+1-min <= nd.cfg.PipelineDepth
 }
 
-// missingAllStalled reports whether every expected sender still missing
+// missingAllStalled reports whether every sender still missing
 // from the round is currently stall-flagged. The node itself is never
 // flagged, so a round with nothing received (not even the self frame)
 // stays open.
@@ -1006,7 +918,7 @@ func (nd *Node) missingAllStalled(st *roundState) bool {
 	if st.count == 0 {
 		return false
 	}
-	for _, s := range nd.dests {
+	for s := range nd.cfg.N {
 		if !st.seen[s] && !nd.stalled[s] {
 			return false
 		}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -191,6 +193,59 @@ func TestConfigRounds(t *testing.T) {
 	}
 }
 
+// TestConfigRoundsPinned pins the computed horizon (InputRange 1, ε = 1e-6)
+// over M1–M4 × FTA/FTM/Dolev × f ∈ {1, 2} × n ∈ {RequiredN(f),
+// RequiredN(f)+2} with lossless and lossy (SyncRounds) rounds. Each row
+// lists f=1 then f=2; within an f, n = RequiredN then RequiredN+2; within
+// an n, lossless then lossy. -1 marks a horizon the algorithm cannot
+// guarantee.
+func TestConfigRoundsPinned(t *testing.T) {
+	want := map[string][8]int{
+		"M1/fta":   {20, 20, 10, 20, 35, 35, 16, 20},
+		"M1/ftm":   {20, 20, 20, 20, 20, 20, 20, 20},
+		"M1/dolev": {20, 20, 10, 20, 20, 20, 13, 20},
+		"M2/fta":   {20, 20, 10, 20, 35, 35, 16, 20},
+		"M2/ftm":   {20, 20, 20, 20, 20, 20, 20, 20},
+		"M2/dolev": {20, 20, 20, 20, 20, 20, 20, 20},
+		"M3/fta":   {35, 35, 16, 20, 62, 62, 25, 25},
+		"M3/ftm":   {20, 20, 20, 20, 20, 20, 20, 20},
+		"M3/dolev": {20, 20, 13, 20, 20, 20, 20, 20},
+		"M4/fta":   {20, 20, 10, 20, 35, 35, 16, 20},
+		"M4/ftm":   {20, 20, 20, 20, 20, 20, 20, 20},
+		"M4/dolev": {20, 20, 10, 20, 20, 20, 13, 20},
+	}
+	models := []mobile.Model{mobile.M1Garay, mobile.M2Bonnet, mobile.M3Sasaki, mobile.M4Buhrman}
+	algos := []msr.Algorithm{msr.FTA{}, msr.FTM{}, msr.DolevSelect{}}
+	for mi, model := range models {
+		for _, algo := range algos {
+			key := fmt.Sprintf("M%d/%s", mi+1, algo.Name())
+			var got [8]int
+			i := 0
+			for _, f := range []int{1, 2} {
+				for _, n := range []int{model.RequiredN(f), model.RequiredN(f) + 2} {
+					for _, lossy := range []bool{false, true} {
+						cfg := Config{
+							ID: 0, N: n, F: f, Model: model,
+							Algorithm: algo, InputRange: 1, Epsilon: 1e-6,
+							RoundTimeout: time.Second, Schedule: NoFaults{},
+							SyncRounds: lossy,
+						}
+						r, err := cfg.Rounds()
+						if err != nil {
+							r = -1
+						}
+						got[i] = r
+						i++
+					}
+				}
+			}
+			if got != want[key] {
+				t.Errorf("%q: %#v,", key, got)
+			}
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	valid := Config{
 		ID: 0, N: 4, F: 1, Model: mobile.M4Buhrman,
@@ -217,6 +272,48 @@ func TestConfigValidation(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+}
+
+// TestConfigValidateBoundAndSchedule covers the resilience bound (a typed
+// *mobile.BoundError unless AllowSubBound) and schedule sizing.
+func TestConfigValidateBoundAndSchedule(t *testing.T) {
+	base := Config{
+		ID: 0, N: 9, F: 2, Model: mobile.M1Garay,
+		Algorithm: msr.FTM{}, InputRange: 1, Epsilon: 1e-3,
+		RoundTimeout: time.Second, Schedule: NoFaults{},
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+
+	sub := base
+	sub.N, sub.ID = 8, 0 // n = 4f: at the bound
+	if err := sub.Validate(); err == nil {
+		t.Error("sub-bound deployment accepted without AllowSubBound")
+	} else {
+		var be *mobile.BoundError
+		if !errors.As(err, &be) {
+			t.Errorf("sub-bound error %v is not *mobile.BoundError", err)
+		} else if !errors.Is(err, mobile.ErrBelowBound) {
+			t.Errorf("sub-bound error %v does not wrap ErrBelowBound", err)
+		}
+	}
+	sub.AllowSubBound = true
+	if err := sub.Validate(); err != nil {
+		t.Errorf("AllowSubBound rejected: %v", err)
+	}
+
+	mismatch := base
+	mismatch.Schedule = RotatingFaults{N: 5, F: 2} // wrong size
+	if err := mismatch.Validate(); err == nil {
+		t.Error("mismatched schedule size accepted")
+	}
+
+	pp := base
+	pp.Schedule = PingPongFaults{N: 9, F: 5} // 2f > n
+	if err := pp.Validate(); err == nil {
+		t.Error("overlapping ping-pong camps accepted")
 	}
 }
 

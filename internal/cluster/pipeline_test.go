@@ -99,7 +99,7 @@ func TestPipelineAdmitWindow(t *testing.T) {
 				tc.depth, nd.stats.Duplicates, nd.stats.Late, nd.stats.StaleRounds)
 		}
 
-		// Out-of-range and non-neighbor senders are rejected outright.
+		// Senders outside [0, n) are rejected outright.
 		nd.admit(transport.Message{From: -1, Round: 0}, 0)
 		nd.admit(transport.Message{From: n, Round: 0}, 0)
 		if nd.stats.Rejected != 2 {

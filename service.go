@@ -16,8 +16,8 @@ import (
 // of N nodes hosting many concurrent protocol instances. It is the
 // ClusterSpec shape minus the per-run Inputs (each Submit supplies its own)
 // plus the service's concurrency bound. Like ClusterSpec it serializes to
-// JSON with algorithm/schedule/topology selected by name; the instance
-// override fields are process-local and excluded.
+// JSON with algorithm and schedule selected by name; the instance override
+// fields are process-local and excluded.
 type ServiceSpec struct {
 	// Model is the Mobile Byzantine Fault model (M1–M4). Zero means M1.
 	Model Model `json:"model,omitempty"`
@@ -46,11 +46,6 @@ type ServiceSpec struct {
 	AlgorithmName string `json:"algorithm,omitempty"`
 	// ScheduleName selects the fault schedule (see ClusterSpec).
 	ScheduleName string `json:"schedule,omitempty"`
-	// Topology, Degree and TopologySeed select the communication graph
-	// shared by every instance (see ClusterSpec).
-	Topology     string `json:"topology,omitempty"`
-	Degree       int    `json:"degree,omitempty"`
-	TopologySeed uint64 `json:"topology_seed,omitempty"`
 	// Transport selects the link layer: "memory" (or empty) or "tcp".
 	Transport string `json:"transport,omitempty"`
 	// AllowSubBound deploys below the model's replica bound (see
@@ -78,14 +73,11 @@ type ServiceSpec struct {
 	// Schedule overrides ScheduleName with a concrete fault schedule. Not
 	// serialized.
 	Schedule ClusterSchedule `json:"-"`
-	// Graph overrides Topology/Degree/TopologySeed with a concrete
-	// communication graph. Not serialized.
-	Graph ClusterTopology `json:"-"`
 }
 
 // clusterSpec projects the service spec onto the ClusterSpec machinery with
-// placeholder inputs, reusing its validation, schedule/topology resolution
-// and per-node config compilation. Instances overwrite Input/InputRange/
+// placeholder inputs, reusing its validation, schedule resolution and
+// per-node config compilation. Instances overwrite Input/InputRange/
 // FixedRounds per run.
 func (s ServiceSpec) clusterSpec() ClusterSpec {
 	return ClusterSpec{
@@ -100,9 +92,6 @@ func (s ServiceSpec) clusterSpec() ClusterSpec {
 		PipelineDepth: s.PipelineDepth,
 		AlgorithmName: s.AlgorithmName,
 		ScheduleName:  s.ScheduleName,
-		Topology:      s.Topology,
-		Degree:        s.Degree,
-		TopologySeed:  s.TopologySeed,
 		Transport:     s.Transport,
 		AllowSubBound: s.AllowSubBound,
 		Chaos:         s.Chaos,
@@ -111,7 +100,6 @@ func (s ServiceSpec) clusterSpec() ClusterSpec {
 		Key:           s.Key,
 		Algorithm:     s.Algorithm,
 		Schedule:      s.Schedule,
-		Graph:         s.Graph,
 	}
 }
 
@@ -233,14 +221,10 @@ func (e *Engine) Serve(ctx context.Context, spec ServiceSpec) (*Service, error) 
 		spec.MaxConcurrent = 64
 	}
 	cs := spec.clusterSpec().withDefaults()
-	topo, err := cs.topology()
-	if err != nil {
+	if err := cs.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cs.validate(topo); err != nil {
-		return nil, err
-	}
-	cfgs, err := cs.configs(topo)
+	cfgs, err := cs.configs()
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +240,7 @@ func (e *Engine) Serve(ctx context.Context, spec ServiceSpec) (*Service, error) 
 	}
 	// Carry the resolved defaults the per-instance path needs.
 	spec.Model, spec.Epsilon, spec.RoundTimeout = cs.Model, cs.Epsilon, cs.RoundTimeout
-	spec.Degree, spec.Key = cs.Degree, cs.Key
+	spec.Key = cs.Key
 
 	// Every node's inbox is shared by all hosted instances until the demux
 	// fans frames out; lockstep bounds each instance to about two rounds in
