@@ -357,12 +357,31 @@ type NodeStats struct {
 	PeerDownDrops int64
 }
 
-// Node is one cluster member.
+// Node is one cluster member as a sans-I/O step machine: the protocol state
+// of one node and nothing else — no link, channel, timer or context. A
+// driver moves it through each round: Begin returns the round's sends,
+// Deliver admits each inbound frame, Settle runs the close check once the
+// driver has delivered everything that already arrived, and Expire closes
+// the round at its deadline. When the last round has closed, Done reports
+// true and Result returns the decision. Run is the one-goroutine-per-node
+// driver Deploy uses; internal/service hosts many nodes on one dispatch
+// loop per mesh node.
 type Node struct {
 	cfg  Config
-	link transport.Link
 	tau  int
 	vote float64
+
+	// rounds is the horizon; round is the open round, or the next one to
+	// open while open is false. err is a failed vote, which ends the run.
+	rounds int
+	round  int
+	open   bool
+	err    error
+
+	// prevOcc is the previous round's occupied set (the cured nodes), and
+	// occupied whether the agents hold this node in the open round.
+	prevOcc  []int
+	occupied bool
 
 	// win is the node's replay window: per sender, a sliding bitmap
 	// (transport.RoundWindow) of rounds whose frame was recorded — the
@@ -394,8 +413,8 @@ type Node struct {
 
 	stats NodeStats
 
-	// Per-round scratch, recycled across rounds so the protocol loop does
-	// not allocate per round: out is the send phase's message batch.
+	// Per-round scratch, recycled across rounds so the protocol does not
+	// allocate per round: out is the send phase's message batch.
 	// The computation phase runs through the base+patch kernel: the
 	// deterministic schedule tells every node which senders are
 	// asymmetric this round (occupied nodes, and M3-cured poisoned
@@ -411,25 +430,26 @@ type Node struct {
 	// dirVals/dirOmit are the node's per-round send directives, indexed
 	// by destination id: the deployment analogue of the simulator's bulk
 	// Directives script. planSend derives the whole round's script from the
-	// schedule in one pass; the transport batch below merely materializes
-	// it into messages.
+	// schedule in one pass; Begin merely materializes it into messages.
 	dirVals []float64
 	dirOmit []bool
 }
 
-// NewNode wires a node to its link.
-func NewNode(cfg Config, link transport.Link) (*Node, error) {
+// NewNode validates cfg, resolves its round horizon and returns the node's
+// step machine, ready for its first Begin.
+func NewNode(cfg Config) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if link == nil {
-		return nil, errors.New("cluster: nil link")
+	rounds, err := cfg.Rounds()
+	if err != nil {
+		return nil, err
 	}
 	nd := &Node{
 		cfg:     cfg,
-		link:    link,
 		tau:     cfg.Model.Trim(cfg.F),
 		vote:    cfg.Input,
+		rounds:  rounds,
 		isAsym:  make([]bool, cfg.N),
 		win:     make([]transport.RoundWindow, cfg.N),
 		ring:    make([]*roundState, MaxPipelineDepth+1),
@@ -453,19 +473,21 @@ func NewNode(cfg Config, link transport.Link) (*Node, error) {
 	return nd, nil
 }
 
-// Reset rewires a finished node for a fresh run with a new input, input
-// range, round count and link, keeping everything derived from the validated
-// config — receive windows, kernel scratch, directive buffers — allocated.
-// This is the service layer's pooling hook: one node set is constructed and
+// Reset rewinds a node for a fresh run with a new input, input range and
+// round count, keeping everything derived from the validated config —
+// receive windows, kernel scratch, directive buffers — allocated. This is
+// the service layer's pooling hook: one node set is constructed and
 // validated per pool slot, then recycled across agreement instances.
 // fixedRounds must be positive (the service resolves the horizon up front so
 // all nodes of an instance halt together); input and inputRange are not
 // re-validated here — the caller owns input hygiene.
-func (nd *Node) Reset(input, inputRange float64, fixedRounds int, link transport.Link) {
+func (nd *Node) Reset(input, inputRange float64, fixedRounds int) {
 	nd.cfg.Input = input
 	nd.cfg.InputRange = inputRange
 	nd.cfg.FixedRounds = fixedRounds
-	nd.link = link
+	nd.rounds = fixedRounds
+	nd.round, nd.open, nd.err = 0, false, nil
+	nd.prevOcc = nil
 	nd.vote = input
 	nd.stats = NodeStats{}
 	for i := range nd.win {
@@ -477,25 +499,26 @@ func (nd *Node) Reset(input, inputRange float64, fixedRounds int, link transport
 	for i := range nd.lastSeen {
 		nd.lastSeen[i] = -1
 	}
-	for i := range nd.stalled {
-		nd.stalled[i] = false
-	}
-	for i := range nd.misses {
-		nd.misses[i] = 0
-	}
+	clear(nd.stalled)
+	clear(nd.misses)
 }
 
-// Stats returns the node's transport counters so far (valid after Run; not
-// synchronized with a concurrently executing Run), with the link's Counters
-// folded in: a chaos wrapper's corrupt/partition losses addressed to this
-// node, and the transport's authentication, replay and misdirection drops,
-// inbox overflows, and reconnect and peer-health counts.
+// Stats returns the node's protocol counters so far. The link-level losses
+// a driver sees (authentication and replay drops, chaos losses, overflow,
+// reconnects) are folded in with NodeStats.Fold.
 func (nd *Node) Stats() NodeStats {
 	s := nd.stats
 	if nd.misses != nil {
 		s.PeerMisses = append([]int64(nil), nd.misses...)
 	}
-	c := nd.link.Counters()
+	return s
+}
+
+// Fold adds a link's Counters to the node's own: a chaos wrapper's
+// corrupt/partition losses addressed to this node, and the transport's
+// authentication, replay and misdirection drops, inbox overflows, and
+// reconnect and peer-health counts.
+func (s NodeStats) Fold(c transport.Counters) NodeStats {
 	s.Rejected += c.AuthFailures + c.ReplayDrops + c.MisdirectDrops
 	s.Corrupt += c.Corrupt
 	s.Partitioned += c.Partitioned
@@ -507,60 +530,86 @@ func (nd *Node) Stats() NodeStats {
 	return s
 }
 
-// Run executes the protocol and returns this node's decision, as
-// RunContext without cancellation.
-func (nd *Node) Run() (float64, error) { return nd.RunContext(context.Background()) }
+// Round returns the open round, or the next round to open between a close
+// and the following Begin.
+func (nd *Node) Round() int { return nd.round }
 
-// RunContext executes the protocol and returns this node's decision. It
-// blocks until the locally computed round count has elapsed or ctx is
-// cancelled; the caller runs one goroutine per node and joins them.
-//
-// The round loop is a scheduler over the ring's receive states: collect
-// closes the open round by the depth's close rule while frames for the
-// rounds ahead fill their own slots.
-func (nd *Node) RunContext(ctx context.Context) (float64, error) {
-	rounds, err := nd.cfg.Rounds()
-	if err != nil {
-		return 0, err
-	}
-	var prevOcc []int
-	for r := 0; r < rounds; r++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		occ := nd.cfg.Schedule.Occupied(r)
-		occupied := slices.Contains(occ, nd.cfg.ID)
-		cured := slices.Contains(prevOcc, nd.cfg.ID) && !occupied
-		nd.classifySenders(occ, prevOcc)
+// Timeout returns the receive-phase deadline a driver arms at each Begin.
+func (nd *Node) Timeout() time.Duration { return nd.cfg.RoundTimeout }
 
-		if err := nd.send(r, occupied, cured); err != nil {
-			return 0, err
-		}
-		base, patch, err := nd.collect(ctx, r)
-		if err != nil {
-			return 0, err
-		}
-		if len(base)+len(patch) > 0 {
-			v, err := msr.KernelVote(nd.cfg.Algorithm, nd.tau, base, patch)
-			if err != nil {
-				return 0, fmt.Errorf("cluster: node %d round %d: %w", nd.cfg.ID, r, err)
-			}
-			nd.vote = v
-		}
-		if occupied && nd.cfg.Model != mobile.M4Buhrman {
-			// The agent leaves a corrupted value behind; under M2 the
-			// node will broadcast it while cured. Under M4 the agent
-			// departs with the message, before the computation phase,
-			// so the released host's recomputed state is clean.
-			if nd.cfg.CampBoundary > 0 {
-				nd.vote = nd.cfg.AttackHi // the splitter's LeaveBehind
-			} else {
-				nd.vote = nd.vote + nd.cfg.InputRange
-			}
-		}
-		prevOcc = occ
+// Done reports whether the node has run its last round (or failed a vote).
+func (nd *Node) Done() bool { return nd.err != nil || nd.round >= nd.rounds }
+
+// Result returns the node's decision once Done, or the error that ended
+// its run.
+func (nd *Node) Result() (float64, error) {
+	if nd.err != nil {
+		return 0, nd.err
 	}
 	return nd.vote, nil
+}
+
+// Begin opens the next round and returns its sends: one message per
+// destination, From left for the link to stamp. The slice is reused by the
+// next Begin. It returns nil while a round is open or once the node is Done.
+func (nd *Node) Begin() []transport.Message {
+	if nd.open || nd.Done() {
+		return nil
+	}
+	occ := nd.cfg.Schedule.Occupied(nd.round)
+	nd.occupied = slices.Contains(occ, nd.cfg.ID)
+	cured := slices.Contains(nd.prevOcc, nd.cfg.ID) && !nd.occupied
+	nd.classifySenders(occ, nd.prevOcc)
+	nd.prevOcc = occ
+	nd.planSend(nd.occupied, cured)
+	nd.out = nd.out[:0]
+	for to := range nd.cfg.N {
+		nd.out = append(nd.out, transport.Message{
+			Round:   nd.round,
+			To:      to,
+			Value:   nd.dirVals[to],
+			Omitted: nd.dirOmit[to],
+		})
+	}
+	nd.stats.Sent += int64(len(nd.out))
+	nd.open = true
+	return nd.out
+}
+
+// Deliver admits one inbound frame against the open round (or, between a
+// close and the next Begin, the round about to open). Frames reaching a
+// node that is Done are ignored.
+func (nd *Node) Deliver(m transport.Message) {
+	if !nd.Done() {
+		nd.admit(m, nd.round)
+	}
+}
+
+// Settle is the close check: it closes the open round if the depth's close
+// rule holds now, and reports whether it did. Drivers call it after
+// delivering every frame that has already arrived, so an early close never
+// discards a frame that is there.
+func (nd *Node) Settle() bool {
+	if !nd.open {
+		return false
+	}
+	st := nd.slot(nd.round)
+	if !nd.closeable(st, nd.round) {
+		return false
+	}
+	nd.close(st)
+	return true
+}
+
+// Expire closes round at its deadline if it is still the open round, and
+// reports whether it did; a deadline for a round that already closed is
+// ignored.
+func (nd *Node) Expire(round int) bool {
+	if !nd.open || round != nd.round {
+		return false
+	}
+	nd.close(nd.slot(round))
+	return true
 }
 
 // classifySenders marks which senders are asymmetric this round, from the
@@ -641,38 +690,6 @@ func (nd *Node) planSend(occupied, cured bool) {
 	}
 }
 
-// send materializes the round's planned directives into messages and hands
-// the whole batch to the link in a single call when it supports batching
-// (one lock/write cycle per round instead of one per message on the TCP
-// path).
-func (nd *Node) send(round int, occupied, cured bool) error {
-	nd.planSend(occupied, cured)
-	nd.out = nd.out[:0]
-	for to := range nd.cfg.N {
-		nd.out = append(nd.out, transport.Message{
-			Round:   round,
-			To:      to,
-			Value:   nd.dirVals[to],
-			Omitted: nd.dirOmit[to],
-		})
-	}
-	var err error
-	if bs, ok := nd.link.(transport.BatchSender); ok {
-		err = bs.SendBatch(nd.out)
-	} else {
-		for _, m := range nd.out {
-			if err = nd.link.Send(m); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("cluster: node %d send round %d: %w", nd.cfg.ID, round, err)
-	}
-	nd.stats.Sent += int64(len(nd.out))
-	return nil
-}
-
 // roundState is one round's receive state in the ring: which round owns
 // it (-1: none), how many senders reported, which did, and their
 // values, with an omission stored as NaN — all the base/patch split reads.
@@ -715,58 +732,18 @@ func (nd *Node) release(i int) {
 	}
 }
 
-// collect closes round against the ring's receive states, splitting the
-// values received into the kernel's symmetric base and asymmetric patch
-// per the round's sender classification. Frames for the rounds ahead are
-// recorded into their own slot, so later rounds fill while this one is
-// open; frames outside the window are dropped and counted. At depth 0 the
-// round closes when every sender reported or the deadline fired. At depth
-// k > 0 it closes on the first of: every sender reported; the early-close
-// quorum held (a majority reported, and advancing keeps this node within k
-// rounds of the slowest non-stalled peer); all still-missing senders are
-// stall-flagged; or the deadline fired. Missing senders become omissions on every close path — exactly
-// the deadline's ruling, reached sooner.
-func (nd *Node) collect(ctx context.Context, round int) (base, patch []float64, err error) {
-	st := nd.slot(round)
-	deadline := time.NewTimer(nd.cfg.RoundTimeout)
-	defer deadline.Stop()
-	for {
-		// Drain everything already delivered before consulting the close
-		// rule: an early close must never discard a frame that has arrived.
-		for st.count < nd.cfg.N {
-			select {
-			case m, ok := <-nd.link.Recv():
-				if !ok {
-					return nil, nil, errors.New("cluster: link closed mid-round")
-				}
-				nd.admit(m, round)
-				continue
-			default:
-			}
-			break
-		}
-		if nd.closeable(st, round) {
-			break
-		}
-		select {
-		case m, ok := <-nd.link.Recv():
-			if !ok {
-				return nil, nil, errors.New("cluster: link closed mid-round")
-			}
-			nd.admit(m, round)
-		case <-deadline.C:
-			goto closed
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-	}
-closed:
-	// Missing senders become detected omissions (benign).
+// close rules the open round: missing senders become detected omissions
+// (benign) — the deadline's ruling, however soon the close rule reached it —
+// and the values received split into the kernel's symmetric base and
+// asymmetric patch per the round's sender classification. It then votes,
+// applies the agent's leave-behind, and moves the node to the next round.
+func (nd *Node) close(st *roundState) {
+	round := nd.round
 	nd.stats.Omissions += int64(nd.cfg.N - st.count)
 	if nd.cfg.PipelineDepth > 0 {
 		nd.scorePeers(st, round)
 	}
-	base, patch = nd.base[:0], nd.patch[:0]
+	base, patch := nd.base[:0], nd.patch[:0]
 	for s, ok := range st.seen {
 		if !ok {
 			continue
@@ -781,7 +758,27 @@ closed:
 		}
 	}
 	nd.release(round % len(nd.ring))
-	return base, patch, nil
+	nd.open = false
+	nd.round++
+	if len(base)+len(patch) > 0 {
+		v, err := msr.KernelVote(nd.cfg.Algorithm, nd.tau, base, patch)
+		if err != nil {
+			nd.err = fmt.Errorf("cluster: node %d round %d: %w", nd.cfg.ID, round, err)
+			return
+		}
+		nd.vote = v
+	}
+	if nd.occupied && nd.cfg.Model != mobile.M4Buhrman {
+		// The agent leaves a corrupted value behind; under M2 the
+		// node will broadcast it while cured. Under M4 the agent
+		// departs with the message, before the computation phase,
+		// so the released host's recomputed state is clean.
+		if nd.cfg.CampBoundary > 0 {
+			nd.vote = nd.cfg.AttackHi // the splitter's LeaveBehind
+		} else {
+			nd.vote = nd.vote + nd.cfg.InputRange
+		}
+	}
 }
 
 // scorePeers raises the per-peer miss score of every sender missing from
@@ -952,6 +949,85 @@ type Outcome struct {
 	Stats NodeStats
 }
 
+// errLinkClosed reports a link whose inbox closed under a running node.
+var errLinkClosed = errors.New("cluster: link closed mid-round")
+
+// Run drives nd over link until it decides or ctx ends: the driver behind
+// Deploy, one goroutine per node. It owns the link's inbox and one timer,
+// reused for every round's deadline, and keeps the order the close rule
+// assumes: every frame that has already arrived is delivered before each
+// close check.
+func Run(ctx context.Context, nd *Node, link transport.Link) (float64, error) {
+	deadline := time.NewTimer(nd.Timeout())
+	defer deadline.Stop()
+	inbox := link.Recv()
+	for !nd.Done() {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		round := nd.Round()
+		if err := send(link, nd.Begin()); err != nil {
+			return 0, fmt.Errorf("cluster: node %d send round %d: %w", nd.cfg.ID, round, err)
+		}
+		stopTimer(deadline)
+		deadline.Reset(nd.Timeout())
+		for nd.Round() == round {
+		drain:
+			for {
+				select {
+				case m, ok := <-inbox:
+					if !ok {
+						return 0, errLinkClosed
+					}
+					nd.Deliver(m)
+				default:
+					break drain
+				}
+			}
+			if nd.Settle() {
+				break
+			}
+			select {
+			case m, ok := <-inbox:
+				if !ok {
+					return 0, errLinkClosed
+				}
+				nd.Deliver(m)
+			case <-deadline.C:
+				nd.Expire(round)
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+		}
+	}
+	return nd.Result()
+}
+
+// stopTimer stops t and discards a value it already delivered, so the next
+// Reset starts clean.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+}
+
+// send hands a round's sends to link in one call when it batches (one
+// lock/write cycle per round instead of one per message on the TCP path).
+func send(link transport.Link, ms []transport.Message) error {
+	if bs, ok := link.(transport.BatchSender); ok {
+		return bs.SendBatch(ms)
+	}
+	for _, m := range ms {
+		if err := link.Send(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunCluster is the test/demo harness: it builds n nodes over the given
 // links, runs them concurrently, and returns their decisions. The links
 // slice must come from one mesh (transport.Channel.Link or NewTCPMesh).
@@ -978,30 +1054,25 @@ var downGrace = 2 * time.Second
 // nodes are cancelled, given a short grace period to surface their partial
 // outcomes, and reported in the down list — the deployment-facing answer to "a node
 // stayed dead past its timeout horizon" that previously hung the caller.
-// Nodes cancelled by the watchdog (or wedged past the grace period) appear
-// in down with a zero/partial Outcome; nodes that failed for any other
-// reason surface through err as before. horizon <= 0 disables the watchdog.
+// Nodes cancelled by the watchdog (or wedged past the grace period, say in
+// a link's Send) appear in down with a zero/partial Outcome; nodes that
+// failed for any other reason surface through err as before. horizon <= 0
+// disables the watchdog.
 func RunClusterDeadline(ctx context.Context, cfgs []Config, links []transport.Link, horizon time.Duration) ([]Outcome, []int, error) {
 	if len(cfgs) != len(links) {
 		return nil, nil, fmt.Errorf("cluster: %d configs for %d links", len(cfgs), len(links))
 	}
 	nodes := make([]*Node, len(cfgs))
 	for i := range cfgs {
-		node, err := NewNode(cfgs[i], links[i])
+		if links[i] == nil {
+			return nil, nil, errors.New("cluster: nil link")
+		}
+		node, err := NewNode(cfgs[i])
 		if err != nil {
 			return nil, nil, err
 		}
 		nodes[i] = node
 	}
-	return RunNodes(ctx, nodes, horizon)
-}
-
-// RunNodes is RunClusterDeadline over already-constructed nodes: it runs
-// them concurrently under the same watchdog semantics and returns their
-// outcomes and the down list. This is the service layer's entry point — a
-// pooled node set is Reset with a new instance's inputs and links, then
-// handed here, skipping per-instance construction and validation.
-func RunNodes(ctx context.Context, nodes []*Node, horizon time.Duration) ([]Outcome, []int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -1016,7 +1087,7 @@ func RunNodes(ctx context.Context, nodes []*Node, horizon time.Duration) ([]Outc
 	results := make(chan result, n)
 	for i, node := range nodes {
 		go func(id int, nd *Node) {
-			v, err := nd.RunContext(runCtx)
+			v, err := Run(runCtx, nd, links[id])
 			results <- result{id: id, value: v, err: err}
 		}(i, node)
 	}
@@ -1047,7 +1118,7 @@ func RunNodes(ctx context.Context, nodes []*Node, horizon time.Duration) ([]Outc
 				firstErr = fmt.Errorf("node %d: %w", o.id, o.err)
 			}
 		}
-		outcomes[o.id] = Outcome{Value: o.value, Stats: nodes[o.id].Stats()}
+		outcomes[o.id] = Outcome{Value: o.value, Stats: nodes[o.id].Stats().Fold(links[o.id].Counters())}
 	}
 	remaining := n
 collect:

@@ -362,11 +362,11 @@ func TestRunClusterValidation(t *testing.T) {
 	if _, err := RunCluster(context.Background(), make([]Config, 3), links); err == nil {
 		t.Error("mismatched configs/links accepted")
 	}
-	if _, err := NewNode(Config{}, links[0]); err == nil {
+	if _, err := NewNode(Config{}); err == nil {
 		t.Error("invalid config accepted")
 	}
 	valid := buildConfigs(2, 0, mobile.M4Buhrman, NoFaults{}, false, 0, 1)
-	if _, err := NewNode(valid[0], nil); err == nil {
+	if _, err := RunCluster(context.Background(), valid, []transport.Link{links[0], nil}); err == nil {
 		t.Error("nil link accepted")
 	}
 }

@@ -38,8 +38,9 @@ func TestPipelineDepthValidate(t *testing.T) {
 	}
 }
 
-// TestPipelineAdmitWindow unit-tests admission against the round window
-// [current, current+ahead] at depth 0 (the whole ring ahead) and depth 2:
+// TestPipelineAdmitWindow steps one node through admission against the
+// round window [current, current+ahead] at depth 0 (the whole ring ahead)
+// and depth 2, with no hub traffic and no clock:
 // in-window frames land in their ring slot and count when their round
 // opens, duplicates and replays are told apart from late originals and
 // beyond-window drops, ring slots recycle clean, and Reset clears all
@@ -49,25 +50,22 @@ func TestPipelineAdmitWindow(t *testing.T) {
 	for _, tc := range []struct {
 		depth, ahead int
 	}{{0, MaxPipelineDepth}, {2, 2}} {
-		hub, err := transport.NewChannel(n, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := pipelineConfigs(n, 6, tc.depth, time.Second)[0]
-		nd, err := NewNode(cfg, hub.Link(0))
+		nd, err := NewNode(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		k := tc.ahead
+		nd.Begin()
 
 		// In-window frames record into their own slot — at depth 0 the
 		// frames for rounds 1 and 2 arrive while round 0 is open — and a
 		// second copy is a duplicate.
-		nd.admit(transport.Message{From: 1, Round: 0, Value: 1}, 0)
-		nd.admit(transport.Message{From: 1, Round: 0, Value: 1}, 0)
-		nd.admit(transport.Message{From: 1, Round: 1, Value: 2}, 0)
-		nd.admit(transport.Message{From: 1, Round: 2, Value: 3}, 0)
-		nd.admit(transport.Message{From: 3, Round: k, Value: 1}, 0) // window edge
+		nd.Deliver(transport.Message{From: 1, Round: 0, Value: 1})
+		nd.Deliver(transport.Message{From: 1, Round: 0, Value: 1})
+		nd.Deliver(transport.Message{From: 1, Round: 1, Value: 2})
+		nd.Deliver(transport.Message{From: 1, Round: 2, Value: 3})
+		nd.Deliver(transport.Message{From: 3, Round: k, Value: 1}) // window edge
 		if nd.stats.Received != 4 || nd.stats.Duplicates != 1 {
 			t.Fatalf("depth %d: received=%d duplicates=%d, want 4/1", tc.depth, nd.stats.Received, nd.stats.Duplicates)
 		}
@@ -82,7 +80,7 @@ func TestPipelineAdmitWindow(t *testing.T) {
 
 		// Beyond the window: dropped and counted stale; at depth k > 0
 		// still liveness evidence (lastSeen advances).
-		nd.admit(transport.Message{From: 1, Round: k + 1, Value: 1}, 0)
+		nd.Deliver(transport.Message{From: 1, Round: k + 1, Value: 1})
 		if nd.stats.StaleRounds != 1 {
 			t.Fatalf("depth %d: staleRounds=%d, want 1", tc.depth, nd.stats.StaleRounds)
 		}
@@ -90,18 +88,22 @@ func TestPipelineAdmitWindow(t *testing.T) {
 			t.Fatalf("depth %d: lastSeen[1]=%d, want %d", tc.depth, nd.lastSeen[1], k+1)
 		}
 
-		// Below the window: a recorded (sender, round) replays as a
-		// duplicate, an unrecorded one is a late original.
-		nd.admit(transport.Message{From: 1, Round: 0, Value: 1}, 1) // recorded above
-		nd.admit(transport.Message{From: 2, Round: 0, Value: 1}, 1) // never recorded
+		// Below the window: once round 0 has closed at its deadline, a
+		// recorded (sender, round) replays as a duplicate, an unrecorded
+		// one is a late original.
+		if !nd.Expire(0) || nd.Round() != 1 {
+			t.Fatalf("depth %d: Expire(0) did not move the node to round 1 (round %d)", tc.depth, nd.Round())
+		}
+		nd.Deliver(transport.Message{From: 1, Round: 0, Value: 1}) // recorded above
+		nd.Deliver(transport.Message{From: 2, Round: 0, Value: 1}) // never recorded
 		if nd.stats.Duplicates != 2 || nd.stats.Late != 1 || nd.stats.StaleRounds != 1 {
 			t.Fatalf("depth %d: duplicates=%d late=%d staleRounds=%d, want 2/1/1",
 				tc.depth, nd.stats.Duplicates, nd.stats.Late, nd.stats.StaleRounds)
 		}
 
 		// Senders outside [0, n) are rejected outright.
-		nd.admit(transport.Message{From: -1, Round: 0}, 0)
-		nd.admit(transport.Message{From: n, Round: 0}, 0)
+		nd.Deliver(transport.Message{From: -1, Round: 0})
+		nd.Deliver(transport.Message{From: n, Round: 0})
 		if nd.stats.Rejected != 2 {
 			t.Fatalf("depth %d: rejected=%d, want 2", tc.depth, nd.stats.Rejected)
 		}
@@ -119,7 +121,7 @@ func TestPipelineAdmitWindow(t *testing.T) {
 			nd.misses[1] = 7
 			nd.stalled[1] = true
 		}
-		nd.Reset(1, 1, 6, hub.Link(0))
+		nd.Reset(1, 1, 6)
 		for s := 0; s < n; s++ {
 			if tc.depth > 0 && (nd.lastSeen[s] != -1 || nd.stalled[s] || nd.misses[s] != 0) {
 				t.Fatalf("depth %d: Reset left sender %d dirty: lastSeen=%d stalled=%v misses=%d", tc.depth, s, nd.lastSeen[s], nd.stalled[s], nd.misses[s])
@@ -133,7 +135,6 @@ func TestPipelineAdmitWindow(t *testing.T) {
 		if st := nd.slot(1); st.count != 0 || st.seen[1] {
 			t.Fatalf("depth %d: slot 1 after Reset: count=%d seen[1]=%v, want 0/false", tc.depth, st.count, st.seen[1])
 		}
-		_ = hub.Close()
 	}
 }
 
@@ -194,7 +195,7 @@ func TestPipelineWedgedPeerStall(t *testing.T) {
 	}
 	defer func() { _ = hub.Close() }()
 	cfg := pipelineConfigs(n, rounds, k, timeout)[0]
-	nd, err := NewNode(cfg, hub.Link(0))
+	nd, err := NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestPipelineWedgedPeerStall(t *testing.T) {
 	done := make(chan result, 1)
 	start := time.Now()
 	go func() {
-		v, err := nd.RunContext(context.Background())
+		v, err := Run(context.Background(), nd, hub.Link(0))
 		done <- result{v, err}
 	}()
 	var res result
@@ -260,47 +261,44 @@ func TestPipelineWedgedPeerStall(t *testing.T) {
 
 // TestSyncRoundsStallIgnoresNextRoundFrames: under SyncRounds the stall
 // classification at the close of round r counts only frames of rounds ≤ r.
-// Node 0 runs two rounds at depth 1; the test plays peer 1 (prompt) and
-// peer 2, whose round-0 frame is lost and whose round-1 frame arrives
-// either early (queued before round 0 closes) or late (sent only once node
-// 0 has moved on to round 1). Which of the two happens is a scheduling race
-// in a real deployment, so both must give the same counters: peer 2 is
-// stall-flagged at round 0's close and recovers at round 1's.
+// Node 0 runs two rounds at depth 1, stepped by hand; the test plays peer 1
+// (prompt) and peer 2, whose round-0 frame is lost and whose round-1 frame
+// arrives either early (delivered before round 0's deadline) or late (only
+// once node 0 has moved on to round 1). Which of the two happens is a
+// scheduling race in a real deployment, so both must give the same
+// counters: peer 2 is stall-flagged at round 0's close and recovers at
+// round 1's.
 func TestSyncRoundsStallIgnoresNextRoundFrames(t *testing.T) {
 	const n, k, rounds = 3, 1, 2
 	run := func(early bool) NodeStats {
-		hub, err := transport.NewChannel(n, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = hub.Close() }()
 		cfg := pipelineConfigs(n, rounds, k, 150*time.Millisecond)[0]
 		cfg.SyncRounds = true
-		nd, err := NewNode(cfg, hub.Link(0))
+		nd, err := NewNode(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		peer1, peer2 := hub.Link(1), hub.Link(2)
 		for r := 0; r < rounds; r++ {
-			if err := peer1.Send(transport.Message{Round: r, To: 0, Value: 1}); err != nil {
-				t.Fatal(err)
-			}
+			nd.Deliver(transport.Message{From: 1, Round: r, To: 0, Value: 1})
 		}
 		if early {
-			if err := peer2.Send(transport.Message{Round: 1, To: 0, Value: 2}); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			go func() {
-				for m := range peer2.Recv() {
-					if m.From == 0 && m.Round == 1 {
-						_ = peer2.Send(transport.Message{Round: 1, To: 0, Value: 2})
-						return
-					}
-				}
-			}()
+			nd.Deliver(transport.Message{From: 2, Round: 1, To: 0, Value: 2})
 		}
-		if _, err := nd.RunContext(context.Background()); err != nil {
+		for r := 0; r < rounds; r++ {
+			deliverSelf(nd, 0, nd.Begin())
+			if r == 1 && !early {
+				nd.Deliver(transport.Message{From: 2, Round: 1, To: 0, Value: 2})
+			}
+			if nd.Settle() {
+				t.Fatalf("round %d closed before its deadline under SyncRounds", r)
+			}
+			if !nd.Expire(r) {
+				t.Fatalf("round %d did not close at its deadline", r)
+			}
+		}
+		if !nd.Done() {
+			t.Fatal("node not done after its last round")
+		}
+		if _, err := nd.Result(); err != nil {
 			t.Fatal(err)
 		}
 		return nd.Stats()
@@ -314,5 +312,16 @@ func TestSyncRoundsStallIgnoresNextRoundFrames(t *testing.T) {
 	}
 	if early.Omissions != 1 || early.Received != 3*rounds-1 {
 		t.Errorf("Omissions = %d, Received = %d, want 1 and %d", early.Omissions, early.Received, 3*rounds-1)
+	}
+}
+
+// deliverSelf hands node id the frame its own sends address to itself, as a
+// link's self delivery would.
+func deliverSelf(nd *Node, id int, sends []transport.Message) {
+	for _, m := range sends {
+		if m.To == id {
+			m.From = id
+			nd.Deliver(m)
+		}
 	}
 }

@@ -1,271 +1,414 @@
-// Package service multiplexes many concurrent agreement instances over one
-// transport mesh. Each mesh node gets a Mux that owns the node's underlying
-// transport.Link: a demux goroutine routes inbound frames to per-instance
-// inboxes by the wire instance id, and a coalescing flusher merges the
-// outbound batches of every hosted instance into single writes on the shared
-// link — so frames from many instances destined to the same peer ride one
-// socket write (the cross-instance extension of the TCP per-peer writer
-// design). A Group ties the n muxes of a mesh together and hands out
-// per-instance link sets with a shared registration epoch.
+// Package service hosts many concurrent agreement instances over one
+// transport mesh, on one dispatch loop per mesh node. Each node's Mux owns
+// the node's transport.Link and runs the node side of every hosted instance
+// as a sans-I/O step machine (Machine; cluster.Node in the facade): it reads
+// the link's inbox, routes each frame by instance id and registration epoch
+// to the hosted machine, runs the close check once the inbox is drained,
+// and hands every send of the pass to the link in one SendBatch — so frames
+// of many instances bound for the same peer ride one socket write. One timer
+// per loop covers the earliest round deadline or instance horizon among its
+// machines. A hosted instance costs no goroutine, channel or timer of its
+// own. A Group ties the n muxes of a mesh together and hosts an instance on
+// all of them under one fresh epoch.
 //
-// Routing is lossy by design on the inbound side: a frame for an instance
-// that is not registered (already retired, or never submitted here) is
-// dropped and counted, exactly like the replay filter drops stale frames —
-// to the protocol both are omissions, which deadline-based detection already
-// handles. A frame for a registered instance whose inbox is full is likewise
-// dropped and counted per route, surfacing as NodeStats.Overflow.
+// Routing is lossy by design: a frame for an instance that is not hosted
+// (already retired, or never submitted here) is dropped and counted, and so
+// is a frame stamped with a retired incarnation's epoch — to the protocol
+// both are omissions, which deadline-based detection already handles.
 package service
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mbfaa/internal/transport"
 )
 
-// Mux multiplexes one mesh node's Link across agreement instances. Safe for
-// concurrent use by many instance goroutines.
-type Mux struct {
+// Machine is one node of one hosted instance as a step machine: Begin opens
+// the next round and returns its sends, Deliver admits a frame, Settle closes
+// the open round when its close rule holds, and Expire closes round at its
+// deadline. cluster.Node implements it.
+type Machine interface {
+	Begin() []transport.Message
+	Deliver(m transport.Message)
+	Settle() bool
+	Expire(round int) bool
+	Round() int
+	Done() bool
+}
+
+// Job is one agreement instance as the muxes host it: a machine per mesh
+// node, index-aligned with the mesh.
+type Job struct {
+	ID       uint32
+	Machines []Machine
+	// Timeout is every round's deadline. Horizon, when positive, bounds the
+	// whole instance: machines still running that long after Host are
+	// abandoned and marked Down.
+	Timeout, Horizon time.Duration
+	// Wrap, when non-nil, puts a send-side wrapper (a chaos layer) in front
+	// of node i's sender, which stamps the instance and sends straight to
+	// the mesh link. Without it a machine's sends join its loop's pass
+	// batch.
+	Wrap func(node int, sender transport.Link) transport.Link
+	// Done is called once, on the loop that retires the job's last machine;
+	// the loops no longer touch the machines from then on.
+	Done func(*Job)
+
+	// Down marks the machines still running at the horizon, and Errs the
+	// machines a loop abandoned with an error (its context ended, or a send
+	// failed). Both are index-aligned with Machines and final once Done
+	// runs.
+	Down []bool
+	Errs []error
+
+	epoch   uint32
+	horizon time.Time
+	left    atomic.Int32
+}
+
+// hosted is one machine of a job on its node's mux.
+type hosted struct {
+	job  *Job
 	node int
-	link transport.Link
+	m    Machine
+	send transport.Link // nil: the sends join the loop's pass batch
 
-	rmu    sync.Mutex
-	routes map[uint32]*route
-
-	smu     sync.Mutex
-	scond   sync.Cond
-	pending []transport.Message
-	spare   []transport.Message // flusher-owned: previous buffer, recycled
-	serr    error
-	sclosed bool
-
-	unrouted  atomic.Int64
-	stale     atomic.Int64
-	overflows atomic.Int64
-	frames    atomic.Int64
-	flushes   atomic.Int64
-
-	sendWG sync.WaitGroup // flusher goroutine
-	recvWG sync.WaitGroup // demux goroutine
+	// round is the open round and deadline its expiry; idx is the host's
+	// place in the loop's active list. touched marks a host that received
+	// frames this pass, finished one whose machine left the loop.
+	round    int
+	deadline time.Time
+	idx      int
+	touched  bool
+	finished bool
 }
 
-// route is one registered instance's inbound path on a Mux.
-type route struct {
-	ch       chan transport.Message
-	epoch    uint32
-	overflow atomic.Int64
+// Mux is one mesh node's dispatch loop: it owns the node's link, hosts the
+// node's machine of every live instance, and is driven by one goroutine.
+type Mux struct {
+	node  int
+	link  transport.Link
+	group *Group
+	ctx   context.Context
+
+	mu      sync.Mutex
+	routes  map[uint32]*hosted
+	pending []*hosted
+	wake    chan struct{}
+
+	// Loop-owned: the started, unfinished hosts; the hosts that received
+	// frames this pass; the pass's sends; the deadline timer, armed at
+	// armed (zero: idle) for next, the earliest deadline or horizon among
+	// active (never later than the true earliest). aborted fails every
+	// host once the context ends or the link fails.
+	active  []*hosted
+	touched []*hosted
+	starts  []*hosted
+	out     []transport.Message
+	timer   *time.Timer
+	armed   time.Time
+	next    time.Time
+	aborted error
+
+	frames, flushes, unrouted, stale atomic.Int64
+
+	exited chan struct{}
 }
 
-// NewMux wraps one mesh node's link. The mux owns the link's Recv stream
-// from this point on: nothing else may consume it.
-func NewMux(node int, link transport.Link) *Mux {
-	m := &Mux{
-		node:   node,
-		link:   link,
-		routes: make(map[uint32]*route),
-	}
-	m.scond.L = &m.smu
-	m.sendWG.Add(1)
-	go m.flushLoop()
-	m.recvWG.Add(1)
-	go m.demuxLoop()
-	return m
-}
-
-// Register creates the inbound route and returns the instance's Link view of
-// this mux. epoch distinguishes incarnations of a reused instance id: the
-// link stamps it into Seq, and the demux drops inbound frames whose epoch
-// does not match the live registration. depth bounds the instance inbox; a
-// lockstep protocol has at most two rounds in flight per sender, so 4n+4 is
-// a safe depth for an n-node instance.
-func (m *Mux) Register(instance, epoch uint32, depth int) (*InstanceLink, error) {
-	if depth < 1 {
-		depth = 1
-	}
-	rt := &route{ch: make(chan transport.Message, depth), epoch: epoch}
-	m.rmu.Lock()
-	if _, dup := m.routes[instance]; dup {
-		m.rmu.Unlock()
-		return nil, fmt.Errorf("service: instance %d already registered on node %d", instance, m.node)
-	}
-	m.routes[instance] = rt
-	m.rmu.Unlock()
-	return &InstanceLink{mux: m, instance: instance, epoch: epoch, rt: rt}, nil
-}
-
-// unregister retires an instance's route. Inbound frames for it afterwards
-// count as unrouted drops.
-func (m *Mux) unregister(instance uint32) {
-	m.rmu.Lock()
-	delete(m.routes, instance)
-	m.rmu.Unlock()
-}
-
-// enqueue appends a batch for the flusher to coalesce into one write on the
-// underlying link.
-func (m *Mux) enqueue(ms []transport.Message) error {
-	m.smu.Lock()
-	defer m.smu.Unlock()
-	switch {
-	case m.serr != nil:
-		return m.serr
-	case m.sclosed:
-		return transport.ErrClosed
-	}
-	m.pending = append(m.pending, ms...)
-	m.frames.Add(int64(len(ms)))
-	m.scond.Signal()
-	return nil
-}
-
-// flushLoop drains the pending buffer, one underlying SendBatch per
-// accumulated batch: whatever every instance enqueued since the last flush
-// goes out in a single call, which the TCP path turns into one socket write
-// per peer. pending and spare double-buffer so the steady state allocates
-// nothing.
-func (m *Mux) flushLoop() {
-	defer m.sendWG.Done()
-	bs, batched := m.link.(transport.BatchSender)
+// run is the dispatch loop. It exits when the link's inbox closes.
+func (m *Mux) run() {
+	defer close(m.exited)
+	inbox := m.link.Recv()
+	done := m.ctx.Done()
 	for {
-		m.smu.Lock()
-		for len(m.pending) == 0 && !m.sclosed && m.serr == nil {
-			m.scond.Wait()
-		}
-		if m.serr != nil || (m.sclosed && len(m.pending) == 0) {
-			m.smu.Unlock()
-			return
-		}
-		buf := m.pending
-		m.pending = m.spare[:0]
-		m.smu.Unlock()
-		var err error
-		if batched {
-			err = bs.SendBatch(buf)
-		} else {
-			for _, msg := range buf {
-				if err = m.link.Send(msg); err != nil {
-					break
-				}
+		select {
+		case msg, ok := <-inbox:
+			if !ok {
+				m.abort(transport.ErrClosed)
+				return
 			}
+			m.route(msg)
+		case <-m.wake:
+		case <-m.timer.C:
+			m.armed = time.Time{}
+		case <-done:
+			done = nil
+			m.abort(m.ctx.Err())
 		}
-		if err != nil {
-			m.smu.Lock()
-			m.serr = err
-			m.pending = nil
-			m.scond.Broadcast()
-			m.smu.Unlock()
+		if !m.pass(inbox) {
 			return
 		}
-		m.flushes.Add(1)
-		m.spare = buf // safe: only the flusher touches spare, after the send
 	}
 }
 
-// demuxLoop routes the link's inbound stream to instance inboxes. It exits
-// when the underlying link's Recv channel closes.
-func (m *Mux) demuxLoop() {
-	defer m.recvWG.Done()
-	for msg := range m.link.Recv() {
-		m.rmu.Lock()
-		rt := m.routes[msg.Instance]
-		m.rmu.Unlock()
-		switch {
-		case rt == nil:
-			m.unrouted.Add(1)
-		case msg.Seq != rt.epoch:
-			// A frame from a previous incarnation of this instance id
-			// (stamped with the old registration epoch): stale, never
-			// deliverable to the new incarnation.
-			m.stale.Add(1)
+// pass delivers everything that has already arrived, then starts the new
+// instances, runs the close check of every machine that received frames,
+// expires what is due, and flushes the pass's sends in one SendBatch. It
+// reports false once the inbox has closed.
+func (m *Mux) pass(inbox <-chan transport.Message) bool {
+	for {
+		select {
+		case msg, ok := <-inbox:
+			if !ok {
+				m.abort(transport.ErrClosed)
+				return false
+			}
+			m.route(msg)
+			continue
 		default:
-			select {
-			case rt.ch <- msg:
-			default:
-				rt.overflow.Add(1)
-				m.overflows.Add(1)
-			}
+		}
+		break
+	}
+	now := time.Now()
+	m.mu.Lock()
+	m.starts, m.pending = m.pending, m.starts[:0]
+	m.mu.Unlock()
+	for _, h := range m.starts {
+		m.start(h, now)
+	}
+	for _, h := range m.touched {
+		h.touched = false
+		m.step(h, now)
+	}
+	m.touched = m.touched[:0]
+	if !m.next.IsZero() && !now.Before(m.next) {
+		m.expire(now)
+	}
+	m.flush()
+	if !m.next.Equal(m.armed) {
+		stopTimer(m.timer)
+		m.armed = m.next
+		if !m.next.IsZero() {
+			m.timer.Reset(m.next.Sub(now))
+		}
+	}
+	return true
+}
+
+// route hands one inbound frame to its instance's machine.
+func (m *Mux) route(msg transport.Message) {
+	m.mu.Lock()
+	h := m.routes[msg.Instance]
+	m.mu.Unlock()
+	switch {
+	case h == nil:
+		m.unrouted.Add(1)
+	case msg.Seq != h.job.epoch:
+		// A frame from a previous incarnation of this instance id (stamped
+		// with the old registration epoch): never deliverable to this one.
+		m.stale.Add(1)
+	case h.finished:
+		// This node's machine has decided; the instance is still live on
+		// other nodes. Nothing reads the frame, as nothing read a finished
+		// node's inbox before.
+	default:
+		h.m.Deliver(msg)
+		if !h.touched {
+			h.touched = true
+			m.touched = append(m.touched, h)
 		}
 	}
 }
 
-// Close flushes and stops the outbound coalescer. It does not close the
-// underlying link (the transport owner does); call Join after the transport
-// is closed to wait the demux goroutine out.
-func (m *Mux) Close() error {
-	m.smu.Lock()
-	m.sclosed = true
-	m.scond.Broadcast()
-	m.smu.Unlock()
-	m.sendWG.Wait()
-	m.smu.Lock()
-	err := m.serr
-	m.smu.Unlock()
-	return err
-}
-
-// Join waits for the demux goroutine, which exits when the underlying
-// link's inbound stream closes.
-func (m *Mux) Join() { m.recvWG.Wait() }
-
-// InstanceLink is one instance's view of a Mux: a transport.Link (and
-// BatchSender) that stamps the instance id and registration epoch on every
-// outbound message and receives exactly this instance's inbound frames.
-type InstanceLink struct {
-	mux      *Mux
-	instance uint32
-	epoch    uint32
-	rt       *route
-}
-
-// Send implements transport.Link via the coalescing path.
-func (l *InstanceLink) Send(msg transport.Message) error {
-	msg.Instance, msg.Seq = l.instance, l.epoch
-	return l.mux.enqueue([]transport.Message{msg})
-}
-
-// SendBatch implements transport.BatchSender: the instance's whole send
-// phase joins the mux's pending buffer in one append, to be coalesced with
-// every other instance's frames into a single underlying write.
-func (l *InstanceLink) SendBatch(ms []transport.Message) error {
-	for i := range ms {
-		ms[i].Instance, ms[i].Seq = l.instance, l.epoch
+// start puts a newly hosted machine on the loop and opens its first round.
+func (m *Mux) start(h *hosted, now time.Time) {
+	h.idx = len(m.active)
+	m.active = append(m.active, h)
+	switch {
+	case m.aborted != nil:
+		m.finish(h, false, m.aborted)
+		return
+	case h.m.Done():
+		m.finish(h, false, nil)
+		return
 	}
-	return l.mux.enqueue(ms)
+	if hz := h.job.horizon; !hz.IsZero() && (m.next.IsZero() || hz.Before(m.next)) {
+		m.next = hz
+	}
+	m.begin(h, now)
+	m.step(h, now)
 }
 
-// Recv implements transport.Link: the instance's demuxed inbound stream.
-func (l *InstanceLink) Recv() <-chan transport.Message { return l.rt.ch }
+// step closes every round of h's machine the close rule allows now, opening
+// the next one after each, until a round must wait or the machine is done.
+func (m *Mux) step(h *hosted, now time.Time) {
+	for !h.finished && h.m.Settle() {
+		m.advance(h, now)
+	}
+}
 
-// Close implements transport.Link by retiring the route. The underlying
-// link stays open for other instances.
-func (l *InstanceLink) Close() error {
-	l.mux.unregister(l.instance)
+// advance follows a round close: the machine decides, or opens its next
+// round.
+func (m *Mux) advance(h *hosted, now time.Time) {
+	if h.m.Done() {
+		m.finish(h, false, nil)
+		return
+	}
+	m.begin(h, now)
+}
+
+// begin opens h's next round: its sends join the pass batch (or go through
+// the job's wrapper), and its deadline joins the timer's schedule.
+func (m *Mux) begin(h *hosted, now time.Time) {
+	h.round = h.m.Round()
+	sends := h.m.Begin()
+	if h.send != nil {
+		if err := send(h.send, sends); err != nil {
+			m.finish(h, false, fmt.Errorf("service: node %d send round %d: %w", m.node, h.round, err))
+			return
+		}
+	} else {
+		for _, s := range sends {
+			s.Instance, s.Seq = h.job.ID, h.job.epoch
+			m.out = append(m.out, s)
+		}
+	}
+	h.deadline = now.Add(h.job.Timeout)
+	if m.next.IsZero() || h.deadline.Before(m.next) {
+		m.next = h.deadline
+	}
+}
+
+// expire closes every round whose deadline has passed, abandons the
+// machines of instances past their horizon, and recomputes next.
+func (m *Mux) expire(now time.Time) {
+	m.next = time.Time{}
+	for i := 0; i < len(m.active); {
+		h := m.active[i]
+		hz := h.job.horizon
+		switch {
+		case !hz.IsZero() && !now.Before(hz):
+			m.finish(h, true, nil)
+		case !now.Before(h.deadline) && h.m.Expire(h.round):
+			m.advance(h, now)
+			m.step(h, now)
+		}
+		if h.finished {
+			continue // swapped out: active[i] is another host now
+		}
+		for _, t := range [2]time.Time{h.deadline, hz} {
+			if !t.IsZero() && (m.next.IsZero() || t.Before(m.next)) {
+				m.next = t
+			}
+		}
+		i++
+	}
+}
+
+// finish takes h's machine off the loop, records how it left, and, for the
+// job's last machine, retires the job and reports it done.
+func (m *Mux) finish(h *hosted, down bool, err error) {
+	h.finished = true
+	last := len(m.active) - 1
+	m.active[h.idx] = m.active[last]
+	m.active[h.idx].idx = h.idx
+	m.active = m.active[:last]
+	j := h.job
+	j.Down[h.node], j.Errs[h.node] = down, err
+	if j.left.Add(-1) == 0 {
+		m.group.retire(j)
+		j.Done(j)
+	}
+}
+
+// abort fails every machine on the loop, and every later one, with err.
+func (m *Mux) abort(err error) {
+	if m.aborted == nil {
+		m.aborted = err
+	}
+	for len(m.active) > 0 {
+		m.finish(m.active[len(m.active)-1], false, m.aborted)
+	}
+}
+
+// flush hands the pass's sends to the link in one call.
+func (m *Mux) flush() {
+	if len(m.out) == 0 {
+		return
+	}
+	err := m.sendMesh(m.out)
+	m.out = m.out[:0]
+	if err != nil {
+		m.abort(err)
+	}
+}
+
+// sendMesh is the loop's one way onto the link, counted for Stats.
+func (m *Mux) sendMesh(ms []transport.Message) error {
+	m.frames.Add(int64(len(ms)))
+	m.flushes.Add(1)
+	return send(m.link, ms)
+}
+
+// send hands ms to link in one call when it batches.
+func send(link transport.Link, ms []transport.Message) error {
+	if bs, ok := link.(transport.BatchSender); ok {
+		return bs.SendBatch(ms)
+	}
+	for _, msg := range ms {
+		if err := link.Send(msg); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// Counters implements transport.Link with the inbound frames dropped on
-// this instance's full inbox (Overflow) and nothing else: the shared mesh
-// link's counts belong to every hosted instance, so none is attributed to
-// one of them.
-func (l *InstanceLink) Counters() transport.Counters {
-	return transport.Counters{Overflow: l.rt.overflow.Load()}
+// stopTimer stops t and discards a value it already delivered.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
 }
+
+// sender is a wrapped job's per-node way onto the mesh: it stamps the
+// instance id and epoch and sends straight to the link. It may be called
+// off the loop (a chaos layer's delayed deliveries), which the link allows.
+type sender struct {
+	mux             *Mux
+	instance, epoch uint32
+}
+
+func (s *sender) Send(msg transport.Message) error {
+	return s.SendBatch([]transport.Message{msg})
+}
+
+func (s *sender) SendBatch(ms []transport.Message) error {
+	for i := range ms {
+		ms[i].Instance, ms[i].Seq = s.instance, s.epoch
+	}
+	return s.mux.sendMesh(ms)
+}
+
+// Recv returns nil: inbound frames reach the machine through its loop.
+func (s *sender) Recv() <-chan transport.Message { return nil }
+func (s *sender) Close() error                   { return nil }
+
+// Counters is zero: the mesh link's counts belong to every hosted instance,
+// so none is attributed to one of them.
+func (s *sender) Counters() transport.Counters { return transport.Counters{} }
 
 var (
-	_ transport.Link        = (*InstanceLink)(nil)
-	_ transport.BatchSender = (*InstanceLink)(nil)
+	_ transport.Link        = (*sender)(nil)
+	_ transport.BatchSender = (*sender)(nil)
 )
 
-// Stats aggregates a Mux's (or a whole Group's) multiplexing counters.
+// Stats aggregates a Mux's (or a whole Group's) dispatch counters.
 type Stats struct {
-	// Frames counts messages handed to the coalescing send path; Flushes
-	// counts the underlying writes they were merged into. Frames/Flushes is
-	// the cross-instance coalescing factor.
+	// Frames counts messages the loops handed to the mesh links; Flushes
+	// counts the SendBatch calls that carried them (one per loop pass with
+	// sends, plus one per wrapped send). Frames/Flushes is the
+	// cross-instance coalescing factor.
 	Frames, Flushes int64
-	// Unrouted counts inbound frames for unregistered instances; Stale
-	// counts frames from a retired incarnation of a live instance id;
-	// Overflows counts frames dropped on full instance inboxes.
+	// Unrouted counts inbound frames for instances not hosted; Stale counts
+	// frames from a retired incarnation of a live instance id; Overflows
+	// counts frames the mesh links dropped on a full inbox.
 	Unrouted, Stale, Overflows int64
 }
 
@@ -285,23 +428,37 @@ func (m *Mux) Stats() Stats {
 		Flushes:   m.flushes.Load(),
 		Unrouted:  m.unrouted.Load(),
 		Stale:     m.stale.Load(),
-		Overflows: m.overflows.Load(),
+		Overflows: m.link.Counters().Overflow,
 	}
 }
 
-// Group is the routing fabric of one mesh: a Mux per node and a shared
-// epoch counter, so an instance registers once and gets its n links
-// together.
+// Group is the dispatch fabric of one mesh: a Mux per node and a shared
+// epoch counter, so an instance is hosted on every node at once.
 type Group struct {
 	muxes []*Mux
 	epoch atomic.Uint32
 }
 
-// NewGroup wraps each node's link in a Mux. links[i] is mesh node i's.
-func NewGroup(links []transport.Link) *Group {
+// NewGroup starts a dispatch loop over each node's link; links[i] is mesh
+// node i's, and each loop owns its link's inbox from here on. Ending ctx
+// fails every hosted machine and every later one. The loops exit when the
+// links' inboxes close: close the transport, then Join.
+func NewGroup(ctx context.Context, links []transport.Link) *Group {
 	g := &Group{muxes: make([]*Mux, len(links))}
 	for i, l := range links {
-		g.muxes[i] = NewMux(i, l)
+		m := &Mux{
+			node:   i,
+			link:   l,
+			group:  g,
+			ctx:    ctx,
+			routes: make(map[uint32]*hosted),
+			wake:   make(chan struct{}, 1),
+			timer:  time.NewTimer(time.Hour),
+			exited: make(chan struct{}),
+		}
+		stopTimer(m.timer)
+		g.muxes[i] = m
+		go m.run()
 	}
 	return g
 }
@@ -312,41 +469,75 @@ func (g *Group) N() int { return len(g.muxes) }
 // Mux returns node i's mux (for per-node inspection in tests).
 func (g *Group) Mux(i int) *Mux { return g.muxes[i] }
 
-// Register creates instance's route on every mux under one fresh epoch and
-// returns the n per-node links, index-aligned with the mesh. On a duplicate
-// id the partial registrations are rolled back.
-func (g *Group) Register(instance uint32, depth int) ([]transport.Link, error) {
-	epoch := g.epoch.Add(1)
-	links := make([]transport.Link, len(g.muxes))
+// Host registers j on every node under one fresh epoch and starts its
+// machines. A live instance id cannot be hosted twice; the error leaves
+// nothing registered.
+func (g *Group) Host(j *Job) error {
+	n := len(g.muxes)
+	if len(j.Machines) != n {
+		return fmt.Errorf("service: %d machines for a %d-node mesh", len(j.Machines), n)
+	}
+	j.epoch = g.epoch.Add(1)
+	j.Down, j.Errs = make([]bool, n), make([]error, n)
+	j.left.Store(int32(n))
+	if j.Horizon > 0 {
+		j.horizon = time.Now().Add(j.Horizon)
+	}
+	hs := make([]hosted, n)
 	for i, m := range g.muxes {
-		l, err := m.Register(instance, epoch, depth)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				g.muxes[j].unregister(instance)
+		h := &hs[i]
+		*h = hosted{job: j, node: i, m: j.Machines[i]}
+		if j.Wrap != nil {
+			h.send = j.Wrap(i, &sender{mux: m, instance: j.ID, epoch: j.epoch})
+		}
+		m.mu.Lock()
+		_, dup := m.routes[j.ID]
+		if !dup {
+			m.routes[j.ID] = h
+		}
+		m.mu.Unlock()
+		if dup {
+			for _, prev := range g.muxes[:i] {
+				prev.unregister(j)
 			}
-			return nil, err
+			return fmt.Errorf("service: instance %d already registered on node %d", j.ID, i)
 		}
-		links[i] = l
 	}
-	return links, nil
+	// Every node routes the instance before any machine sends, so no frame
+	// of it arrives unrouted.
+	for i, m := range g.muxes {
+		m.mu.Lock()
+		m.pending = append(m.pending, &hs[i])
+		m.mu.Unlock()
+		select {
+		case m.wake <- struct{}{}:
+		default:
+		}
+	}
+	return nil
 }
 
-// Close flushes and stops every mux's outbound coalescer (see Mux.Close).
-func (g *Group) Close() error {
-	var first error
+// unregister drops j's route on m, if it is still j's.
+func (m *Mux) unregister(j *Job) {
+	m.mu.Lock()
+	if h := m.routes[j.ID]; h != nil && h.job == j {
+		delete(m.routes, j.ID)
+	}
+	m.mu.Unlock()
+}
+
+// retire drops a finished job's routes on every node: later frames of it
+// count as unrouted.
+func (g *Group) retire(j *Job) {
 	for _, m := range g.muxes {
-		if err := m.Close(); err != nil && first == nil {
-			first = err
-		}
+		m.unregister(j)
 	}
-	return first
 }
 
-// Join waits out every mux's demux goroutine; call after closing the
-// underlying transport.
+// Join waits out every dispatch loop; call after closing the transport.
 func (g *Group) Join() {
 	for _, m := range g.muxes {
-		m.Join()
+		<-m.exited
 	}
 }
 

@@ -2,6 +2,7 @@ package mbfaa
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -138,13 +139,15 @@ type ServiceStats struct {
 	// Submitted, Completed and Failed count instances; Completed+Failed
 	// lags Submitted by the instances still in flight.
 	Submitted, Completed, Failed int64
-	// Frames counts protocol messages handed to the coalescing send path;
-	// Flushes the underlying writes they merged into. Frames/Flushes is the
-	// cross-instance coalescing factor.
+	// Frames counts protocol messages the dispatch loops handed to the mesh
+	// links; Flushes counts the SendBatch calls that carried them: one per
+	// loop pass that had sends, plus one per send of a chaos-wrapped
+	// instance. Frames/Flushes is the cross-instance coalescing factor.
 	Frames, Flushes int64
-	// Unrouted, Stale and InboxDrops count inbound frames dropped by the
-	// demux: no live instance, a retired incarnation's epoch, or a full
-	// instance inbox.
+	// Unrouted and Stale count inbound frames the dispatch loops dropped:
+	// no live instance, or a retired incarnation's epoch. InboxDrops counts
+	// frames the mesh links dropped on a full node inbox (the in-memory
+	// hub; zero on TCP, whose readers wait for the loop instead).
 	Unrouted, Stale, InboxDrops int64
 	// SocketFrames and SocketWrites are the TCP mesh totals (zero on the
 	// memory transport): frames sent and the socket writes carrying them.
@@ -152,8 +155,8 @@ type ServiceStats struct {
 	SocketFrames, SocketWrites int64
 }
 
-// FramesPerFlush returns the cross-instance coalescing factor at the mux
-// layer (0 when nothing was flushed).
+// FramesPerFlush returns the cross-instance coalescing factor of the
+// dispatch loops (0 when nothing was flushed).
 func (s ServiceStats) FramesPerFlush() float64 {
 	if s.Flushes == 0 {
 		return 0
@@ -172,27 +175,33 @@ func (s ServiceStats) FramesPerWrite() float64 {
 
 // Service hosts many concurrent agreement instances over one transport
 // mesh. Each Submit runs the full n-node protocol for one set of inputs,
-// multiplexed by instance id over the mesh's links: outbound frames of all
-// instances coalesce into shared writes, inbound frames are demultiplexed to
-// per-instance inboxes. Protocol state (node sets with their kernel scratch)
-// is pooled across instances. Safe for concurrent use.
+// multiplexed by instance id over the mesh's links on one dispatch loop per
+// mesh node: the loops route inbound frames to the hosted nodes' step
+// machines and merge the sends of every instance into shared writes. Protocol
+// state (node sets with their kernel scratch) is pooled across instances.
+// Safe for concurrent use.
 type Service struct {
 	spec  ServiceSpec
 	n     int
 	cfgs  []cluster.Config // template: Input/InputRange/FixedRounds overwritten per instance
 	sched ClusterSchedule
 
-	mesh   []transport.Link // the mesh nodes' links, owned by group's muxes
+	mesh   []transport.Link // the mesh nodes' links, owned by group's loops
 	group  *service.Group
 	closer func() error
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	slots  chan struct{}
-	pool   sync.Pool // []*cluster.Node sets, recycled via Node.Reset
+	pool   sync.Pool // *nodeSet, recycled via Node.Reset
 
+	// results is the Results stream; backlog parks the completions a full
+	// stream cannot take yet, for the publisher goroutine to send, so no
+	// dispatch loop ever blocks on a slow consumer.
 	results    chan InstanceResult
 	subscribed atomic.Bool
+	backlog    chan InstanceResult
+	published  chan struct{}
 
 	mu       sync.Mutex
 	active   map[uint32]*Handle
@@ -200,6 +209,28 @@ type Service struct {
 	inflight sync.WaitGroup
 
 	submitted, completed, failed atomic.Int64
+}
+
+// nodeSet is one pooled instance's protocol state: a node per mesh node,
+// and the same nodes as the dispatch loops' machines.
+type nodeSet struct {
+	nodes    []*cluster.Node
+	machines []service.Machine
+}
+
+// instance is one submitted agreement instance in flight.
+type instance struct {
+	h          *Handle
+	inputs     []float64
+	inputRange float64
+	rounds     int
+	set        *nodeSet
+	chaos      *transport.Chaos
+	chaosSpec  *ChaosSpec
+	senders    []transport.Link // the chaos-wrapped senders; nil without chaos
+	horizon    time.Duration
+	start      time.Time
+	job        service.Job
 }
 
 // Serve validates the spec, opens the mesh (in-memory channels or a loopback
@@ -242,29 +273,32 @@ func (e *Engine) Serve(ctx context.Context, spec ServiceSpec) (*Service, error) 
 	spec.Model, spec.Epsilon, spec.RoundTimeout = cs.Model, cs.Epsilon, cs.RoundTimeout
 	spec.Key = cs.Key
 
-	// Every node's inbox is shared by all hosted instances until the demux
-	// fans frames out; lockstep bounds each instance to about two rounds in
-	// flight (plus PipelineDepth more when pipelined), so the memory hub is
-	// sized for the concurrency cap.
+	// Every node's inbox is shared by all hosted instances until its
+	// dispatch loop routes the frames; lockstep bounds each instance to
+	// about two rounds in flight (plus PipelineDepth more when pipelined),
+	// so the memory hub is sized for the concurrency cap.
 	links, _, closer, err := openMesh(cs, (2+spec.PipelineDepth)*spec.MaxConcurrent+8)
 	if err != nil {
 		return nil, err
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Service{
-		spec:    spec,
-		n:       cs.N,
-		cfgs:    cfgs,
-		sched:   cfgs[0].Schedule,
-		mesh:    links,
-		group:   service.NewGroup(links),
-		closer:  closer,
-		ctx:     sctx,
-		cancel:  cancel,
-		slots:   make(chan struct{}, spec.MaxConcurrent),
-		results: make(chan InstanceResult, spec.MaxConcurrent),
-		active:  make(map[uint32]*Handle),
+		spec:      spec,
+		n:         cs.N,
+		cfgs:      cfgs,
+		sched:     cfgs[0].Schedule,
+		mesh:      links,
+		group:     service.NewGroup(sctx, links),
+		closer:    closer,
+		ctx:       sctx,
+		cancel:    cancel,
+		slots:     make(chan struct{}, spec.MaxConcurrent),
+		results:   make(chan InstanceResult, spec.MaxConcurrent),
+		backlog:   make(chan InstanceResult, spec.MaxConcurrent),
+		published: make(chan struct{}),
+		active:    make(map[uint32]*Handle),
 	}
+	go s.publish()
 	return s, nil
 }
 
@@ -317,7 +351,9 @@ func (s *Service) Submit(ctx context.Context, id uint32, inputs []float64) (*Han
 	s.inflight.Add(1)
 	s.mu.Unlock()
 	s.submitted.Add(1)
-	go s.runInstance(h, append([]float64(nil), inputs...))
+	if err := s.host(h, append([]float64(nil), inputs...)); err != nil {
+		s.complete(h, nil, nil, err)
+	}
 	return h, nil
 }
 
@@ -341,7 +377,7 @@ func (s *Service) Await(ctx context.Context, h *Handle) (*ClusterResult, error) 
 
 // Results returns the stream of finished instances. First call subscribes:
 // from then on every completion is sent to the channel and the consumer must
-// drain it (completions block on a full buffer, eventually stalling slot
+// drain it (completions wait on a full buffer, eventually stalling slot
 // release). The channel is closed by Close after the last in-flight
 // instance. Without a Results call, completions are delivered through
 // handles only.
@@ -384,41 +420,15 @@ func (s *Service) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	s.inflight.Wait()
+	close(s.backlog)
+	<-s.published
 	if s.subscribed.Load() {
 		close(s.results)
 	}
-	err := s.group.Close()
-	if cerr := s.closer(); err == nil {
-		err = cerr
-	}
+	err := s.closer()
 	s.group.Join()
 	s.cancel()
 	return err
-}
-
-// runInstance executes one instance end to end and publishes its outcome.
-func (s *Service) runInstance(h *Handle, inputs []float64) {
-	res, trace, err := s.execute(h.id, inputs)
-	h.res, h.trace, h.err = res, trace, err
-	s.mu.Lock()
-	delete(s.active, h.id)
-	s.mu.Unlock()
-	// Count the outcome before releasing the handle, so a Stats call made
-	// after Await returns already includes this instance.
-	if err != nil {
-		s.failed.Add(1)
-	} else {
-		s.completed.Add(1)
-	}
-	close(h.done)
-	if s.subscribed.Load() {
-		select {
-		case s.results <- InstanceResult{ID: h.id, Result: res, Trace: trace, Err: err}:
-		case <-s.ctx.Done():
-		}
-	}
-	<-s.slots
-	s.inflight.Done()
 }
 
 // roundsFor resolves the round horizon for one instance's input range,
@@ -433,106 +443,180 @@ func (s *Service) roundsFor(inputRange float64) (int, error) {
 	return chaosRounds(rounds, s.spec.FixedRounds, s.spec.Chaos), nil
 }
 
-// nodeSet builds or recycles an n-node protocol state set wired to the
-// instance's links.
-func (s *Service) nodeSet(links []transport.Link, inputs []float64, inputRange float64, rounds int) ([]*cluster.Node, error) {
+// nodeSet builds or recycles an n-node protocol state set for one instance.
+func (s *Service) nodeSet(inputs []float64, inputRange float64, rounds int) (*nodeSet, error) {
 	if v := s.pool.Get(); v != nil {
-		nodes := v.([]*cluster.Node)
-		for i, nd := range nodes {
-			nd.Reset(inputs[i], inputRange, rounds, links[i])
+		set := v.(*nodeSet)
+		for i, nd := range set.nodes {
+			nd.Reset(inputs[i], inputRange, rounds)
 		}
-		return nodes, nil
+		return set, nil
 	}
-	nodes := make([]*cluster.Node, s.n)
-	for i := range nodes {
+	set := &nodeSet{nodes: make([]*cluster.Node, s.n), machines: make([]service.Machine, s.n)}
+	for i := range set.nodes {
 		cfg := s.cfgs[i]
 		cfg.Input = inputs[i]
 		cfg.InputRange = inputRange
 		cfg.FixedRounds = rounds
-		nd, err := cluster.NewNode(cfg, links[i])
+		nd, err := cluster.NewNode(cfg)
 		if err != nil {
 			return nil, err
 		}
-		nodes[i] = nd
+		set.nodes[i], set.machines[i] = nd, nd
 	}
-	return nodes, nil
+	return set, nil
 }
 
-// execute runs one instance: register routes, optionally wrap them in a
-// per-instance chaos injector, run the nodes, assemble the verdict.
-func (s *Service) execute(id uint32, inputs []float64) (*ClusterResult, []FaultEvent, error) {
+// host sets one instance up — its node set and, under a ChaosSpec, its own
+// injector in front of every node's sends — and hands it to the dispatch
+// loops.
+func (s *Service) host(h *Handle, inputs []float64) error {
 	inputRange := s.spec.InputRange
 	if inputRange == 0 {
 		inputRange = inputSpread(inputs)
 	}
 	rounds, err := s.roundsFor(inputRange)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	// Lockstep keeps at most about two rounds of n frames in flight per
-	// instance; 4n+4 gives headroom for deadline skew, and pipelining adds
-	// up to PipelineDepth more rounds of legitimate skew per peer.
-	links, err := s.group.Register(id, (4+2*s.spec.PipelineDepth)*s.n+4)
+	set, err := s.nodeSet(inputs, inputRange, rounds)
 	if err != nil {
-		return nil, nil, configErrorf("InstanceID", "%v", err)
+		return err
 	}
-	retire := func() {
-		for _, l := range links {
-			_ = l.Close()
-		}
+	inst := &instance{
+		h: h, inputs: inputs, inputRange: inputRange, rounds: rounds, set: set,
+		horizon: watchdogHorizon(s.spec.RunHorizon, rounds, s.spec.RoundTimeout),
 	}
-	var chaos *transport.Chaos
-	var chaosSpec *ChaosSpec
+	inst.job = service.Job{
+		ID:       h.id,
+		Machines: set.machines,
+		Timeout:  s.spec.RoundTimeout,
+		Horizon:  inst.horizon,
+		Done:     func(*service.Job) { s.finish(inst) },
+	}
 	if s.spec.Chaos != nil {
 		// Each instance gets its own injector, seeded from the template seed
 		// and the instance id: the fault trace of instance k replays
 		// bit-for-bit regardless of what else the service hosts. Connection
 		// faults (ResetRate) are recorded in the trace but not enacted here:
-		// the per-instance route links do not own connections, and resetting
-		// the shared mesh would leak one instance's chaos into every other.
+		// the per-instance senders do not own connections, and resetting the
+		// shared mesh would leak one instance's chaos into every other.
 		cspec := *s.spec.Chaos
-		cspec.Seed = DeriveSeed(cspec.Seed, int(id))
-		chaos, err = transport.NewChaos(s.n, cspec)
+		cspec.Seed = DeriveSeed(cspec.Seed, int(h.id))
+		inst.chaos, err = transport.NewChaos(s.n, cspec)
 		if err != nil {
-			retire()
-			return nil, nil, err
+			return err
 		}
-		for i := range links {
-			links[i] = chaos.WrapLink(links[i], i)
+		inst.chaosSpec = &cspec
+		inst.senders = make([]transport.Link, s.n)
+		inst.job.Wrap = func(node int, sender transport.Link) transport.Link {
+			inst.senders[node] = inst.chaos.WrapLink(sender, node)
+			return inst.senders[node]
 		}
-		chaosSpec = &cspec
 	}
-	nodes, err := s.nodeSet(links, inputs, inputRange, rounds)
-	if err != nil {
-		retire()
-		return nil, nil, err
+	inst.start = time.Now()
+	if err := s.group.Host(&inst.job); err != nil {
+		return configErrorf("InstanceID", "%v", err)
 	}
-	horizon := watchdogHorizon(s.spec.RunHorizon, rounds, s.spec.RoundTimeout)
-	start := time.Now()
-	outcomes, down, err := cluster.RunNodes(s.ctx, nodes, horizon)
-	elapsed := time.Since(start)
+	return nil
+}
+
+// finish assembles a finished instance's verdict, on the dispatch loop that
+// retired its last node, and completes its handle.
+func (s *Service) finish(inst *instance) {
+	elapsed := time.Since(inst.start)
+	n := s.n
+	outcomes := make([]cluster.Outcome, n)
+	var down []int
+	var firstErr error
+	for i, nd := range inst.set.nodes {
+		st := nd.Stats()
+		if inst.senders != nil {
+			st = st.Fold(inst.senders[i].Counters())
+		}
+		outcomes[i].Stats = st
+		err := inst.job.Errs[i]
+		switch {
+		case inst.job.Down[i]:
+			down = append(down, i)
+			continue
+		case err == nil:
+			outcomes[i].Value, err = nd.Result()
+		}
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("node %d: %w", i, err)
+		}
+	}
 	var trace []FaultEvent
 	var chaosStats *ChaosStats
-	if chaos != nil {
-		_ = chaos.Close() // flush hold-backs into the still-live routes
-		trace = chaos.Trace()
-		cs := chaos.Stats()
+	if inst.chaos != nil {
+		_ = inst.chaos.Close() // flush hold-backs onto the mesh
+		trace = inst.chaos.Trace()
+		cs := inst.chaos.Stats()
 		chaosStats = &cs
 	}
-	retire() // closes through the chaos wrappers, unregistering the routes
-	if err != nil {
-		return nil, trace, err
+	// No loop touches the nodes any more: the set is reusable whatever
+	// happened to the instance.
+	s.pool.Put(inst.set)
+	if firstErr != nil {
+		s.complete(inst.h, nil, trace, firstErr)
+		return
 	}
-	if len(down) == 0 {
-		// Only fully-drained node sets are recycled: a watchdog-abandoned
-		// node may still be wedged in its goroutine, touching this state.
-		s.pool.Put(nodes)
-	}
-	res := buildClusterResult(inputs, s.spec.Epsilon, s.sched, chaosSpec, rounds,
+	res := buildClusterResult(inst.inputs, s.spec.Epsilon, s.sched, inst.chaosSpec, inst.rounds,
 		outcomes, down, elapsed)
 	res.Chaos = chaosStats
 	if len(down) > 0 {
-		return res, trace, &NodeDownError{Nodes: down, Horizon: horizon, Partial: res}
+		s.complete(inst.h, res, trace, &NodeDownError{Nodes: down, Horizon: inst.horizon, Partial: res})
+		return
 	}
-	return res, trace, nil
+	s.complete(inst.h, res, trace, nil)
+}
+
+// complete publishes an instance's outcome: it fills and releases the
+// handle, then sends the Results stream its entry (through the backlog when
+// the stream is full) and frees the slot. It never blocks.
+func (s *Service) complete(h *Handle, res *ClusterResult, trace []FaultEvent, err error) {
+	h.res, h.trace, h.err = res, trace, err
+	s.mu.Lock()
+	delete(s.active, h.id)
+	s.mu.Unlock()
+	// Count the outcome before releasing the handle, so a Stats call made
+	// after Await returns already includes this instance.
+	if err != nil {
+		s.failed.Add(1)
+	} else {
+		s.completed.Add(1)
+	}
+	close(h.done)
+	if s.subscribed.Load() {
+		ir := InstanceResult{ID: h.id, Result: res, Trace: trace, Err: err}
+		select {
+		case s.results <- ir:
+		default:
+			// At most MaxConcurrent instances hold slots, so the backlog
+			// always has room.
+			s.backlog <- ir
+			return
+		}
+	}
+	s.release()
+}
+
+// release frees a finished instance's slot.
+func (s *Service) release() {
+	<-s.slots
+	s.inflight.Done()
+}
+
+// publish sends the backlog's completions to the Results stream as the
+// consumer drains it, releasing each slot after its send.
+func (s *Service) publish() {
+	defer close(s.published)
+	for ir := range s.backlog {
+		select {
+		case s.results <- ir:
+		case <-s.ctx.Done():
+		}
+		s.release()
+	}
 }
