@@ -79,10 +79,13 @@
 //     with its own inputs
 //     (Service.Submit → Handle, Service.Await, or the streamed
 //     Service.Results). Frames carry an instance id and registration epoch
-//     on the wire (frame format v2); a per-node demux routes them to
-//     per-instance inboxes, and a coalescing writer merges the outbound
-//     batches of every hosted instance into shared writes — on TCP, frames
-//     of different instances ride one socket write. MaxConcurrent bounds
+//     on the wire (frame format v2). Each mesh node runs one dispatch loop
+//     hosting its node of every live instance as a step machine: the loop
+//     routes inbound frames by instance id and epoch, keeps one timer for
+//     the earliest deadline among its instances, and hands every send of a
+//     pass to the link at once — on TCP, frames of different instances
+//     ride one socket write. An instance costs no goroutine, channel or
+//     timer of its own. MaxConcurrent bounds
 //     the instances in flight (Submit blocks: backpressure); node sets are
 //     pooled across instances; each instance's chaos campaign is seeded
 //     from the template seed and its instance id, so service runs replay

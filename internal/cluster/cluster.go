@@ -4,11 +4,16 @@
 // synchronous rounds with deadline-based omission detection — strict
 // lockstep by default, or pipelined up to Config.PipelineDepth rounds ahead
 // of the slowest live peer — the synchronous system of paper §3 realised
-// over actual message passing. Every depth runs one receive loop over one
-// ring of per-round receive states, so a frame that arrives ahead of its
-// round waits in that round's slot. Every node exchanges values with every
-// node, itself included: the full mesh of paper §3, the only communication
-// graph the paper's contraction theorems cover.
+// over actual message passing. Every node exchanges values with every node,
+// itself included: the full mesh of paper §3, the only communication graph
+// the paper's contraction theorems cover.
+//
+// A Node is a sans-I/O step machine: it holds no link, channel, timer or
+// context. Its driver is internal/service's dispatch loop, one goroutine and
+// one deadline timer per mesh node, hosting that node of one instance
+// (RunClusterDeadline, behind Deploy) or of many (Engine.Serve). Every
+// depth keeps one ring of per-round receive states, so a frame that arrives
+// ahead of its round waits in that round's slot.
 //
 // Fault injection is schedule-driven: a FaultSchedule deterministically
 // marks which nodes the mobile agents occupy in each round, and occupied
@@ -28,6 +33,7 @@ import (
 
 	"mbfaa/internal/mobile"
 	"mbfaa/internal/msr"
+	"mbfaa/internal/service"
 	"mbfaa/internal/transport"
 )
 
@@ -336,9 +342,10 @@ type NodeStats struct {
 	// Partitioned counts inbound frames dropped by chaos partition cuts
 	// and crash windows addressed to this node (folded from the link).
 	Partitioned int64
-	// Overflow counts inbound frames dropped because this node's inbox (or
-	// per-instance route, under the service demux) was full — the receiver
-	// sees them as omissions (folded from the link).
+	// Overflow counts inbound frames dropped because this node's inbox was
+	// full — the receiver sees them as omissions (folded from the link).
+	// Always zero for a Service instance: its nodes share the mesh inboxes,
+	// whose overflow ServiceStats.InboxDrops counts for the whole service.
 	Overflow int64
 	// Reconnects counts outbound connections the transport's self-healing
 	// writers re-established after a write or dial failure (folded from the
@@ -363,9 +370,8 @@ type NodeStats struct {
 // Deliver admits each inbound frame, Settle runs the close check once the
 // driver has delivered everything that already arrived, and Expire closes
 // the round at its deadline. When the last round has closed, Done reports
-// true and Result returns the decision. Run is the one-goroutine-per-node
-// driver Deploy uses; internal/service hosts many nodes on one dispatch
-// loop per mesh node.
+// true and Result returns the decision. internal/service's dispatch loops
+// drive it.
 type Node struct {
 	cfg  Config
 	tau  int
@@ -533,9 +539,6 @@ func (s NodeStats) Fold(c transport.Counters) NodeStats {
 // Round returns the open round, or the next round to open between a close
 // and the following Begin.
 func (nd *Node) Round() int { return nd.round }
-
-// Timeout returns the receive-phase deadline a driver arms at each Begin.
-func (nd *Node) Timeout() time.Duration { return nd.cfg.RoundTimeout }
 
 // Done reports whether the node has run its last round (or failed a vote).
 func (nd *Node) Done() bool { return nd.err != nil || nd.round >= nd.rounds }
@@ -949,85 +952,6 @@ type Outcome struct {
 	Stats NodeStats
 }
 
-// errLinkClosed reports a link whose inbox closed under a running node.
-var errLinkClosed = errors.New("cluster: link closed mid-round")
-
-// Run drives nd over link until it decides or ctx ends: the driver behind
-// Deploy, one goroutine per node. It owns the link's inbox and one timer,
-// reused for every round's deadline, and keeps the order the close rule
-// assumes: every frame that has already arrived is delivered before each
-// close check.
-func Run(ctx context.Context, nd *Node, link transport.Link) (float64, error) {
-	deadline := time.NewTimer(nd.Timeout())
-	defer deadline.Stop()
-	inbox := link.Recv()
-	for !nd.Done() {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		round := nd.Round()
-		if err := send(link, nd.Begin()); err != nil {
-			return 0, fmt.Errorf("cluster: node %d send round %d: %w", nd.cfg.ID, round, err)
-		}
-		stopTimer(deadline)
-		deadline.Reset(nd.Timeout())
-		for nd.Round() == round {
-		drain:
-			for {
-				select {
-				case m, ok := <-inbox:
-					if !ok {
-						return 0, errLinkClosed
-					}
-					nd.Deliver(m)
-				default:
-					break drain
-				}
-			}
-			if nd.Settle() {
-				break
-			}
-			select {
-			case m, ok := <-inbox:
-				if !ok {
-					return 0, errLinkClosed
-				}
-				nd.Deliver(m)
-			case <-deadline.C:
-				nd.Expire(round)
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			}
-		}
-	}
-	return nd.Result()
-}
-
-// stopTimer stops t and discards a value it already delivered, so the next
-// Reset starts clean.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// send hands a round's sends to link in one call when it batches (one
-// lock/write cycle per round instead of one per message on the TCP path).
-func send(link transport.Link, ms []transport.Message) error {
-	if bs, ok := link.(transport.BatchSender); ok {
-		return bs.SendBatch(ms)
-	}
-	for _, m := range ms {
-		if err := link.Send(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunCluster is the test/demo harness: it builds n nodes over the given
 // links, runs them concurrently, and returns their decisions. The links
 // slice must come from one mesh (transport.Channel.Link or NewTCPMesh).
@@ -1044,25 +968,28 @@ func RunCluster(ctx context.Context, cfgs []Config, links []transport.Link) ([]f
 	return decisions, nil
 }
 
-// downGrace is how long the watchdog waits, after cancelling the run, for
-// the surviving nodes to notice and report their partial state. A variable
-// so tests can shorten the wedged-node path.
+// downGrace is how long RunClusterDeadline waits past the horizon for a
+// node wedged in its link's Send before reporting it down unread. A
+// variable so tests can shorten the wedged-node path.
 var downGrace = 2 * time.Second
 
-// RunClusterDeadline is RunCluster with per-node outcomes and a watchdog:
-// if the whole run has not completed within horizon (> 0), the remaining
-// nodes are cancelled, given a short grace period to surface their partial
-// outcomes, and reported in the down list — the deployment-facing answer to "a node
-// stayed dead past its timeout horizon" that previously hung the caller.
-// Nodes cancelled by the watchdog (or wedged past the grace period, say in
-// a link's Send) appear in down with a zero/partial Outcome; nodes that
-// failed for any other reason surface through err as before. horizon <= 0
-// disables the watchdog.
+// RunClusterDeadline is RunCluster with per-node outcomes and a watchdog.
+// It hosts the nodes as one instance on a service.Group over the links —
+// one dispatch loop, hence one goroutine and one deadline timer, per node —
+// and returns when every node has decided. If the run has not completed
+// within horizon (> 0), the nodes still running are abandoned and reported
+// in the down list with their partial Stats — the deployment-facing answer
+// to "a node stayed dead past its timeout horizon". A node wedged inside
+// its link's Send for a further grace period is reported down with a zero
+// Outcome: its loop may still touch its state. Nodes that failed for any
+// other reason surface through err. horizon <= 0 disables the watchdog.
 func RunClusterDeadline(ctx context.Context, cfgs []Config, links []transport.Link, horizon time.Duration) ([]Outcome, []int, error) {
 	if len(cfgs) != len(links) {
 		return nil, nil, fmt.Errorf("cluster: %d configs for %d links", len(cfgs), len(links))
 	}
-	nodes := make([]*Node, len(cfgs))
+	n := len(cfgs)
+	nodes := make([]*Node, n)
+	machines := make([]service.Machine, n)
 	for i := range cfgs {
 		if links[i] == nil {
 			return nil, nil, errors.New("cluster: nil link")
@@ -1071,89 +998,72 @@ func RunClusterDeadline(ctx context.Context, cfgs []Config, links []transport.Li
 		if err != nil {
 			return nil, nil, err
 		}
-		nodes[i] = node
+		nodes[i], machines[i] = node, node
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := len(nodes)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	type result struct {
-		id    int
-		value float64
-		err   error
+	exits := make(chan int, n)
+	job := &service.Job{
+		Machines: machines,
+		Timeout:  cfgs[0].RoundTimeout,
+		Horizon:  horizon,
+		Exit:     func(node int, _ bool) { exits <- node },
 	}
-	results := make(chan result, n)
-	for i, node := range nodes {
-		go func(id int, nd *Node) {
-			v, err := Run(runCtx, nd, links[id])
-			results <- result{id: id, value: v, err: err}
-		}(i, node)
+	g := service.NewGroup(runCtx, links)
+	if err := g.Host(job); err != nil {
+		return nil, nil, err
 	}
-
-	var watchdog <-chan time.Time
+	var wedged <-chan time.Time
 	if horizon > 0 {
-		t := time.NewTimer(horizon)
+		t := time.NewTimer(horizon + downGrace)
 		defer t.Stop()
-		watchdog = t.C
+		wedged = t.C
 	}
-	outcomes := make([]Outcome, n)
-	isDown := make([]bool, n)
-	for id := range isDown {
-		isDown[id] = true // cleared as each node reports a real outcome
-	}
-	var firstErr error
-	expired := false
-	record := func(o result) {
-		switch {
-		case o.err == nil:
-			isDown[o.id] = false
-		case expired && errors.Is(o.err, context.Canceled):
-			// The watchdog's own cancellation, not a node failure: the node
-			// never reached a decision and stays in the down list.
-		default:
-			isDown[o.id] = false
-			if firstErr == nil {
-				firstErr = fmt.Errorf("node %d: %w", o.id, o.err)
-			}
-		}
-		outcomes[o.id] = Outcome{Value: o.value, Stats: nodes[o.id].Stats().Fold(links[o.id].Counters())}
-	}
-	remaining := n
-collect:
-	for remaining > 0 {
+	exited := make([]bool, n)
+wait:
+	for range n {
 		select {
-		case o := <-results:
-			record(o)
-			remaining--
-		case <-watchdog:
-			expired = true
-			cancel()
-			grace := time.NewTimer(downGrace)
-			for remaining > 0 {
-				select {
-				case o := <-results:
-					record(o)
-					remaining--
-				case <-grace.C:
-					// Wedged past cancellation: leave the outcome zeroed —
-					// its goroutine may still be touching node state, so
-					// not even Stats is safe to read.
-					break collect
-				}
-			}
-			grace.Stop()
+		case id := <-exits:
+			exited[id] = true
+		case <-wedged:
+			break wait
 		}
 	}
+	cancel()
+	if !slices.Contains(exited, false) {
+		g.Join()
+	}
+	return Outcomes(nodes, job, exited, func(i int) transport.Counters { return links[i].Counters() })
+}
+
+// Outcomes reads the outcomes of nodes hosted as job once their machines
+// have left their loops (those with exited[i]; a nil exited means all):
+// decisions, Stats with fold's counters for node i added, the down list —
+// machines abandoned at the horizon, and unexited ones, which are left
+// unread — and the first error a node failed with.
+func Outcomes(nodes []*Node, job *service.Job, exited []bool, fold func(int) transport.Counters) ([]Outcome, []int, error) {
+	outcomes := make([]Outcome, len(nodes))
 	var down []int
-	for id, d := range isDown {
-		if d {
-			down = append(down, id)
+	var firstErr error
+	for i, nd := range nodes {
+		if exited != nil && !exited[i] {
+			down = append(down, i)
+			continue
+		}
+		outcomes[i].Stats = nd.Stats().Fold(fold(i))
+		err := job.Errs[i]
+		switch {
+		case job.Down[i]:
+			down = append(down, i)
+		case err == nil:
+			outcomes[i].Value, err = nd.Result()
+		}
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("node %d: %w", i, err)
 		}
 	}
-	if firstErr != nil {
-		return outcomes, down, firstErr
-	}
-	return outcomes, down, nil
+	return outcomes, down, firstErr
 }

@@ -195,13 +195,9 @@ func TestPipelineWedgedPeerStall(t *testing.T) {
 	}
 	defer func() { _ = hub.Close() }()
 	cfg := pipelineConfigs(n, rounds, k, timeout)[0]
-	nd, err := NewNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Peer 1 echoes a frame back for every round it sees node 0 send; peer 2
-	// stays wedged. With k=2 the node closes round 0 early (peer 2 still has
+	// Peer 1 echoes a frame back, stamped with the instance and epoch it
+	// came with, for every round it sees node 0 send; peer 2 stays wedged. With k=2 the node closes round 0 early (peer 2 still has
 	// pipeline credit), burns exactly one deadline on round 1 (the brake
 	// blocks on peer 2's silence), stall-flags peer 2 after that close, and
 	// closes every later round early against peer 1 alone.
@@ -211,19 +207,20 @@ func TestPipelineWedgedPeerStall(t *testing.T) {
 			if m.From != 0 {
 				continue
 			}
-			_ = peer1.Send(transport.Message{Round: m.Round, To: 0, Value: float64(m.Round)})
+			_ = peer1.Send(transport.Message{Round: m.Round, To: 0, Value: float64(m.Round), Instance: m.Instance, Seq: m.Seq})
 		}
 	}()
 
 	type result struct {
-		v   float64
+		o   []Outcome
 		err error
 	}
 	done := make(chan result, 1)
 	start := time.Now()
 	go func() {
-		v, err := Run(context.Background(), nd, hub.Link(0))
-		done <- result{v, err}
+		// Only node 0 is hosted: one dispatch loop over its link.
+		o, _, err := RunClusterDeadline(context.Background(), []Config{cfg}, []transport.Link{hub.Link(0)}, 0)
+		done <- result{o, err}
 	}()
 	var res result
 	select {
@@ -235,7 +232,7 @@ func TestPipelineWedgedPeerStall(t *testing.T) {
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
-	if math.IsNaN(res.v) {
+	if math.IsNaN(res.o[0].Value) {
 		t.Fatal("wedged-peer run decided NaN")
 	}
 	// Exactly one round waits out its deadline; the rest close early. Allow
@@ -244,7 +241,7 @@ func TestPipelineWedgedPeerStall(t *testing.T) {
 		t.Fatalf("run took %v — every round burned its deadline; early close never fired", elapsed)
 	}
 
-	st := nd.Stats()
+	st := res.o[0].Stats
 	if st.StallEvents != 1 {
 		t.Errorf("StallEvents = %d, want 1 (peer 2 stalls once and never recovers)", st.StallEvents)
 	}

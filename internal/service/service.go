@@ -1,15 +1,14 @@
-// Package service hosts many concurrent agreement instances over one
-// transport mesh, on one dispatch loop per mesh node. Each node's Mux owns
-// the node's transport.Link and runs the node side of every hosted instance
-// as a sans-I/O step machine (Machine; cluster.Node in the facade): it reads
-// the link's inbox, routes each frame by instance id and registration epoch
-// to the hosted machine, runs the close check once the inbox is drained,
-// and hands every send of the pass to the link in one SendBatch — so frames
-// of many instances bound for the same peer ride one socket write. One timer
-// per loop covers the earliest round deadline or instance horizon among its
-// machines. A hosted instance costs no goroutine, channel or timer of its
-// own. A Group ties the n muxes of a mesh together and hosts an instance on
-// all of them under one fresh epoch.
+// Package service runs agreement instances over one transport mesh on one
+// dispatch loop per mesh node. A node's loop owns its transport.Link and
+// hosts that node of every live instance as a sans-I/O step machine
+// (Machine; cluster.Node in practice): it reads the link's inbox, routes
+// each frame by instance id and registration epoch, runs the close check
+// once the inbox is drained, and hands every send of the pass to the link in
+// one SendBatch — so frames of many instances bound for the same peer ride
+// one socket write. One timer per loop covers the earliest round deadline or
+// instance horizon among its machines; a hosted instance costs no
+// goroutine, channel or timer of its own. Engine.Serve hosts many instances
+// on one Group; Deploy hosts one.
 //
 // Routing is lossy by design: a frame for an instance that is not hosted
 // (already retired, or never submitted here) is dropped and counted, and so
@@ -29,7 +28,7 @@ import (
 
 // Machine is one node of one hosted instance as a step machine: Begin opens
 // the next round and returns its sends, Deliver admits a frame, Settle closes
-// the open round when its close rule holds, and Expire closes round at its
+// the open round if its close rule holds, and Expire closes round at its
 // deadline. cluster.Node implements it.
 type Machine interface {
 	Begin() []transport.Message
@@ -40,7 +39,7 @@ type Machine interface {
 	Done() bool
 }
 
-// Job is one agreement instance as the muxes host it: a machine per mesh
+// Job is one agreement instance as a Group hosts it: a machine per mesh
 // node, index-aligned with the mesh.
 type Job struct {
 	ID       uint32
@@ -49,37 +48,48 @@ type Job struct {
 	// whole instance: machines still running that long after Host are
 	// abandoned and marked Down.
 	Timeout, Horizon time.Duration
-	// Wrap, when non-nil, puts a send-side wrapper (a chaos layer) in front
-	// of node i's sender, which stamps the instance and sends straight to
-	// the mesh link. Without it a machine's sends join its loop's pass
-	// batch.
-	Wrap func(node int, sender transport.Link) transport.Link
-	// Done is called once, on the loop that retires the job's last machine;
-	// the loops no longer touch the machines from then on.
-	Done func(*Job)
+	// Links, when non-nil, are send-side wrappers (a chaos layer) over the
+	// mesh links: node i's sends go out through Links[i] at once instead
+	// of joining its loop's pass batch.
+	Links []transport.Link
+	// Exit is called as each machine leaves its loop — last marks the
+	// job's final machine, after which no loop touches the machines and the
+	// job is retired. It must not block.
+	Exit func(node int, last bool)
 
-	// Down marks the machines still running at the horizon, and Errs the
-	// machines a loop abandoned with an error (its context ended, or a send
-	// failed). Both are index-aligned with Machines and final once Done
-	// runs.
+	// Down marks the machines abandoned at the horizon, and Errs those a
+	// loop abandoned with an error (its context ended, or a send failed).
+	// Entry i is final once Exit(i, …) has been called.
 	Down []bool
 	Errs []error
 
+	group   *Group
 	epoch   uint32
 	horizon time.Time
 	left    atomic.Int32
 }
 
-// hosted is one machine of a job on its node's mux.
-type hosted struct {
-	job  *Job
-	node int
-	m    Machine
-	send transport.Link // nil: the sends join the loop's pass batch
+// leave records how node's machine left its loop and reports it through
+// Exit, retiring the job after its last machine.
+func (j *Job) leave(node int, down bool, err error) {
+	j.Down[node], j.Errs[node] = down, err
+	last := j.left.Add(-1) == 0
+	if last {
+		j.group.retire(j)
+	}
+	j.Exit(node, last)
+}
 
-	// round is the open round and deadline its expiry; idx is the host's
-	// place in the loop's active list. touched marks a host that received
-	// frames this pass, finished one whose machine left the loop.
+// hosted is one machine of a job on its node's loop: the round open and its
+// deadline, its place in the loop's active list, whether it received frames
+// this pass, and whether it has left the loop.
+type hosted struct {
+	job   *Job
+	node  int
+	epoch uint32 // the job's, copied: a retired job may be hosted again
+	m     Machine
+	send  transport.Link // the job's Links entry; nil: the loop's pass batch
+
 	round    int
 	deadline time.Time
 	idx      int
@@ -87,9 +97,8 @@ type hosted struct {
 	finished bool
 }
 
-// Mux is one mesh node's dispatch loop: it owns the node's link, hosts the
-// node's machine of every live instance, and is driven by one goroutine.
-type Mux struct {
+// mux is one mesh node's dispatch loop.
+type mux struct {
 	node  int
 	link  transport.Link
 	group *Group
@@ -98,13 +107,13 @@ type Mux struct {
 	mu      sync.Mutex
 	routes  map[uint32]*hosted
 	pending []*hosted
+	stopped error // set when the loop exits; Host then refuses the node
 	wake    chan struct{}
 
-	// Loop-owned: the started, unfinished hosts; the hosts that received
-	// frames this pass; the pass's sends; the deadline timer, armed at
-	// armed (zero: idle) for next, the earliest deadline or horizon among
-	// active (never later than the true earliest). aborted fails every
-	// host once the context ends or the link fails.
+	// Loop-owned: the started, unfinished machines; those that received
+	// frames this pass; the pass's sends; the timer, armed at armed (zero:
+	// idle) for next, never later than the earliest deadline or horizon
+	// among active.
 	active  []*hosted
 	touched []*hosted
 	starts  []*hosted
@@ -112,56 +121,52 @@ type Mux struct {
 	timer   *time.Timer
 	armed   time.Time
 	next    time.Time
-	aborted error
-
-	frames, flushes, unrouted, stale atomic.Int64
 
 	exited chan struct{}
 }
 
-// run is the dispatch loop. It exits when the link's inbox closes.
-func (m *Mux) run() {
+// run is the dispatch loop. It exits when the link's inbox closes or the
+// context ends, failing every machine still on it.
+func (m *mux) run() {
 	defer close(m.exited)
 	inbox := m.link.Recv()
-	done := m.ctx.Done()
-	for {
+	for err := error(nil); err == nil; {
 		select {
 		case msg, ok := <-inbox:
 			if !ok {
-				m.abort(transport.ErrClosed)
-				return
+				err = transport.ErrClosed
+				break
 			}
 			m.route(msg)
+			err = m.pass(inbox)
 		case <-m.wake:
+			err = m.pass(inbox)
 		case <-m.timer.C:
 			m.armed = time.Time{}
-		case <-done:
-			done = nil
-			m.abort(m.ctx.Err())
+			err = m.pass(inbox)
+		case <-m.ctx.Done():
+			err = m.ctx.Err()
 		}
-		if !m.pass(inbox) {
-			return
+		if err != nil {
+			m.stop(err)
 		}
 	}
 }
 
 // pass delivers everything that has already arrived, then starts the new
-// instances, runs the close check of every machine that received frames,
-// expires what is due, and flushes the pass's sends in one SendBatch. It
-// reports false once the inbox has closed.
-func (m *Mux) pass(inbox <-chan transport.Message) bool {
-	for {
+// machines, runs the close check of every machine that received frames,
+// expires what is due, and flushes the pass's sends in one SendBatch.
+func (m *mux) pass(inbox <-chan transport.Message) error {
+	for drained := false; !drained; {
 		select {
 		case msg, ok := <-inbox:
 			if !ok {
-				m.abort(transport.ErrClosed)
-				return false
+				return transport.ErrClosed
 			}
 			m.route(msg)
-			continue
 		default:
+			drained = true
 		}
-		break
 	}
 	now := time.Now()
 	m.mu.Lock()
@@ -178,33 +183,42 @@ func (m *Mux) pass(inbox <-chan transport.Message) bool {
 	if !m.next.IsZero() && !now.Before(m.next) {
 		m.expire(now)
 	}
-	m.flush()
+	if len(m.out) > 0 {
+		err := m.group.send(m.link, m.out)
+		m.out = m.out[:0]
+		if err != nil {
+			return err
+		}
+	}
 	if !m.next.Equal(m.armed) {
-		stopTimer(m.timer)
-		m.armed = m.next
-		if !m.next.IsZero() {
+		if !m.timer.Stop() {
+			select {
+			case <-m.timer.C:
+			default:
+			}
+		}
+		if m.armed = m.next; !m.next.IsZero() {
 			m.timer.Reset(m.next.Sub(now))
 		}
 	}
-	return true
+	return nil
 }
 
 // route hands one inbound frame to its instance's machine.
-func (m *Mux) route(msg transport.Message) {
+func (m *mux) route(msg transport.Message) {
 	m.mu.Lock()
 	h := m.routes[msg.Instance]
 	m.mu.Unlock()
 	switch {
 	case h == nil:
-		m.unrouted.Add(1)
-	case msg.Seq != h.job.epoch:
+		m.group.unrouted.Add(1)
+	case msg.Seq != h.epoch:
 		// A frame from a previous incarnation of this instance id (stamped
 		// with the old registration epoch): never deliverable to this one.
-		m.stale.Add(1)
+		m.group.stale.Add(1)
 	case h.finished:
-		// This node's machine has decided; the instance is still live on
-		// other nodes. Nothing reads the frame, as nothing read a finished
-		// node's inbox before.
+		// This node's machine has decided while the instance is still live
+		// elsewhere; nothing reads the frame.
 	default:
 		h.m.Deliver(msg)
 		if !h.touched {
@@ -215,56 +229,44 @@ func (m *Mux) route(msg transport.Message) {
 }
 
 // start puts a newly hosted machine on the loop and opens its first round.
-func (m *Mux) start(h *hosted, now time.Time) {
+func (m *mux) start(h *hosted, now time.Time) {
 	h.idx = len(m.active)
 	m.active = append(m.active, h)
-	switch {
-	case m.aborted != nil:
-		m.finish(h, false, m.aborted)
-		return
-	case h.m.Done():
-		m.finish(h, false, nil)
-		return
-	}
 	if hz := h.job.horizon; !hz.IsZero() && (m.next.IsZero() || hz.Before(m.next)) {
 		m.next = hz
 	}
-	m.begin(h, now)
+	m.advance(h, now)
 	m.step(h, now)
 }
 
 // step closes every round of h's machine the close rule allows now, opening
 // the next one after each, until a round must wait or the machine is done.
-func (m *Mux) step(h *hosted, now time.Time) {
+func (m *mux) step(h *hosted, now time.Time) {
 	for !h.finished && h.m.Settle() {
 		m.advance(h, now)
 	}
 }
 
-// advance follows a round close: the machine decides, or opens its next
-// round.
-func (m *Mux) advance(h *hosted, now time.Time) {
+// advance opens h's next round — its sends join the pass batch (or go
+// through the job's wrapper) and its deadline joins the timer's schedule —
+// or retires a machine that is done.
+func (m *mux) advance(h *hosted, now time.Time) {
 	if h.m.Done() {
 		m.finish(h, false, nil)
 		return
 	}
-	m.begin(h, now)
-}
-
-// begin opens h's next round: its sends join the pass batch (or go through
-// the job's wrapper), and its deadline joins the timer's schedule.
-func (m *Mux) begin(h *hosted, now time.Time) {
 	h.round = h.m.Round()
-	sends := h.m.Begin()
+	start := len(m.out)
+	for _, s := range h.m.Begin() {
+		s.Instance, s.Seq = h.job.ID, h.epoch
+		m.out = append(m.out, s)
+	}
 	if h.send != nil {
-		if err := send(h.send, sends); err != nil {
+		err := m.group.send(h.send, m.out[start:])
+		m.out = m.out[:start]
+		if err != nil {
 			m.finish(h, false, fmt.Errorf("service: node %d send round %d: %w", m.node, h.round, err))
 			return
-		}
-	} else {
-		for _, s := range sends {
-			s.Instance, s.Seq = h.job.ID, h.job.epoch
-			m.out = append(m.out, s)
 		}
 	}
 	h.deadline = now.Add(h.job.Timeout)
@@ -275,7 +277,7 @@ func (m *Mux) begin(h *hosted, now time.Time) {
 
 // expire closes every round whose deadline has passed, abandons the
 // machines of instances past their horizon, and recomputes next.
-func (m *Mux) expire(now time.Time) {
+func (m *mux) expire(now time.Time) {
 	m.next = time.Time{}
 	for i := 0; i < len(m.active); {
 		h := m.active[i]
@@ -288,7 +290,7 @@ func (m *Mux) expire(now time.Time) {
 			m.step(h, now)
 		}
 		if h.finished {
-			continue // swapped out: active[i] is another host now
+			continue // swapped out: active[i] is another machine now
 		}
 		for _, t := range [2]time.Time{h.deadline, hz} {
 			if !t.IsZero() && (m.next.IsZero() || t.Before(m.next)) {
@@ -299,53 +301,135 @@ func (m *Mux) expire(now time.Time) {
 	}
 }
 
-// finish takes h's machine off the loop, records how it left, and, for the
-// job's last machine, retires the job and reports it done.
-func (m *Mux) finish(h *hosted, down bool, err error) {
+// finish takes h's machine off the loop.
+func (m *mux) finish(h *hosted, down bool, err error) {
 	h.finished = true
 	last := len(m.active) - 1
 	m.active[h.idx] = m.active[last]
 	m.active[h.idx].idx = h.idx
 	m.active = m.active[:last]
-	j := h.job
-	j.Down[h.node], j.Errs[h.node] = down, err
-	if j.left.Add(-1) == 0 {
-		m.group.retire(j)
-		j.Done(j)
-	}
+	h.job.leave(h.node, down, err)
 }
 
-// abort fails every machine on the loop, and every later one, with err.
-func (m *Mux) abort(err error) {
-	if m.aborted == nil {
-		m.aborted = err
+// stop ends the loop: every machine on it or waiting to start fails with
+// err, and Host refuses the node from now on.
+func (m *mux) stop(err error) {
+	m.mu.Lock()
+	m.stopped = err
+	pending := m.pending
+	m.pending = nil
+	m.mu.Unlock()
+	for _, h := range pending {
+		h.idx = len(m.active)
+		m.active = append(m.active, h)
 	}
 	for len(m.active) > 0 {
-		m.finish(m.active[len(m.active)-1], false, m.aborted)
+		m.finish(m.active[len(m.active)-1], false, err)
 	}
 }
 
-// flush hands the pass's sends to the link in one call.
-func (m *Mux) flush() {
-	if len(m.out) == 0 {
-		return
+// Group is the dispatch fabric of one mesh: a loop per node and a shared
+// epoch counter, so an instance is hosted on every node at once.
+type Group struct {
+	muxes []*mux
+	epoch atomic.Uint32
+
+	frames, flushes, unrouted, stale atomic.Int64
+}
+
+// NewGroup starts a dispatch loop over each node's link; links[i] is mesh
+// node i's, and its loop owns the link's inbox from here on. A loop exits
+// when its link's inbox closes or ctx ends, failing the machines it hosts
+// and every machine hosted on it later.
+func NewGroup(ctx context.Context, links []transport.Link) *Group {
+	g := &Group{muxes: make([]*mux, len(links))}
+	for i, l := range links {
+		m := &mux{
+			node:   i,
+			link:   l,
+			group:  g,
+			ctx:    ctx,
+			routes: make(map[uint32]*hosted),
+			wake:   make(chan struct{}, 1),
+			timer:  time.NewTimer(time.Hour),
+			exited: make(chan struct{}),
+		}
+		m.timer.Stop()
+		g.muxes[i] = m
+		go m.run()
 	}
-	err := m.sendMesh(m.out)
-	m.out = m.out[:0]
-	if err != nil {
-		m.abort(err)
+	return g
+}
+
+// Host registers j on every node under one fresh epoch and starts its
+// machines. A live instance id cannot be hosted twice; the error leaves
+// nothing registered.
+func (g *Group) Host(j *Job) error {
+	n := len(g.muxes)
+	if len(j.Machines) != n {
+		return fmt.Errorf("service: %d machines for a %d-node mesh", len(j.Machines), n)
+	}
+	j.group, j.epoch = g, g.epoch.Add(1)
+	j.Down, j.Errs = make([]bool, n), make([]error, n)
+	j.left.Store(int32(n))
+	j.horizon = time.Time{}
+	if j.Horizon > 0 {
+		j.horizon = time.Now().Add(j.Horizon)
+	}
+	hs := make([]hosted, n)
+	for i, m := range g.muxes {
+		hs[i] = hosted{job: j, node: i, epoch: j.epoch, m: j.Machines[i]}
+		if j.Links != nil {
+			hs[i].send = j.Links[i]
+		}
+		m.mu.Lock()
+		_, dup := m.routes[j.ID]
+		if !dup {
+			m.routes[j.ID] = &hs[i]
+		}
+		m.mu.Unlock()
+		if dup {
+			g.retire(j)
+			return fmt.Errorf("service: instance %d already registered on node %d", j.ID, i)
+		}
+	}
+	// Every node routes the instance before any machine sends, so no frame
+	// of it arrives unrouted.
+	for i, m := range g.muxes {
+		m.mu.Lock()
+		stopped := m.stopped
+		if stopped == nil {
+			m.pending = append(m.pending, &hs[i])
+		}
+		m.mu.Unlock()
+		if stopped != nil {
+			j.leave(i, false, stopped)
+			continue
+		}
+		select {
+		case m.wake <- struct{}{}:
+		default:
+		}
+	}
+	return nil
+}
+
+// retire drops j's routes on every node: later frames of it count as
+// unrouted.
+func (g *Group) retire(j *Job) {
+	for _, m := range g.muxes {
+		m.mu.Lock()
+		if h := m.routes[j.ID]; h != nil && h.job == j {
+			delete(m.routes, j.ID)
+		}
+		m.mu.Unlock()
 	}
 }
 
-// sendMesh is the loop's one way onto the link, counted for Stats.
-func (m *Mux) sendMesh(ms []transport.Message) error {
-	m.frames.Add(int64(len(ms)))
-	m.flushes.Add(1)
-	return send(m.link, ms)
-}
-
-// send hands ms to link in one call when it batches.
-func send(link transport.Link, ms []transport.Message) error {
+// send is the loops' one way onto a link, counted for Stats.
+func (g *Group) send(link transport.Link, ms []transport.Message) error {
+	g.frames.Add(int64(len(ms)))
+	g.flushes.Add(1)
 	if bs, ok := link.(transport.BatchSender); ok {
 		return bs.SendBatch(ms)
 	}
@@ -357,200 +441,32 @@ func send(link transport.Link, ms []transport.Message) error {
 	return nil
 }
 
-// stopTimer stops t and discards a value it already delivered.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// sender is a wrapped job's per-node way onto the mesh: it stamps the
-// instance id and epoch and sends straight to the link. It may be called
-// off the loop (a chaos layer's delayed deliveries), which the link allows.
-type sender struct {
-	mux             *Mux
-	instance, epoch uint32
-}
-
-func (s *sender) Send(msg transport.Message) error {
-	return s.SendBatch([]transport.Message{msg})
-}
-
-func (s *sender) SendBatch(ms []transport.Message) error {
-	for i := range ms {
-		ms[i].Instance, ms[i].Seq = s.instance, s.epoch
-	}
-	return s.mux.sendMesh(ms)
-}
-
-// Recv returns nil: inbound frames reach the machine through its loop.
-func (s *sender) Recv() <-chan transport.Message { return nil }
-func (s *sender) Close() error                   { return nil }
-
-// Counters is zero: the mesh link's counts belong to every hosted instance,
-// so none is attributed to one of them.
-func (s *sender) Counters() transport.Counters { return transport.Counters{} }
-
-var (
-	_ transport.Link        = (*sender)(nil)
-	_ transport.BatchSender = (*sender)(nil)
-)
-
-// Stats aggregates a Mux's (or a whole Group's) dispatch counters.
-type Stats struct {
-	// Frames counts messages the loops handed to the mesh links; Flushes
-	// counts the SendBatch calls that carried them (one per loop pass with
-	// sends, plus one per wrapped send). Frames/Flushes is the
-	// cross-instance coalescing factor.
-	Frames, Flushes int64
-	// Unrouted counts inbound frames for instances not hosted; Stale counts
-	// frames from a retired incarnation of a live instance id; Overflows
-	// counts frames the mesh links dropped on a full inbox.
-	Unrouted, Stale, Overflows int64
-}
-
-// FramesPerFlush returns the cross-instance coalescing factor (0 when
-// nothing was flushed).
-func (s Stats) FramesPerFlush() float64 {
-	if s.Flushes == 0 {
-		return 0
-	}
-	return float64(s.Frames) / float64(s.Flushes)
-}
-
-// Stats returns the mux's counters so far.
-func (m *Mux) Stats() Stats {
-	return Stats{
-		Frames:    m.frames.Load(),
-		Flushes:   m.flushes.Load(),
-		Unrouted:  m.unrouted.Load(),
-		Stale:     m.stale.Load(),
-		Overflows: m.link.Counters().Overflow,
-	}
-}
-
-// Group is the dispatch fabric of one mesh: a Mux per node and a shared
-// epoch counter, so an instance is hosted on every node at once.
-type Group struct {
-	muxes []*Mux
-	epoch atomic.Uint32
-}
-
-// NewGroup starts a dispatch loop over each node's link; links[i] is mesh
-// node i's, and each loop owns its link's inbox from here on. Ending ctx
-// fails every hosted machine and every later one. The loops exit when the
-// links' inboxes close: close the transport, then Join.
-func NewGroup(ctx context.Context, links []transport.Link) *Group {
-	g := &Group{muxes: make([]*Mux, len(links))}
-	for i, l := range links {
-		m := &Mux{
-			node:   i,
-			link:   l,
-			group:  g,
-			ctx:    ctx,
-			routes: make(map[uint32]*hosted),
-			wake:   make(chan struct{}, 1),
-			timer:  time.NewTimer(time.Hour),
-			exited: make(chan struct{}),
-		}
-		stopTimer(m.timer)
-		g.muxes[i] = m
-		go m.run()
-	}
-	return g
-}
-
-// N returns the mesh size.
-func (g *Group) N() int { return len(g.muxes) }
-
-// Mux returns node i's mux (for per-node inspection in tests).
-func (g *Group) Mux(i int) *Mux { return g.muxes[i] }
-
-// Host registers j on every node under one fresh epoch and starts its
-// machines. A live instance id cannot be hosted twice; the error leaves
-// nothing registered.
-func (g *Group) Host(j *Job) error {
-	n := len(g.muxes)
-	if len(j.Machines) != n {
-		return fmt.Errorf("service: %d machines for a %d-node mesh", len(j.Machines), n)
-	}
-	j.epoch = g.epoch.Add(1)
-	j.Down, j.Errs = make([]bool, n), make([]error, n)
-	j.left.Store(int32(n))
-	if j.Horizon > 0 {
-		j.horizon = time.Now().Add(j.Horizon)
-	}
-	hs := make([]hosted, n)
-	for i, m := range g.muxes {
-		h := &hs[i]
-		*h = hosted{job: j, node: i, m: j.Machines[i]}
-		if j.Wrap != nil {
-			h.send = j.Wrap(i, &sender{mux: m, instance: j.ID, epoch: j.epoch})
-		}
-		m.mu.Lock()
-		_, dup := m.routes[j.ID]
-		if !dup {
-			m.routes[j.ID] = h
-		}
-		m.mu.Unlock()
-		if dup {
-			for _, prev := range g.muxes[:i] {
-				prev.unregister(j)
-			}
-			return fmt.Errorf("service: instance %d already registered on node %d", j.ID, i)
-		}
-	}
-	// Every node routes the instance before any machine sends, so no frame
-	// of it arrives unrouted.
-	for i, m := range g.muxes {
-		m.mu.Lock()
-		m.pending = append(m.pending, &hs[i])
-		m.mu.Unlock()
-		select {
-		case m.wake <- struct{}{}:
-		default:
-		}
-	}
-	return nil
-}
-
-// unregister drops j's route on m, if it is still j's.
-func (m *Mux) unregister(j *Job) {
-	m.mu.Lock()
-	if h := m.routes[j.ID]; h != nil && h.job == j {
-		delete(m.routes, j.ID)
-	}
-	m.mu.Unlock()
-}
-
-// retire drops a finished job's routes on every node: later frames of it
-// count as unrouted.
-func (g *Group) retire(j *Job) {
-	for _, m := range g.muxes {
-		m.unregister(j)
-	}
-}
-
-// Join waits out every dispatch loop; call after closing the transport.
+// Join waits out every dispatch loop; call after closing the links or
+// ending the context.
 func (g *Group) Join() {
 	for _, m := range g.muxes {
 		<-m.exited
 	}
 }
 
-// Stats returns the group-wide aggregate counters.
+// Stats counts a Group's dispatch work.
+type Stats struct {
+	// Frames counts messages the loops handed to the links; Flushes counts
+	// the SendBatch calls that carried them: one per loop pass with sends,
+	// plus one per round of a wrapped machine. Frames/Flushes is the
+	// cross-instance coalescing factor.
+	Frames, Flushes int64
+	// Unrouted counts inbound frames for instances not hosted, Stale frames
+	// from a retired incarnation of a live instance id.
+	Unrouted, Stale int64
+}
+
+// Stats returns the group's counters so far.
 func (g *Group) Stats() Stats {
-	var s Stats
-	for _, m := range g.muxes {
-		ms := m.Stats()
-		s.Frames += ms.Frames
-		s.Flushes += ms.Flushes
-		s.Unrouted += ms.Unrouted
-		s.Stale += ms.Stale
-		s.Overflows += ms.Overflows
+	return Stats{
+		Frames:   g.frames.Load(),
+		Flushes:  g.flushes.Load(),
+		Unrouted: g.unrouted.Load(),
+		Stale:    g.stale.Load(),
 	}
-	return s
 }

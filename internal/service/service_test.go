@@ -89,7 +89,11 @@ func (e *echo) Done() bool { return e.round >= e.rounds }
 func echoJob(id uint32, n, rounds int, value float64, timeout time.Duration) (*Job, []*echo, chan struct{}) {
 	done := make(chan struct{})
 	ms := make([]*echo, n)
-	j := &Job{ID: id, Machines: make([]Machine, n), Timeout: timeout, Done: func(*Job) { close(done) }}
+	j := &Job{ID: id, Machines: make([]Machine, n), Timeout: timeout, Exit: func(_ int, last bool) {
+		if last {
+			close(done)
+		}
+	}}
 	for i := range ms {
 		ms[i] = newEcho(n, rounds, value)
 		j.Machines[i] = ms[i]
@@ -200,7 +204,7 @@ func TestMuxDropsUnroutedAndStale(t *testing.T) {
 	if ms[1].expired != 0 || len(ms[1].got) != 3 {
 		t.Fatalf("node 1 got %d frames, %d expiries, want 3/0", len(ms[1].got), ms[1].expired)
 	}
-	st := g.Mux(1).Stats()
+	st := g.Stats()
 	if st.Stale != 1 || st.Unrouted != 1 {
 		t.Errorf("stats = %+v, want Stale=1 Unrouted=1", st)
 	}
@@ -223,8 +227,8 @@ func TestMuxCoalescing(t *testing.T) {
 	for _, done := range dones {
 		wait(t, done)
 	}
-	st := g.Mux(0).Stats()
-	begins := int64(instances * rounds)
+	st := g.Stats()
+	begins := int64(n * instances * rounds)
 	if st.Frames != begins*n {
 		t.Fatalf("Frames = %d, want %d", st.Frames, begins*n)
 	}
@@ -232,7 +236,7 @@ func TestMuxCoalescing(t *testing.T) {
 		t.Fatalf("Flushes = %d, want fewer than the %d rounds opened", st.Flushes, begins)
 	}
 	t.Logf("coalescing: %d frames in %d flushes (%.1f frames/flush)",
-		st.Frames, st.Flushes, st.FramesPerFlush())
+		st.Frames, st.Flushes, float64(st.Frames)/float64(st.Flushes))
 }
 
 // TestGroupConcurrentInstances: many instances run concurrently over one
@@ -240,7 +244,7 @@ func TestMuxCoalescing(t *testing.T) {
 // values, round by round — and nothing is dropped.
 func TestGroupConcurrentInstances(t *testing.T) {
 	const n, instances, rounds = 3, 20, 5
-	g, _ := newTestGroup(t, context.Background(), n, 4*instances)
+	g, hub := newTestGroup(t, context.Background(), n, 4*instances)
 	type run struct {
 		ms   []*echo
 		done chan struct{}
@@ -271,8 +275,13 @@ func TestGroupConcurrentInstances(t *testing.T) {
 			}
 		}
 	}
-	if st := g.Stats(); st.Unrouted != 0 || st.Stale != 0 || st.Overflows != 0 {
+	if st := g.Stats(); st.Unrouted != 0 || st.Stale != 0 {
 		t.Errorf("drops under lockstep load: %+v", st)
+	}
+	for i := range n {
+		if o := hub.Link(i).Counters().Overflow; o != 0 {
+			t.Errorf("node %d's inbox overflowed %d times", i, o)
+		}
 	}
 }
 
@@ -346,6 +355,6 @@ func TestGroupHostValidation(t *testing.T) {
 	g, _ := newTestGroup(t, context.Background(), 3, 4)
 	j, _, _ := echoJob(1, 2, 1, 1, time.Second)
 	if err := g.Host(j); err == nil {
-		t.Fatalf("a %d-machine job was hosted on a %d-node mesh", len(j.Machines), g.N())
+		t.Fatal("a 2-machine job was hosted on a 3-node mesh")
 	}
 }

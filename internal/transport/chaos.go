@@ -337,8 +337,8 @@ var chaosKey = []byte("mbfaa-chaos-corruption-probe")
 // bit-for-bit reproducible from the seed (see Trace).
 //
 // Chaos attaches one way: WrapLink puts it in front of each node's Link (a
-// memory hub's view, a TCPNode, a service route), one shared Chaos across
-// all nodes of a mesh.
+// memory hub's view, a TCPNode, a service instance's sender), one shared
+// Chaos across all nodes of a mesh.
 type Chaos struct {
 	n      int
 	spec   ChaosSpec
@@ -633,10 +633,10 @@ func (c *Chaos) deliverLater(l *chaosLink, m Message, d time.Duration) {
 }
 
 // WrapLink wraps one node's Link (a memory hub's view, a TCPNode, a service
-// route) with this chaos layer: outbound frames run the fault pipeline
-// before reaching the inner link. All nodes of a deployment must share one
-// Chaos so partitions and crash windows are consistent. Closing the
-// returned Link closes the inner one; the Chaos itself must be Closed
+// instance's sender) with this chaos layer: outbound frames run the fault
+// pipeline before reaching the inner link. All nodes of a deployment must
+// share one Chaos so partitions and crash windows are consistent. Closing
+// the returned Link closes the inner one; the Chaos itself must be Closed
 // separately (before the inner links, so hold-backs flush into live ones).
 func (c *Chaos) WrapLink(inner Link, id int) Link {
 	l := &chaosLink{c: c, id: id, inner: inner}

@@ -31,7 +31,7 @@ type Counters struct {
 	// down.
 	Reconnects, DialRetries, PeerDownEvents, PeerDownDrops int64
 	// Overflow counts inbound frames dropped on a full inbox (the
-	// in-memory hub, a service instance route).
+	// in-memory hub).
 	Overflow int64
 	// Corrupt and Partitioned count the chaos losses addressed to this
 	// node: corrupted frames the codec rejected, and frames dropped by

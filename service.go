@@ -2,7 +2,6 @@ package mbfaa
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -193,7 +192,7 @@ type Service struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	slots  chan struct{}
-	pool   sync.Pool // *nodeSet, recycled via Node.Reset
+	pool   sync.Pool // *instance
 
 	// results is the Results stream; backlog parks the completions a full
 	// stream cannot take yet, for the publisher goroutine to send, so no
@@ -201,7 +200,6 @@ type Service struct {
 	results    chan InstanceResult
 	subscribed atomic.Bool
 	backlog    chan InstanceResult
-	published  chan struct{}
 
 	mu       sync.Mutex
 	active   map[uint32]*Handle
@@ -211,26 +209,18 @@ type Service struct {
 	submitted, completed, failed atomic.Int64
 }
 
-// nodeSet is one pooled instance's protocol state: a node per mesh node,
-// and the same nodes as the dispatch loops' machines.
-type nodeSet struct {
-	nodes    []*cluster.Node
-	machines []service.Machine
-}
-
-// instance is one submitted agreement instance in flight.
+// instance is one submitted agreement instance: the job hosting its nodes
+// on the dispatch loops, and what its verdict needs. Instances are pooled
+// with their nodes, recycled via Node.Reset.
 type instance struct {
-	h          *Handle
-	inputs     []float64
-	inputRange float64
-	rounds     int
-	set        *nodeSet
-	chaos      *transport.Chaos
-	chaosSpec  *ChaosSpec
-	senders    []transport.Link // the chaos-wrapped senders; nil without chaos
-	horizon    time.Duration
-	start      time.Time
-	job        service.Job
+	job       service.Job
+	nodes     []*cluster.Node
+	h         *Handle
+	inputs    []float64
+	rounds    int
+	chaos     *transport.Chaos
+	chaosSpec *ChaosSpec
+	start     time.Time
 }
 
 // Serve validates the spec, opens the mesh (in-memory channels or a loopback
@@ -295,7 +285,6 @@ func (e *Engine) Serve(ctx context.Context, spec ServiceSpec) (*Service, error) 
 		slots:     make(chan struct{}, spec.MaxConcurrent),
 		results:   make(chan InstanceResult, spec.MaxConcurrent),
 		backlog:   make(chan InstanceResult, spec.MaxConcurrent),
-		published: make(chan struct{}),
 		active:    make(map[uint32]*Handle),
 	}
 	go s.publish()
@@ -390,17 +379,17 @@ func (s *Service) Results() <-chan InstanceResult {
 func (s *Service) Stats() ServiceStats {
 	g := s.group.Stats()
 	st := ServiceStats{
-		Submitted:  s.submitted.Load(),
-		Completed:  s.completed.Load(),
-		Failed:     s.failed.Load(),
-		Frames:     g.Frames,
-		Flushes:    g.Flushes,
-		Unrouted:   g.Unrouted,
-		Stale:      g.Stale,
-		InboxDrops: g.Overflows,
+		Submitted: s.submitted.Load(),
+		Completed: s.completed.Load(),
+		Failed:    s.failed.Load(),
+		Frames:    g.Frames,
+		Flushes:   g.Flushes,
+		Unrouted:  g.Unrouted,
+		Stale:     g.Stale,
 	}
 	for _, l := range s.mesh {
 		c := l.Counters()
+		st.InboxDrops += c.Overflow
 		st.SocketFrames += c.FramesSent
 		st.SocketWrites += c.BatchWrites
 	}
@@ -420,8 +409,7 @@ func (s *Service) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	s.inflight.Wait()
-	close(s.backlog)
-	<-s.published
+	close(s.backlog) // every entry is sent: its slot was released after
 	if s.subscribed.Load() {
 		close(s.results)
 	}
@@ -443,33 +431,41 @@ func (s *Service) roundsFor(inputRange float64) (int, error) {
 	return chaosRounds(rounds, s.spec.FixedRounds, s.spec.Chaos), nil
 }
 
-// nodeSet builds or recycles an n-node protocol state set for one instance.
-func (s *Service) nodeSet(inputs []float64, inputRange float64, rounds int) (*nodeSet, error) {
-	if v := s.pool.Get(); v != nil {
-		set := v.(*nodeSet)
-		for i, nd := range set.nodes {
+// instance builds or recycles the protocol state of one instance: its
+// node set, reset for the inputs, and the job hosting it.
+func (s *Service) instance(h *Handle, inputs []float64, inputRange float64, rounds int) (*instance, error) {
+	inst, _ := s.pool.Get().(*instance)
+	if inst != nil {
+		for i, nd := range inst.nodes {
 			nd.Reset(inputs[i], inputRange, rounds)
 		}
-		return set, nil
-	}
-	set := &nodeSet{nodes: make([]*cluster.Node, s.n), machines: make([]service.Machine, s.n)}
-	for i := range set.nodes {
-		cfg := s.cfgs[i]
-		cfg.Input = inputs[i]
-		cfg.InputRange = inputRange
-		cfg.FixedRounds = rounds
-		nd, err := cluster.NewNode(cfg)
-		if err != nil {
-			return nil, err
+	} else {
+		inst = &instance{nodes: make([]*cluster.Node, s.n)}
+		machines := make([]service.Machine, s.n)
+		for i := range inst.nodes {
+			cfg := s.cfgs[i]
+			cfg.Input, cfg.InputRange, cfg.FixedRounds = inputs[i], inputRange, rounds
+			nd, err := cluster.NewNode(cfg)
+			if err != nil {
+				return nil, err
+			}
+			inst.nodes[i], machines[i] = nd, nd
 		}
-		set.nodes[i], set.machines[i] = nd, nd
+		inst.job = service.Job{Machines: machines, Timeout: s.spec.RoundTimeout, Exit: func(_ int, last bool) {
+			if last {
+				s.finish(inst)
+			}
+		}}
 	}
-	return set, nil
+	inst.h, inst.inputs, inst.rounds = h, inputs, rounds
+	inst.job.ID, inst.job.Links = h.id, nil
+	inst.job.Horizon = watchdogHorizon(s.spec.RunHorizon, rounds, s.spec.RoundTimeout)
+	inst.chaos, inst.chaosSpec = nil, nil
+	return inst, nil
 }
 
-// host sets one instance up — its node set and, under a ChaosSpec, its own
-// injector in front of every node's sends — and hands it to the dispatch
-// loops.
+// host sets one instance up — under a ChaosSpec with its own injector in
+// front of every node's sends — and hosts it on the dispatch loops.
 func (s *Service) host(h *Handle, inputs []float64) error {
 	inputRange := s.spec.InputRange
 	if inputRange == 0 {
@@ -479,39 +475,26 @@ func (s *Service) host(h *Handle, inputs []float64) error {
 	if err != nil {
 		return err
 	}
-	set, err := s.nodeSet(inputs, inputRange, rounds)
+	inst, err := s.instance(h, inputs, inputRange, rounds)
 	if err != nil {
 		return err
-	}
-	inst := &instance{
-		h: h, inputs: inputs, inputRange: inputRange, rounds: rounds, set: set,
-		horizon: watchdogHorizon(s.spec.RunHorizon, rounds, s.spec.RoundTimeout),
-	}
-	inst.job = service.Job{
-		ID:       h.id,
-		Machines: set.machines,
-		Timeout:  s.spec.RoundTimeout,
-		Horizon:  inst.horizon,
-		Done:     func(*service.Job) { s.finish(inst) },
 	}
 	if s.spec.Chaos != nil {
 		// Each instance gets its own injector, seeded from the template seed
 		// and the instance id: the fault trace of instance k replays
 		// bit-for-bit regardless of what else the service hosts. Connection
 		// faults (ResetRate) are recorded in the trace but not enacted here:
-		// the per-instance senders do not own connections, and resetting the
-		// shared mesh would leak one instance's chaos into every other.
+		// resetting the shared mesh would leak one instance's chaos into
+		// every other.
 		cspec := *s.spec.Chaos
 		cspec.Seed = DeriveSeed(cspec.Seed, int(h.id))
-		inst.chaos, err = transport.NewChaos(s.n, cspec)
-		if err != nil {
+		if inst.chaos, err = transport.NewChaos(s.n, cspec); err != nil {
 			return err
 		}
 		inst.chaosSpec = &cspec
-		inst.senders = make([]transport.Link, s.n)
-		inst.job.Wrap = func(node int, sender transport.Link) transport.Link {
-			inst.senders[node] = inst.chaos.WrapLink(sender, node)
-			return inst.senders[node]
+		inst.job.Links = make([]transport.Link, s.n)
+		for i, mesh := range s.mesh {
+			inst.job.Links[i] = inst.chaos.WrapLink(noResets{mesh}, i)
 		}
 	}
 	inst.start = time.Now()
@@ -521,32 +504,28 @@ func (s *Service) host(h *Handle, inputs []float64) error {
 	return nil
 }
 
+// noResets hides a mesh link's connections from a per-instance chaos layer,
+// which then records its injected resets without enacting them. Mesh links
+// always batch.
+type noResets struct{ transport.Link }
+
+func (l noResets) SendBatch(ms []transport.Message) error {
+	return l.Link.(transport.BatchSender).SendBatch(ms)
+}
+
 // finish assembles a finished instance's verdict, on the dispatch loop that
 // retired its last node, and completes its handle.
 func (s *Service) finish(inst *instance) {
 	elapsed := time.Since(inst.start)
-	n := s.n
-	outcomes := make([]cluster.Outcome, n)
-	var down []int
-	var firstErr error
-	for i, nd := range inst.set.nodes {
-		st := nd.Stats()
-		if inst.senders != nil {
-			st = st.Fold(inst.senders[i].Counters())
+	outcomes, down, err := cluster.Outcomes(inst.nodes, &inst.job, nil, func(i int) transport.Counters {
+		if inst.job.Links == nil {
+			return transport.Counters{}
 		}
-		outcomes[i].Stats = st
-		err := inst.job.Errs[i]
-		switch {
-		case inst.job.Down[i]:
-			down = append(down, i)
-			continue
-		case err == nil:
-			outcomes[i].Value, err = nd.Result()
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("node %d: %w", i, err)
-		}
-	}
+		// Only the chaos losses are this instance's; the mesh link's counts
+		// belong to every instance it hosts.
+		c := inst.job.Links[i].Counters()
+		return transport.Counters{Corrupt: c.Corrupt, Partitioned: c.Partitioned}
+	})
 	var trace []FaultEvent
 	var chaosStats *ChaosStats
 	if inst.chaos != nil {
@@ -555,21 +534,20 @@ func (s *Service) finish(inst *instance) {
 		cs := inst.chaos.Stats()
 		chaosStats = &cs
 	}
-	// No loop touches the nodes any more: the set is reusable whatever
-	// happened to the instance.
-	s.pool.Put(inst.set)
-	if firstErr != nil {
-		s.complete(inst.h, nil, trace, firstErr)
-		return
+	h, horizon := inst.h, inst.job.Horizon
+	var res *ClusterResult
+	if err == nil {
+		res = buildClusterResult(inst.inputs, s.spec.Epsilon, s.sched, inst.chaosSpec, inst.rounds,
+			outcomes, down, elapsed)
+		res.Chaos = chaosStats
+		if len(down) > 0 {
+			err = &NodeDownError{Nodes: down, Horizon: horizon, Partial: res}
+		}
 	}
-	res := buildClusterResult(inst.inputs, s.spec.Epsilon, s.sched, inst.chaosSpec, inst.rounds,
-		outcomes, down, elapsed)
-	res.Chaos = chaosStats
-	if len(down) > 0 {
-		s.complete(inst.h, res, trace, &NodeDownError{Nodes: down, Horizon: inst.horizon, Partial: res})
-		return
-	}
-	s.complete(inst.h, res, trace, nil)
+	// No loop touches the instance any more: it is reusable whatever
+	// happened to it.
+	s.pool.Put(inst)
+	s.complete(h, res, trace, err)
 }
 
 // complete publishes an instance's outcome: it fills and releases the
@@ -611,7 +589,6 @@ func (s *Service) release() {
 // publish sends the backlog's completions to the Results stream as the
 // consumer drains it, releasing each slot after its send.
 func (s *Service) publish() {
-	defer close(s.published)
 	for ir := range s.backlog {
 		select {
 		case s.results <- ir:
