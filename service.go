@@ -273,19 +273,19 @@ func (e *Engine) Serve(ctx context.Context, spec ServiceSpec) (*Service, error) 
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Service{
-		spec:      spec,
-		n:         cs.N,
-		cfgs:      cfgs,
-		sched:     cfgs[0].Schedule,
-		mesh:      links,
-		group:     service.NewGroup(sctx, links),
-		closer:    closer,
-		ctx:       sctx,
-		cancel:    cancel,
-		slots:     make(chan struct{}, spec.MaxConcurrent),
-		results:   make(chan InstanceResult, spec.MaxConcurrent),
-		backlog:   make(chan InstanceResult, spec.MaxConcurrent),
-		active:    make(map[uint32]*Handle),
+		spec:    spec,
+		n:       cs.N,
+		cfgs:    cfgs,
+		sched:   cfgs[0].Schedule,
+		mesh:    links,
+		group:   service.NewGroup(sctx, links),
+		closer:  closer,
+		ctx:     sctx,
+		cancel:  cancel,
+		slots:   make(chan struct{}, spec.MaxConcurrent),
+		results: make(chan InstanceResult, spec.MaxConcurrent),
+		backlog: make(chan InstanceResult, spec.MaxConcurrent),
+		active:  make(map[uint32]*Handle),
 	}
 	go s.publish()
 	return s, nil
