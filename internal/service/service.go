@@ -66,7 +66,7 @@ type Job struct {
 	group   *Group
 	epoch   uint32
 	horizon time.Time
-	left    atomic.Int32
+	left    atomic.Int64
 }
 
 // leave records how node's machine left its loop and reports it through
@@ -371,7 +371,7 @@ func (g *Group) Host(j *Job) error {
 	}
 	j.group, j.epoch = g, g.epoch.Add(1)
 	j.Down, j.Errs = make([]bool, n), make([]error, n)
-	j.left.Store(int32(n))
+	j.left.Store(int64(n))
 	j.horizon = time.Time{}
 	if j.Horizon > 0 {
 		j.horizon = time.Now().Add(j.Horizon)
