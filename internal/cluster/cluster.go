@@ -1005,7 +1005,7 @@ func RunClusterDeadline(ctx context.Context, cfgs []Config, links []transport.Li
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	exits := make(chan int, n)
+	exits := make(chan int, n) // one send per node: Exit never blocks a loop
 	job := &service.Job{
 		Machines: machines,
 		Timeout:  cfgs[0].RoundTimeout,

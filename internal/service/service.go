@@ -129,6 +129,7 @@ type mux struct {
 // context ends, failing every machine still on it.
 func (m *mux) run() {
 	defer close(m.exited)
+	defer m.timer.Stop()
 	inbox := m.link.Recv()
 	for err := error(nil); err == nil; {
 		select {

@@ -200,6 +200,7 @@ type Service struct {
 	results    chan InstanceResult
 	subscribed atomic.Bool
 	backlog    chan InstanceResult
+	published  chan struct{} // closed when the publisher exits
 
 	mu       sync.Mutex
 	active   map[uint32]*Handle
@@ -273,19 +274,20 @@ func (e *Engine) Serve(ctx context.Context, spec ServiceSpec) (*Service, error) 
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Service{
-		spec:    spec,
-		n:       cs.N,
-		cfgs:    cfgs,
-		sched:   cfgs[0].Schedule,
-		mesh:    links,
-		group:   service.NewGroup(sctx, links),
-		closer:  closer,
-		ctx:     sctx,
-		cancel:  cancel,
-		slots:   make(chan struct{}, spec.MaxConcurrent),
-		results: make(chan InstanceResult, spec.MaxConcurrent),
-		backlog: make(chan InstanceResult, spec.MaxConcurrent),
-		active:  make(map[uint32]*Handle),
+		spec:      spec,
+		n:         cs.N,
+		cfgs:      cfgs,
+		sched:     cfgs[0].Schedule,
+		mesh:      links,
+		group:     service.NewGroup(sctx, links),
+		closer:    closer,
+		ctx:       sctx,
+		cancel:    cancel,
+		slots:     make(chan struct{}, spec.MaxConcurrent),
+		results:   make(chan InstanceResult, spec.MaxConcurrent),
+		backlog:   make(chan InstanceResult, spec.MaxConcurrent),
+		published: make(chan struct{}),
+		active:    make(map[uint32]*Handle),
 	}
 	go s.publish()
 	return s, nil
@@ -409,7 +411,8 @@ func (s *Service) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	s.inflight.Wait()
-	close(s.backlog) // every entry is sent: its slot was released after
+	close(s.backlog)
+	<-s.published
 	if s.subscribed.Load() {
 		close(s.results)
 	}
@@ -589,6 +592,7 @@ func (s *Service) release() {
 // publish sends the backlog's completions to the Results stream as the
 // consumer drains it, releasing each slot after its send.
 func (s *Service) publish() {
+	defer close(s.published)
 	for ir := range s.backlog {
 		select {
 		case s.results <- ir:
