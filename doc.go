@@ -40,8 +40,8 @@
 //     default; ClusterSpec.PipelineDepth = k lets a node run up to k
 //     rounds ahead of the slowest peer, flagging peers persistently more
 //     than k rounds behind (NodeStats.StallEvents) and scoring per-peer
-//     missed closes (NodeStats.PeerMisses). Every depth runs one receive
-//     loop that keeps ahead-of-round frames in a bounded ring of
+//     missed closes (NodeStats.PeerMisses). Every depth runs one step
+//     machine that keeps ahead-of-round frames in a bounded ring of
 //     per-round receive states (k rounds ahead at depth k, 32 at depth
 //     0); a frame beyond that window is dropped and counted in
 //     NodeStats.StaleRounds, an unrecorded frame for a closed round in

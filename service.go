@@ -106,8 +106,15 @@ func (s ServiceSpec) clusterSpec() ClusterSpec {
 // Handle identifies one submitted instance. Await (or the Results stream)
 // yields its outcome; Done is closed when the instance finishes.
 type Handle struct {
-	id    uint32
-	done  chan struct{}
+	id uint32
+
+	// done is made by the first Done call while the instance runs, so an
+	// instance nobody waits on allocates no channel; finished is set once
+	// res, trace and err are final.
+	mu       sync.Mutex
+	done     chan struct{}
+	finished bool
+
 	res   *ClusterResult
 	trace []FaultEvent
 	err   error
@@ -118,7 +125,25 @@ func (h *Handle) ID() uint32 { return h.id }
 
 // Done returns a channel closed when the instance has finished (select on
 // it alongside other events; Await wraps it).
-func (h *Handle) Done() <-chan struct{} { return h.done }
+func (h *Handle) Done() <-chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	switch {
+	case h.finished:
+		return closedDone
+	case h.done == nil:
+		h.done = make(chan struct{})
+	}
+	return h.done
+}
+
+// closedDone is the Done channel of a handle that finished before anyone
+// asked for one.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // InstanceResult is one finished instance on the Results stream.
 type InstanceResult struct {
@@ -337,7 +362,7 @@ func (s *Service) Submit(ctx context.Context, id uint32, inputs []float64) (*Han
 		<-s.slots
 		return nil, configErrorf("InstanceID", "instance %d is already active", id)
 	}
-	h := &Handle{id: id, done: make(chan struct{})}
+	h := &Handle{id: id}
 	s.active[id] = h
 	s.inflight.Add(1)
 	s.mu.Unlock()
@@ -359,7 +384,7 @@ func (s *Service) Await(ctx context.Context, h *Handle) (*ClusterResult, error) 
 		ctx = context.Background()
 	}
 	select {
-	case <-h.done:
+	case <-h.Done():
 		return h.res, h.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -568,7 +593,12 @@ func (s *Service) complete(h *Handle, res *ClusterResult, trace []FaultEvent, er
 	} else {
 		s.completed.Add(1)
 	}
-	close(h.done)
+	h.mu.Lock()
+	h.finished = true
+	if h.done != nil {
+		close(h.done)
+	}
+	h.mu.Unlock()
 	if s.subscribed.Load() {
 		ir := InstanceResult{ID: h.id, Result: res, Trace: trace, Err: err}
 		select {

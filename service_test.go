@@ -92,6 +92,12 @@ func TestServiceSubmitAwait(t *testing.T) {
 			t.Errorf("node %d dropped %d frames on a full instance inbox in a lone run", id, st.Overflow)
 		}
 	}
+	// Done is closed once the instance has finished, whenever it is asked.
+	select {
+	case <-h.Done():
+	default:
+		t.Error("Done is open after Await returned")
+	}
 	// A second Await returns the same completed result.
 	res2, err := svc.Await(context.Background(), h)
 	if err != nil || res2 != res {
