@@ -9,7 +9,7 @@
 // the paper's contraction theorems cover.
 //
 // A Node is a sans-I/O step machine: it holds no link, channel, timer or
-// context. Its driver is internal/service's dispatch loop, one goroutine and
+// context. It runs on internal/service's dispatch loop, one goroutine and
 // one deadline timer per mesh node, hosting that node of one instance
 // (RunClusterDeadline, behind Deploy) or of many (Engine.Serve). Every
 // depth keeps one ring of per-round receive states, so a frame that arrives
@@ -365,10 +365,10 @@ type NodeStats struct {
 }
 
 // Node is one cluster member as a sans-I/O step machine: the protocol state
-// of one node and nothing else — no link, channel, timer or context. A
-// driver moves it through each round: Begin returns the round's sends,
+// of one node and nothing else — no link, channel, timer or context. Its
+// caller moves it through each round: Begin returns the round's sends,
 // Deliver admits each inbound frame, Settle runs the close check once the
-// driver has delivered everything that already arrived, and Expire closes
+// caller has delivered everything that already arrived, and Expire closes
 // the round at its deadline. When the last round has closed, Done reports
 // true and Result returns the decision. internal/service's dispatch loops
 // drive it.
@@ -510,7 +510,7 @@ func (nd *Node) Reset(input, inputRange float64, fixedRounds int) {
 }
 
 // Stats returns the node's protocol counters so far. The link-level losses
-// a driver sees (authentication and replay drops, chaos losses, overflow,
+// a link reports (authentication and replay drops, chaos losses, overflow,
 // reconnects) are folded in with NodeStats.Fold.
 func (nd *Node) Stats() NodeStats {
 	s := nd.stats
@@ -589,7 +589,7 @@ func (nd *Node) Deliver(m transport.Message) {
 }
 
 // Settle is the close check: it closes the open round if the depth's close
-// rule holds now, and reports whether it did. Drivers call it after
+// rule holds now, and reports whether it did. Callers run it after
 // delivering every frame that has already arrived, so an early close never
 // discards a frame that is there.
 func (nd *Node) Settle() bool {
