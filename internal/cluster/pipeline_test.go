@@ -197,10 +197,11 @@ func TestPipelineWedgedPeerStall(t *testing.T) {
 	cfg := pipelineConfigs(n, rounds, k, timeout)[0]
 
 	// Peer 1 echoes a frame back, stamped with the instance and epoch it
-	// came with, for every round it sees node 0 send; peer 2 stays wedged. With k=2 the node closes round 0 early (peer 2 still has
-	// pipeline credit), burns exactly one deadline on round 1 (the brake
-	// blocks on peer 2's silence), stall-flags peer 2 after that close, and
-	// closes every later round early against peer 1 alone.
+	// came with, for every round it sees node 0 send; peer 2 stays wedged.
+	// With k=2 the node closes round 0 early (peer 2 still has pipeline
+	// credit), burns exactly one deadline on round 1 (the brake blocks on
+	// peer 2's silence), stall-flags peer 2 after that close, and closes
+	// every later round early against peer 1 alone.
 	peer1 := hub.Link(1)
 	go func() {
 		for m := range peer1.Recv() {
